@@ -1,8 +1,9 @@
-"""Feature sources behind the pluggable backbone boundary.
+"""The BTFT tensor container and the toy backbone.
 
-Pre-extracted feature maps arrive through the BTFT tensor container; a
-small two-layer convolutional backbone stands in for the frozen
-pretrained extractor when running desk-scale end-to-end experiments.
+Pre-extracted feature maps, preprocessed images, checkpoint parameters
+and extracted vectors all travel through the BTFT container; a small
+two-layer convolutional backbone stands in for the frozen pretrained
+extractor when running desk-scale end-to-end experiments.
 
 BTFT layout (little-endian): magic "BTFT", version u32, dtype code u8
 (1 = float32), rank u8, one u32 extent per axis, then the row-major
@@ -68,37 +69,6 @@ def load_feature_map(path):
     return tensor(arr)
 
 
-class ImportedFeatures:
-    """Directory of <sample_id>.btft feature maps from a frozen backbone.
-
-    Never trainable; every map in one dataset must share a single shape.
-    """
-
-    kind = "imported_features"
-    trainable = False
-
-    def __init__(self, directory, output_channels):
-        self.directory = Path(directory)
-        self.output_channels = output_channels
-        self._shape = None
-
-    def path_for(self, sample_id):
-        return self.directory / f"{sample_id}.btft"
-
-    def load(self, sample_id):
-        fmap = load_feature_map(self.path_for(sample_id))
-        if fmap.ndim != 3 or fmap.shape[2] != self.output_channels:
-            raise ShapeMismatch(
-                f"{sample_id}: feature map {fmap.shape} incompatible with "
-                f"{self.output_channels} channels"
-            )
-        if self._shape is None:
-            self._shape = fmap.shape
-        elif fmap.shape != self._shape:
-            raise ShapeMismatch(f"{sample_id}: shape {fmap.shape} != dataset shape {self._shape}")
-        return fmap
-
-
 class ToyBackbone:
     """Two strided conv+ReLU stages: 224x224x3 -> 53x53x16.
 
@@ -106,7 +76,6 @@ class ToyBackbone:
     default, trainable on request for end-to-end gradient flow.
     """
 
-    kind = "toy_cnn"
     input_shape = (224, 224, 3)
     output_channels = 16
 

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,7 +32,6 @@ from .train import Dataset, TrainConfig, train_loop, write_epoch_csv
 class ExperimentConfig:
     seed: int
     manifest: Path
-    mode: str  # "features" | "images"
     model: ModelSpec
     train: TrainConfig
     output_dir: Path
@@ -47,23 +47,24 @@ class ExperimentConfig:
             raise ConfigInvalid(f"{path}: not valid JSON: {e}") from e
         if "seed" not in obj:
             raise ConfigInvalid(f"{path}: an explicit seed is required")
+        try:
+            seed = int(obj["seed"])
+        except (TypeError, ValueError) as e:
+            raise ConfigInvalid(f"{path}: seed must be an integer, got {obj['seed']!r}") from e
         dataset = obj.get("dataset", {})
-        mode = dataset.get("mode", "features")
-        if mode not in ("features", "images"):
-            raise ConfigInvalid(f"{path}: dataset.mode must be 'features' or 'images'")
-        if "manifest" not in dataset:
+        if not isinstance(dataset, dict) or "manifest" not in dataset:
             raise ConfigInvalid(f"{path}: dataset.manifest is required")
         manifest = (path.parent / dataset["manifest"]).resolve()
         if not manifest.exists():
             raise FileNotFoundError(f"manifest not found: {manifest}")
         try:
             spec = ModelSpec.from_dict(obj.get("model", {}))
-            train = TrainConfig(seed=int(obj["seed"]), **obj.get("train", {})).validate()
-        except TypeError as e:
+            train = TrainConfig(seed=seed, **obj.get("train", {})).validate()
+        except (TypeError, ValueError) as e:
             raise ConfigInvalid(f"{path}: {e}") from e
         output_dir = (path.parent / obj.get("output_dir", "run")).resolve()
-        return cls(seed=int(obj["seed"]), manifest=manifest, mode=mode,
-                   model=spec, train=train, output_dir=output_dir)
+        return cls(seed=seed, manifest=manifest, model=spec, train=train,
+                   output_dir=output_dir)
 
 
 def _worker_count():
@@ -209,13 +210,13 @@ def cmd_train(args):
     with OutputLock(config.output_dir):
         dataset = build_dataset(config, splits=("train", "val"))
         model = Model(config.model, seed=config.seed)
+        # extract-once: the frozen prefix runs a single time per sample
+        dataset = Dataset(train=[(model.encode(x), y) for x, y in dataset.train],
+                          val=[(model.encode(x), y) for x, y in dataset.val])
         result = train_loop(model, dataset, config.train)
         write_epoch_csv(result.epochs, config.output_dir / "epochs.csv")
         save_checkpoint(model, config.output_dir / "checkpoint")
-        timing = {
-            "seconds_per_epoch": result.timing.seconds_per_epoch,
-            "test_ms_per_image": result.timing.test_ms_per_image,
-        }
+        timing = {"seconds_per_epoch": result.seconds_per_epoch}
         (config.output_dir / "timing.json").write_text(json.dumps(timing, indent=2) + "\n")
     last = result.epochs[-1]
     print(f"trained {config.model.classifier} for {last.epoch} epochs: "
@@ -235,24 +236,21 @@ def cmd_eval(args):
     if not samples:
         raise GapnetError(f"split {args.split!r} is empty in {config.manifest}")
 
-    preds = []
-    labels = []
-    for x, y in samples:
-        preds.append(decide(model.forward(x, train=False), model.spec.decision_threshold))
-        labels.append(y)
-    cm = confusion(preds, labels)
+    t0 = time.perf_counter()
+    preds = [decide(model.forward(model.encode(x)), model.spec.decision_threshold)
+             for x, _ in samples]
+    test_ms_per_image = (time.perf_counter() - t0) * 1000.0 / len(samples)
+    cm = confusion(preds, [y for _, y in samples])
 
     seconds_per_epoch = 0.0
     timing_file = config.output_dir / "timing.json"
     if timing_file.exists():
         seconds_per_epoch = json.loads(timing_file.read_text()).get("seconds_per_epoch", 0.0)
-    from .metrics import measure_inference
-
     report = build_report(
         cm, model_name=config.model.classifier,
         fingerprint=config.model.fingerprint(), seed=config.seed,
         seconds_per_epoch=seconds_per_epoch,
-        test_ms_per_image=measure_inference(model, [x for x, _ in samples]),
+        test_ms_per_image=test_ms_per_image,
     )
     config.output_dir.mkdir(parents=True, exist_ok=True)
     (config.output_dir / "metrics.json").write_text(report.to_json())
@@ -274,9 +272,7 @@ def cmd_extract(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     records = datamod.load_manifest(config.manifest)
     for rec in records:
-        x = _load_input(config, rec)
-        fmap = model._features(x, train=False)
-        vec = model.head.forward(fmap, train=False)
+        vec = model.features(model.encode(_load_input(config, rec)))
         save_tensor(vec, out_dir / f"{rec.sample_id}.btft")
     print(f"extracted {len(records)} feature vectors "
           f"(dim {config.model.projection_dim}) -> {out_dir}")

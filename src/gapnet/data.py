@@ -15,6 +15,7 @@ from .errors import (
     DuplicateId,
     EmptyImage,
     InvalidExtent,
+    IoFailure,
     NonSquareRotation,
     ParseError,
     TargetUnreachable,
@@ -285,7 +286,13 @@ def split(manifest, fractions, seed, level="subject"):
 # ------------------------------------------------------- PGM (P5) raster i/o
 
 def load_pgm(path):
-    data = open(path, "rb").read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise  # a missing resource, not a bad input
+    except OSError as e:
+        raise IoFailure(f"cannot read image {path}: {e}") from e
     pos = 0
 
     def token():

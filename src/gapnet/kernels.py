@@ -1,29 +1,23 @@
-"""Hot convolution kernels, in two interchangeable backends.
-
-The numba backend JIT-compiles plain loops; the numpy backend uses
-stride tricks plus BLAS. Selection happens once at import time via the
-GAPNET_BACKEND environment variable ("numba" or "numpy"); the default
-is numba when it imports, numpy otherwise. Both backends are exposed
-under explicit names so the benchmark can time them side by side.
+"""Hot convolution kernels: stride tricks plus BLAS.
 
 All kernels preserve the input dtype (float32 at runtime, float64 when
 the gradient-check oracle re-runs a model in double precision).
 """
 
-import os
-
 import numpy as np
 
+# Kernel-path provenance read by the benchmark harness; numpy is the only path.
+BACKEND = "numpy"
+HAVE_NUMBA = False
 
-# ---------------------------------------------------------------- numpy
 
-def np_conv1d_forward(x, w, b):
+def conv1d_forward(x, w, b):
     # x: (n,), w: (filters, K), b: (filters,) -> (filters, n-K+1)
     windows = np.lib.stride_tricks.sliding_window_view(x, w.shape[1])
     return np.ascontiguousarray((windows @ w.T + b).T)
 
 
-def np_conv1d_backward(x, w, g):
+def conv1d_backward(x, w, g):
     # g: (filters, L) -> dx (n,), dw (filters, K), db (filters,)
     n = x.shape[0]
     f, k = w.shape
@@ -38,7 +32,7 @@ def np_conv1d_backward(x, w, g):
     return dx.astype(x.dtype, copy=False), dw, db
 
 
-def np_conv2d_forward(x, w, b, stride):
+def conv2d_forward(x, w, b, stride):
     # x: (H, W, Cin), w: (kh, kw, Cin, Cout), b: (Cout,) -> (H', W', Cout)
     kh, kw = w.shape[0], w.shape[1]
     h2 = (x.shape[0] - kh) // stride + 1
@@ -52,7 +46,7 @@ def np_conv2d_forward(x, w, b, stride):
     return out
 
 
-def np_conv2d_backward(x, w, g, stride):
+def conv2d_backward(x, w, g, stride):
     kh, kw = w.shape[0], w.shape[1]
     h2, w2 = g.shape[0], g.shape[1]
     dx = np.zeros_like(x)
@@ -64,108 +58,3 @@ def np_conv2d_backward(x, w, g, stride):
             dw[u, v] = np.tensordot(xs, g, axes=([0, 1], [0, 1]))
             dx[u:u + h2 * stride:stride, v:v + w2 * stride:stride, :] += g @ w[u, v].T
     return dx, dw, db
-
-
-# ---------------------------------------------------------------- numba
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def nb_conv1d_forward(x, w, b):
-        f, k = w.shape
-        l = x.shape[0] - k + 1
-        out = np.empty((f, l), x.dtype)
-        for i in range(f):
-            for t in range(l):
-                acc = b[i]
-                for j in range(k):
-                    acc += w[i, j] * x[t + j]
-                out[i, t] = acc
-        return out
-
-    @njit(cache=True)
-    def nb_conv1d_backward(x, w, g):
-        f, k = w.shape
-        l = g.shape[1]
-        dx = np.zeros(x.shape[0], x.dtype)
-        dw = np.zeros((f, k), x.dtype)
-        db = np.zeros(f, x.dtype)
-        for i in range(f):
-            for t in range(l):
-                gv = g[i, t]
-                db[i] += gv
-                for j in range(k):
-                    dw[i, j] += gv * x[t + j]
-                    dx[t + j] += gv * w[i, j]
-        return dx, dw, db
-
-    @njit(cache=True)
-    def nb_conv2d_forward(x, w, b, stride):
-        kh, kw, ci, co = w.shape
-        h2 = (x.shape[0] - kh) // stride + 1
-        w2 = (x.shape[1] - kw) // stride + 1
-        out = np.empty((h2, w2, co), x.dtype)
-        for i in range(h2):
-            for j in range(w2):
-                for c in range(co):
-                    out[i, j, c] = b[c]
-                for u in range(kh):
-                    for v in range(kw):
-                        for ic in range(ci):
-                            xv = x[i * stride + u, j * stride + v, ic]
-                            for c in range(co):
-                                out[i, j, c] += xv * w[u, v, ic, c]
-        return out
-
-    @njit(cache=True)
-    def nb_conv2d_backward(x, w, g, stride):
-        kh, kw, ci, co = w.shape
-        h2, w2 = g.shape[0], g.shape[1]
-        dx = np.zeros(x.shape, x.dtype)
-        dw = np.zeros(w.shape, x.dtype)
-        db = np.zeros(co, x.dtype)
-        for i in range(h2):
-            for j in range(w2):
-                for c in range(co):
-                    db[c] += g[i, j, c]
-                for u in range(kh):
-                    for v in range(kw):
-                        for ic in range(ci):
-                            xv = x[i * stride + u, j * stride + v, ic]
-                            for c in range(co):
-                                gv = g[i, j, c]
-                                dw[u, v, ic, c] += xv * gv
-                                dx[i * stride + u, j * stride + v, ic] += gv * w[u, v, ic, c]
-        return dx, dw, db
-
-
-def _pick_backend():
-    requested = os.environ.get("GAPNET_BACKEND", "").strip().lower()
-    if requested not in ("", "numba", "numpy"):
-        raise ValueError(f"GAPNET_BACKEND must be 'numba' or 'numpy', got {requested!r}")
-    if requested == "numba" and not HAVE_NUMBA:
-        raise ValueError("GAPNET_BACKEND=numba but numba is not importable")
-    if requested:
-        return requested
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _pick_backend()
-
-if BACKEND == "numba":
-    conv1d_forward = nb_conv1d_forward
-    conv1d_backward = nb_conv1d_backward
-    conv2d_forward = nb_conv2d_forward
-    conv2d_backward = nb_conv2d_backward
-else:
-    conv1d_forward = np_conv1d_forward
-    conv1d_backward = np_conv1d_backward
-    conv2d_forward = np_conv2d_forward
-    conv2d_backward = np_conv2d_backward

@@ -6,7 +6,6 @@ ordered without NaNs.
 """
 
 import json
-import time
 from dataclasses import dataclass, field
 
 from .errors import EmptyInput, EmptyMatrix, LengthMismatch
@@ -152,12 +151,3 @@ def render_confusion_svg(cm):
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def measure_inference(model, samples):
-    """Mean wall-clock milliseconds per forward pass, single-threaded."""
-    if not len(samples):
-        raise EmptyInput("no samples to time")
-    t0 = time.perf_counter()
-    for x in samples:
-        model.forward(x, train=False)
-    return (time.perf_counter() - t0) * 1000.0 / len(samples)

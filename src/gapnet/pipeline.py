@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import ToyBackbone, load_feature_map, save_tensor
-from .errors import CheckpointMismatch, ShapeMismatch, SpecInvalid
+from .errors import CheckpointMismatch, ParseError, ShapeMismatch, SpecInvalid
 from .nn import Conv1D, Dense, Dropout, GlobalAvgPool, ReLU, Sequential, Sigmoid
 
 CLASSIFIERS = ("dfn", "fcnn", "cnn1d")
@@ -113,19 +113,21 @@ def build_classifier(spec, rng):
     return Sequential(layers)
 
 
-@dataclass
-class Prediction:
-    p: float
-    y: int
-
-
 def decide(p, threshold=0.5):
     """Strict threshold rule: tumor iff p > threshold."""
     return 1 if p > threshold else 0
 
 
 class Model:
-    """Optional toy backbone + feature head + classifier + sigmoid."""
+    """Optional toy backbone + feature head + classifier + sigmoid.
+
+    The spec alone says what a raw input is: a 224x224x3 image for the
+    toy_cnn backbone, an HxWx``head_input_channels`` map for imported
+    features. ``encode`` runs the frozen prefix, the part of the network
+    training never changes: the toy backbone when it is frozen, nothing
+    otherwise. ``forward`` and ``backward`` run the rest on an encoded
+    input, so a raw input scores as ``forward(encode(x))``.
+    """
 
     def __init__(self, spec, seed):
         self.spec = spec.validate()
@@ -140,19 +142,24 @@ class Model:
         self.sigmoid = Sigmoid()
 
     # -- inference ----------------------------------------------------
-    def _features(self, x, train):
-        if self.backbone is not None and x.shape == self.backbone.input_shape:
-            return self.backbone.forward(x, train=train and self.backbone.trainable)
-        if x.ndim != 3 or x.shape[2] != self.spec.head_input_channels:
-            raise ShapeMismatch(
-                f"input {x.shape} matches neither the backbone input nor an "
-                f"HxWx{self.spec.head_input_channels} feature map"
-            )
+    def encode(self, x):
+        """Raw input -> the input of ``forward``, through the frozen prefix."""
+        if self.backbone is not None and not self.backbone.trainable:
+            return self.backbone.forward(x, train=False)
         return x
 
-    def forward(self, x, train=False):
-        fmap = self._features(x, train)
-        z = self.classifier.forward(self.head.forward(fmap, train=train), train=train)
+    def features(self, z, train=False):
+        """Encoded input -> projected feature vector."""
+        if self.backbone is not None and self.backbone.trainable:
+            z = self.backbone.forward(z, train=train)
+        elif z.ndim != 3 or z.shape[2] != self.spec.head_input_channels:
+            raise ShapeMismatch(f"input {z.shape} is not an HxWx"
+                                f"{self.spec.head_input_channels} feature map")
+        return self.head.forward(z, train=train)
+
+    def forward(self, z, train=False):
+        """Tumor probability of one encoded input."""
+        z = self.classifier.forward(self.features(z, train), train=train)
         p = self.sigmoid.forward(z, train=train)
         return float(p[0])
 
@@ -162,10 +169,6 @@ class Model:
         if self.backbone is not None and self.backbone.trainable:
             g = self.backbone.backward(g)
         return g
-
-    def predict(self, x):
-        p = self.forward(x, train=False)
-        return Prediction(p=p, y=decide(p, self.spec.decision_threshold))
 
     # -- parameter plumbing -------------------------------------------
     def parameters(self, trainable_only=True):
@@ -226,8 +229,14 @@ def save_checkpoint(model, directory):
 
 def load_checkpoint(directory, expected_spec=None):
     directory = Path(directory)
-    manifest = json.loads((directory / "model.json").read_text())
-    spec = ModelSpec.from_dict(manifest["model_spec"])
+    path = directory / "model.json"
+    try:
+        manifest = json.loads(path.read_text())
+        spec = ModelSpec.from_dict(manifest["model_spec"])
+    except KeyError as e:
+        raise ParseError(f"{path}: checkpoint manifest lacks {e}") from e
+    except (ValueError, TypeError) as e:
+        raise ParseError(f"{path}: not a checkpoint manifest: {e}") from e
     if expected_spec is not None and expected_spec.fingerprint() != spec.fingerprint():
         raise CheckpointMismatch(
             f"checkpoint fingerprint {spec.fingerprint()[:12]} != "

@@ -1,14 +1,12 @@
-"""Dense tensor helpers and the numeric kernels everything else uses.
+"""Dense tensor helpers: construction, shape and finiteness checks, GAP.
 
 Tensors are plain numpy arrays: row-major, rank >= 1, every extent >= 1,
-float32 at runtime. Kernels are pure functions that validate shapes on
-the way in and finiteness on the way out.
+float32 at runtime. The convolution kernels live in ``kernels``.
 """
 
 import numpy as np
 
-from . import kernels
-from .errors import InvalidShape, KernelTooLong, NonFiniteTensor, RankError, ShapeMismatch
+from .errors import InvalidShape, NonFiniteTensor, RankError
 
 DTYPE = np.float32
 
@@ -34,68 +32,8 @@ def ensure_finite(arr, where):
     return arr
 
 
-def matmul(a, b):
-    """Standard matrix product of two rank-2 tensors."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise RankError(f"matmul needs rank-2 inputs, got ranks {a.ndim} and {b.ndim}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"inner extents differ: {a.shape} x {b.shape}")
-    return ensure_finite(a @ b, "matmul")
-
-
-def conv1d_valid(x, kernel, bias=0.0):
-    """Valid-padding stride-1 cross-correlation of a rank-1 signal.
-
-    out[t] = sum_k kernel[k] * x[t+k] + bias, length n-K+1.
-    """
-    if x.ndim != 1 or kernel.ndim != 1:
-        raise RankError("conv1d_valid needs rank-1 signal and kernel")
-    if kernel.shape[0] > x.shape[0]:
-        raise KernelTooLong(f"kernel length {kernel.shape[0]} > signal length {x.shape[0]}")
-    b = np.asarray([bias], dtype=x.dtype)
-    out = kernels.conv1d_forward(x, kernel.reshape(1, -1), b)[0]
-    return ensure_finite(out, "conv1d_valid")
-
-
-def conv2d(x, filters, bias, stride=1):
-    """Valid-padding cross-correlation over an H x W x Cin map (no kernel flip)."""
-    if x.ndim != 3:
-        raise RankError(f"conv2d input must be rank-3, got rank {x.ndim}")
-    if filters.ndim != 4:
-        raise RankError(f"conv2d filters must be rank-4, got rank {filters.ndim}")
-    kh, kw, cin, cout = filters.shape
-    if cin != x.shape[2]:
-        raise ShapeMismatch(f"input has {x.shape[2]} channels, filters expect {cin}")
-    if bias.shape != (cout,):
-        raise ShapeMismatch(f"bias shape {bias.shape} != ({cout},)")
-    if kh > x.shape[0] or kw > x.shape[1]:
-        raise ShapeMismatch(f"kernel {kh}x{kw} larger than input {x.shape[0]}x{x.shape[1]}")
-    if stride < 1:
-        raise InvalidShape(f"stride must be >= 1, got {stride}")
-    out = kernels.conv2d_forward(x, filters, bias, stride)
-    return ensure_finite(out, "conv2d")
-
-
 def mean_over_spatial(x):
     """Average an H x W x C map over its spatial positions, giving a C-vector."""
     if x.ndim != 3:
         raise RankError(f"mean_over_spatial needs rank-3 input, got rank {x.ndim}")
     return ensure_finite(x.mean(axis=(0, 1)), "mean_over_spatial")
-
-
-def map_elementwise(x, f):
-    """Apply a vectorized scalar function pointwise; shape is preserved."""
-    out = np.asarray(f(x), dtype=x.dtype)
-    if out.shape != x.shape:
-        raise ShapeMismatch(f"map changed shape {x.shape} -> {out.shape}")
-    return ensure_finite(out, "map_elementwise")
-
-
-def zip_elementwise(a, b, f):
-    """Combine two same-shaped tensors pointwise."""
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"zip needs identical shapes, got {a.shape} and {b.shape}")
-    out = np.asarray(f(a, b), dtype=a.dtype)
-    if out.shape != a.shape:
-        raise ShapeMismatch(f"zip changed shape {a.shape} -> {out.shape}")
-    return ensure_finite(out, "zip_elementwise")

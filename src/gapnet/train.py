@@ -73,10 +73,6 @@ class AdamState:
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def adam_step(state, named_params, lr):
-    state.step(named_params, lr)
-
-
 def lr_on_plateau(val_losses, config):
     """Current lr after replaying the plateau policy over the loss history.
 
@@ -141,16 +137,10 @@ class EpochLog:
 
 
 @dataclass
-class TimingReport:
-    seconds_per_epoch: float
-    test_ms_per_image: float
-
-
-@dataclass
 class TrainResult:
     model: object
     epochs: list
-    timing: TimingReport
+    seconds_per_epoch: float
     stopped_early: bool
 
 
@@ -175,24 +165,15 @@ def _evaluate(model, samples):
 def train_loop(model, dataset, config):
     """Seeded epoch loop: shuffle, mini-batch Adam/BCE, scheduler, early stop.
 
-    When the toy backbone is frozen, its feature maps are computed once
-    up front (the extract-once protocol) instead of every epoch.
+    The samples are encoded inputs (``Model.encode``): the caller runs the
+    frozen prefix once per sample (the extract-once protocol), so every
+    epoch runs only the part of the network that training changes.
     """
     config.validate()
     if not dataset.train:
         raise EmptySplit("train split is empty")
     if not dataset.val:
         raise EmptySplit("val split is empty")
-
-    def through_frozen_backbone(samples):
-        if model.backbone is None or model.backbone.trainable:
-            return samples
-        return [(model.backbone.forward(x, train=False), y)
-                if x.shape == model.backbone.input_shape else (x, y)
-                for x, y in samples]
-
-    train_set = through_frozen_backbone(dataset.train)
-    val_set = through_frozen_backbone(dataset.val)
 
     rng = np.random.default_rng(config.seed)
     adam = AdamState()
@@ -205,7 +186,7 @@ def train_loop(model, dataset, config):
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
         lr = lr_on_plateau(val_history, config)
-        order = rng.permutation(len(train_set))
+        order = rng.permutation(len(dataset.train))
         losses = []
         hits = 0
         for start in range(0, len(order), config.batch_size):
@@ -213,7 +194,7 @@ def train_loop(model, dataset, config):
             model.zero_grad()
             try:
                 for i in batch:
-                    x, y = train_set[i]
+                    x, y = dataset.train[i]
                     p = model.forward(x, train=True)
                     loss, dldp = bce_loss(p, y)
                     losses.append(loss)
@@ -223,8 +204,8 @@ def train_loop(model, dataset, config):
                 raise DivergedLoss(f"epoch {epoch}: {e}") from e
             adam.step(params, lr)
         train_loss = float(np.mean(losses))
-        train_acc = hits / len(train_set)
-        val_loss, val_acc = _evaluate(model, val_set)
+        train_acc = hits / len(dataset.train)
+        val_loss, val_acc = _evaluate(model, dataset.val)
         if not np.isfinite(train_loss) or not np.isfinite(val_loss):
             raise DivergedLoss(f"non-finite loss at epoch {epoch}")
         seconds = time.perf_counter() - t0
@@ -237,13 +218,9 @@ def train_loop(model, dataset, config):
     if not stopped and stopper.snapshot is not None:
         model.load_state_dict(stopper.snapshot)
 
-    from .metrics import measure_inference
-
-    timing = TimingReport(
-        seconds_per_epoch=float(np.mean([log.seconds_per_epoch for log in logs])),
-        test_ms_per_image=measure_inference(model, [x for x, _ in val_set]),
-    )
-    return TrainResult(model=model, epochs=logs, timing=timing, stopped_early=stopped)
+    seconds_per_epoch = float(np.mean([log.seconds_per_epoch for log in logs]))
+    return TrainResult(model=model, epochs=logs, seconds_per_epoch=seconds_per_epoch,
+                       stopped_early=stopped)
 
 
 EPOCH_CSV_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc,lr,seconds_per_epoch"

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from gapnet.backbone import ImportedFeatures, ToyBackbone, load_feature_map, save_tensor
+from gapnet.backbone import ToyBackbone, load_feature_map, save_tensor
 from gapnet.errors import (
     BadMagic,
     ShapeMismatch,
@@ -98,15 +98,19 @@ def test_gradient_flows_through_both_conv_layers():
     assert report.passed, report.per_param
 
 
+
 def test_imported_features_contract(tmp_path):
+    from gapnet.pipeline import Model, ModelSpec
+
     rng = np.random.default_rng(7)
+    model = Model(ModelSpec(head_input_channels=8), seed=0)
+    assert model.backbone is None  # imported maps carry no trainable backbone
+    # GAP takes any spatial extent, so maps of one dataset may differ in H x W
     for sid, shape in (("a", (4, 4, 8)), ("b", (4, 4, 8)), ("c", (5, 5, 8))):
         save_tensor(rng.standard_normal(shape).astype(np.float32), tmp_path / f"{sid}.btft")
-    src = ImportedFeatures(tmp_path, output_channels=8)
-    assert not src.trainable
-    assert src.load("a").shape == (4, 4, 8)
-    assert src.load("b").shape == (4, 4, 8)
+        fmap = load_feature_map(tmp_path / f"{sid}.btft")
+        assert model.encode(fmap) is fmap
+        assert 0.0 < model.forward(fmap) < 1.0
+    save_tensor(rng.standard_normal((4, 4, 3)).astype(np.float32), tmp_path / "d.btft")
     with pytest.raises(ShapeMismatch):
-        src.load("c")  # dataset shape must stay consistent
-    with pytest.raises(ShapeMismatch):
-        ImportedFeatures(tmp_path, output_channels=3).load("a")
+        model.forward(load_feature_map(tmp_path / "d.btft"))

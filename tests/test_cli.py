@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from gapnet.cli import main
@@ -185,3 +186,56 @@ def test_train_idempotent_checkpoints(raw_dir, tmp_path):
         ckpts.append([p.read_bytes() for p in params])
     assert csvs[0] == csvs[1]  # timing column excluded
     assert ckpts[0] == ckpts[1]
+
+
+def _config(tmp_path, **fields):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("")
+    cfg = write_config(tmp_path / "c.json", manifest, tmp_path / "run")
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **fields}))
+    return str(cfg)
+
+
+def _bad_config(**fields):
+    return lambda tmp_path: ["train", _config(tmp_path, **fields)]
+
+
+def _bad_checkpoint(model_json):
+    def setup(tmp_path):
+        (tmp_path / "ckpt").mkdir()
+        (tmp_path / "ckpt" / "model.json").write_text(model_json)
+        return ["eval", _config(tmp_path), str(tmp_path / "ckpt")]
+    return setup
+
+
+def _pgm_path(make):
+    def setup(tmp_path):
+        raw = tmp_path / "raw"
+        (raw / "non_tumor").mkdir(parents=True)
+        (raw / "tumor").mkdir()
+        for i in range(4):
+            save_pgm(np.zeros((8, 8), np.uint8), raw / "non_tumor" / f"n{i}_axial_0.pgm")
+        make(raw / "tumor" / "t0_axial_0.pgm")
+        return ["prepare", str(raw), str(tmp_path / "m.jsonl"), "--seed", "1",
+                "--level", "sample", "--image-size", "8"]
+    return setup
+
+
+def _dangling_symlink(path):
+    path.symlink_to(path.with_name("missing.pgm"))
+
+
+@pytest.mark.parametrize("setup, code, needle", [
+    pytest.param(_bad_config(seed="abc"), 1, "seed must be an integer", id="seed-not-int"),
+    pytest.param(_bad_config(dataset=["manifest"]), 1, "dataset.manifest",
+                 id="dataset-not-object"),
+    pytest.param(_bad_config(model="ab"), 1, "c.json", id="model-not-object"),
+    pytest.param(_bad_checkpoint("{not json"), 1, "model.json", id="corrupt-model-json"),
+    pytest.param(_bad_checkpoint('{"seed": 1}'), 1, "model_spec", id="model-json-without-spec"),
+    pytest.param(_pgm_path(lambda p: p.mkdir()), 1, "t0_axial_0.pgm", id="pgm-is-directory"),
+    pytest.param(_pgm_path(_dangling_symlink), 2, "missing.pgm", id="pgm-missing"),
+])
+def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, setup, code, needle):
+    assert main(setup(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err

@@ -8,7 +8,6 @@ from gapnet.metrics import (
     ConfusionMatrix,
     build_report,
     confusion,
-    measure_inference,
     metrics,
     render_confusion_csv,
     render_confusion_svg,
@@ -108,17 +107,3 @@ def test_render_confusion():
     assert svg1 == svg2  # deterministic bytes
     assert "66.7%" in svg1  # tp row-normalized: 40 / 60
 
-
-class StubModel:
-    def forward(self, x, train=False):
-        return 0.5
-
-
-def test_measure_inference(monkeypatch):
-    import gapnet.metrics as m
-
-    ticks = iter([0.0, 1.9])
-    monkeypatch.setattr(m.time, "perf_counter", lambda: next(ticks))
-    assert measure_inference(StubModel(), [None] * 100) == pytest.approx(19.0)
-    with pytest.raises(EmptyInput):
-        measure_inference(StubModel(), [])

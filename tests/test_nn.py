@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gapnet.errors import InvalidRate, NoCachedForward, NonDeterministicFragment
+from gapnet.errors import InvalidRate, NoCachedForward, NonDeterministicFragment, ShapeMismatch
 from gapnet.nn import (
     Conv1D,
     Conv2D,
@@ -34,6 +34,8 @@ def test_dense_projection_shape():
     layer = Dense(2048, 512, rng())
     out = layer.forward(np.ones(2048, np.float32))
     assert out.shape == (512,)
+    with pytest.raises(ShapeMismatch):
+        layer.forward(np.ones(2047, np.float32))
 
 
 def test_dense_zero_weights_gives_zeros():

@@ -90,8 +90,29 @@ def test_forward_determinism_and_zero_model():
     assert model.forward(x) == 0.5
     assert decide(model.forward(x), model.spec.decision_threshold) == 0
 
+
+TOY = {"backbone": "toy_cnn", "head_input_channels": 16}
+
+
+@pytest.mark.parametrize("spec, shape", [
+    (ModelSpec(backbone_trainable=True, **TOY), (53, 53, 16)),  # trainable backbone wants images
+    (ModelSpec(**TOY), (224, 224, 3)),  # frozen backbone: forward takes encoded maps
+])
+def test_forward_rejects_input_the_spec_does_not_describe(spec, shape):
     with pytest.raises(ShapeMismatch):
-        model.forward(np.zeros((7, 7, 31), np.float32))
+        Model(spec, seed=0).forward(np.zeros(shape, np.float32))
+
+
+def test_frozen_encode_then_forward_equals_full_pass_bitwise():
+    frozen = Model(ModelSpec(**TOY), seed=3)
+    # same seed, same weights; the trainable backbone runs inside forward
+    full = Model(ModelSpec(backbone_trainable=True, **TOY), seed=3)
+    img = np.random.default_rng(4).standard_normal((224, 224, 3)).astype(np.float32)
+    z = frozen.encode(img)
+    assert z.shape == (53, 53, 16)
+    assert full.encode(img) is img
+    assert frozen.forward(z) == full.forward(img)
+    assert np.array_equal(frozen.features(z), full.features(img))
 
 
 def test_hand_built_head_hits_sigmoid_arithmetic():
@@ -118,10 +139,10 @@ def test_checkpoint_round_trip_and_mismatch(tmp_path):
     spec = ModelSpec(head_input_channels=16, backbone="toy_cnn")
     model = Model(spec, seed=8)
     x = np.random.default_rng(9).standard_normal((224, 224, 3)).astype(np.float32)
-    p_before = model.forward(x)
+    p_before = model.forward(model.encode(x))
     save_checkpoint(model, tmp_path / "ckpt")
     restored = load_checkpoint(tmp_path / "ckpt", expected_spec=spec)
-    assert restored.forward(x) == p_before
+    assert restored.forward(restored.encode(x)) == p_before
 
     other = ModelSpec(head_input_channels=16, backbone="toy_cnn", classifier="fcnn")
     with pytest.raises(CheckpointMismatch):

@@ -1,8 +1,12 @@
+"""Tensor helpers, and the convolution kernels, called directly and through their layers."""
+
 import numpy as np
 import pytest
 
+from gapnet import kernels as K
 from gapnet import tensor as T
 from gapnet.errors import InvalidShape, KernelTooLong, NonFiniteTensor, RankError, ShapeMismatch
+from gapnet.nn import Conv1D, Conv2D, Dense
 
 
 def test_tensor_invariants():
@@ -16,47 +20,35 @@ def test_tensor_invariants():
         T.tensor([np.nan, 1.0])
 
 
-def test_matmul_identity_and_hand_product():
-    a = T.tensor([[1, 2], [3, 4]])
-    assert np.array_equal(T.matmul(a, T.tensor(np.eye(2))), a)  # bitwise
-    assert np.array_equal(T.matmul(a, T.tensor([[5], [6]])), [[17], [39]])
-
-
-def test_matmul_identity_bitwise_random():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        m, k = rng.integers(1, 9, 2)
-        a = rng.standard_normal((m, k)).astype(np.float32)
-        assert np.array_equal(T.matmul(a, np.eye(k, dtype=np.float32)), a)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        T.matmul(T.tensor(np.ones((2, 3))), T.tensor(np.ones((2, 3))))
+def conv1d(x, kern, bias):
+    """One-filter valid cross-correlation through the shipping kernel."""
+    b = np.asarray([bias], dtype=x.dtype)
+    return K.conv1d_forward(x, kern.reshape(1, -1), b)[0]
 
 
 def test_conv1d_hand_values():
-    out = T.conv1d_valid(T.tensor([1, 2, 3, 4]), T.tensor([1, 0, -1]), 0.0)
+    out = conv1d(T.tensor([1, 2, 3, 4]), T.tensor([1, 0, -1]), 0.0)
     assert np.array_equal(out, [-2, -2])
-    out = T.conv1d_valid(T.tensor([5, 5, 5]), T.tensor([1, 1]), 1.0)
+    out = conv1d(T.tensor([5, 5, 5]), T.tensor([1, 1]), 1.0)
     assert np.array_equal(out, [11, 11])
 
 
 def test_conv1d_identity_kernel():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(17).astype(np.float32)
-    assert np.array_equal(T.conv1d_valid(x, T.tensor([1.0]), 0.0), x)
+    assert np.array_equal(conv1d(x, T.tensor([1.0]), 0.0), x)
 
 
 def test_conv1d_kernel_too_long_and_length_contract():
     with pytest.raises(KernelTooLong):
-        T.conv1d_valid(T.tensor([1, 2]), T.tensor([1, 2, 3]), 0.0)
+        Conv1D(1, 3, np.random.default_rng(0)).forward(T.tensor([1, 2]))
     rng = np.random.default_rng(2)
     for n in range(1, 12):
         for k in range(1, n + 1):
             x = rng.standard_normal(n).astype(np.float32)
             kern = rng.standard_normal(k).astype(np.float32)
-            assert T.conv1d_valid(x, kern, 0.0).shape == (n - k + 1,)
+            assert conv1d(x, kern, 0.0).shape == (n - k + 1,)
+            assert Conv1D(2, k, rng).forward(x).shape == (2 * (n - k + 1),)
 
 
 def test_conv1d_delta_kernel_shifts():
@@ -68,29 +60,31 @@ def test_conv1d_delta_kernel_shifts():
         x = rng.standard_normal(n).astype(np.float32)
         delta = np.zeros(k, dtype=np.float32)
         delta[pos] = 1.0
-        assert np.array_equal(T.conv1d_valid(x, delta, 0.0), x[pos:pos + n - k + 1])
+        assert np.array_equal(conv1d(x, delta, 0.0), x[pos:pos + n - k + 1])
 
 
 def test_conv2d_hand_values_and_shapes():
     ones = T.tensor(np.ones((3, 3, 1)))
     k = T.tensor(np.ones((2, 2, 1, 1)))
-    out = T.conv2d(ones, k, T.tensor([0.0]), stride=1)
+    out = K.conv2d_forward(ones, k, T.tensor([0.0]), 1)
     assert out.shape == (2, 2, 1) and np.array_equal(out, np.full((2, 2, 1), 4.0))
 
     # 1x1 identity kernels leave any input unchanged
     rng = np.random.default_rng(4)
     x = rng.standard_normal((5, 6, 3)).astype(np.float32)
     eye = np.eye(3, dtype=np.float32).reshape(1, 1, 3, 3)
-    assert np.allclose(T.conv2d(x, eye, np.zeros(3, np.float32), 1), x, atol=1e-6)
+    assert np.allclose(K.conv2d_forward(x, eye, np.zeros(3, np.float32), 1), x, atol=1e-6)
 
-    out = T.conv2d(T.tensor(np.ones((4, 4, 1))), k, T.tensor([0.0]), stride=2)
+    out = K.conv2d_forward(T.tensor(np.ones((4, 4, 1))), k, T.tensor([0.0]), 2)
     assert out.shape == (2, 2, 1)
 
 
 def test_conv2d_channel_mismatch():
+    layer = Conv2D(3, 1, 2, 2, 1, np.random.default_rng(0))
     with pytest.raises(ShapeMismatch):
-        T.conv2d(T.tensor(np.ones((4, 4, 2))), T.tensor(np.ones((2, 2, 3, 1))),
-                 T.tensor([0.0]), 1)
+        layer.forward(T.tensor(np.ones((4, 4, 2))))
+    with pytest.raises(ShapeMismatch):
+        layer.forward(T.tensor(np.ones((1, 4, 3))))  # kernel taller than the input
 
 
 def test_mean_over_spatial():
@@ -115,18 +109,16 @@ def test_mean_over_spatial_permutation_invariant():
         assert np.allclose(T.mean_over_spatial(shuffled), base, atol=1e-6)
 
 
-def test_elementwise_maps():
-    assert np.array_equal(T.map_elementwise(T.tensor([-1, 0, 2]), lambda v: np.maximum(v, 0)),
-                          [0, 0, 2])
-    x = np.random.default_rng(7).standard_normal(9).astype(np.float32)
-    assert np.array_equal(T.zip_elementwise(x, np.zeros_like(x), np.add), x)
-    with pytest.raises(ShapeMismatch):
-        T.zip_elementwise(T.tensor([1, 2]), T.tensor([3]), np.multiply)
-
-
 def test_kernels_reject_non_finite_output():
-    with np.errstate(divide="ignore"), pytest.raises(NonFiniteTensor):
-        T.map_elementwise(T.tensor([1.0, 2.0]), lambda v: np.log(v - 1.0))
-    big = np.full((2, 2), 3e38, np.float32)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteTensor):
-        T.matmul(big, big)
+    rng = np.random.default_rng(8)
+    big = np.float32(3e38)
+    dense = Dense(2, 2, rng)
+    dense.params["w"][...] = big
+    conv1 = Conv1D(1, 2, rng)
+    conv1.params["w"][...] = big
+    conv2 = Conv2D(1, 1, 2, 2, 1, rng)
+    conv2.params["w"][...] = big
+    for layer, x in ((dense, np.full(2, big)), (conv1, np.full(4, big)),
+                     (conv2, np.full((3, 3, 1), big))):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteTensor):
+            layer.forward(x)
