@@ -61,26 +61,27 @@ def load_feature_map(path):
     if len(raw) < offset:
         raise TruncatedPayload(f"{path}: header truncated")
     extents = struct.unpack_from(f"<{rank}I", raw, 10)
-    expected = 4 * int(np.prod(extents)) if rank else 0
-    payload = raw[offset:]
-    if len(payload) != expected:
-        raise TruncatedPayload(f"{path}: payload {len(payload)} bytes, header implies {expected}")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(extents).astype(np.float32)
-    return tensor(arr)
+    count = int(np.prod(extents)) if rank else 0
+    if len(raw) - offset != 4 * count:
+        raise TruncatedPayload(f"{path}: payload {len(raw) - offset} bytes, "
+                               f"header implies {4 * count}")
+    # a view of the file bytes; astype makes the one copy the tensor owns
+    arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
+    return tensor(arr.reshape(extents).astype(np.float32))
 
 
 class ToyBackbone:
-    """Two strided conv+ReLU stages: 224x224x3 -> 53x53x16.
+    """Two strided conv+ReLU stages: (B, 224, 224, 3) -> (B, 53, 53, 16).
 
     A desk-scale stand-in for the frozen pretrained extractor; frozen by
-    default, trainable on request for end-to-end gradient flow.
+    default, trainable on request (``ModelSpec.backbone_trainable``) for
+    end-to-end gradient flow.
     """
 
     input_shape = (224, 224, 3)
     output_channels = 16
 
-    def __init__(self, rng, trainable=False):
-        self.trainable = trainable
+    def __init__(self, rng):
         self.net = Sequential([
             Conv2D(3, 8, 5, 5, 2, rng),
             ReLU(),
@@ -88,10 +89,11 @@ class ToyBackbone:
             ReLU(),
         ])
 
-    def forward(self, img, train=False):
-        if img.shape != self.input_shape:
-            raise ShapeMismatch(f"toy backbone expects {self.input_shape}, got {img.shape}")
-        return self.net.forward(img, train=train)
+    def forward(self, imgs, train=False):
+        if imgs.shape[1:] != self.input_shape:
+            raise ShapeMismatch(f"toy backbone expects (B, *{self.input_shape}), "
+                                f"got {imgs.shape}")
+        return self.net.forward(imgs, train=train)
 
     def backward(self, grad_out):
         return self.net.backward(grad_out)

@@ -25,7 +25,7 @@ from .metrics import (
     render_confusion_svg,
 )
 from .pipeline import Model, ModelSpec, decide, load_checkpoint, save_checkpoint
-from .train import Dataset, TrainConfig, train_loop, write_epoch_csv
+from .train import Dataset, TrainConfig, predict, train_loop, write_epoch_csv
 
 
 @dataclass
@@ -192,11 +192,14 @@ def _load_input(config, rec):
     return load_feature_map(_resolve(config.manifest, rec.path))
 
 
-def build_dataset(config, splits=("train", "val", "test")):
+def build_dataset(config, splits=("train", "val", "test"), encode=None):
+    """(input, label) pairs of the wanted splits. ``encode`` runs on each
+    input as it loads, so only what it returns stays in memory."""
     records = datamod.load_manifest(config.manifest)
     dataset = Dataset()
     wanted = [r for r in records if r.split in splits]
-    xs = _map_records(lambda r: _load_input(config, r), wanted)
+    encode = encode or (lambda x: x)
+    xs = _map_records(lambda r: encode(_load_input(config, r)), wanted)
     for rec, x in zip(wanted, xs):
         getattr(dataset, rec.split).append((x, rec.label))
     return dataset
@@ -208,11 +211,9 @@ def cmd_train(args):
     config = ExperimentConfig.load(args.config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     with OutputLock(config.output_dir):
-        dataset = build_dataset(config, splits=("train", "val"))
         model = Model(config.model, seed=config.seed)
         # extract-once: the frozen prefix runs a single time per sample
-        dataset = Dataset(train=[(model.encode(x), y) for x, y in dataset.train],
-                          val=[(model.encode(x), y) for x, y in dataset.val])
+        dataset = build_dataset(config, splits=("train", "val"), encode=model.encode)
         result = train_loop(model, dataset, config.train)
         write_epoch_csv(result.epochs, config.output_dir / "epochs.csv")
         save_checkpoint(model, config.output_dir / "checkpoint")
@@ -237,8 +238,8 @@ def cmd_eval(args):
         raise GapnetError(f"split {args.split!r} is empty in {config.manifest}")
 
     t0 = time.perf_counter()
-    preds = [decide(model.forward(model.encode(x)), model.spec.decision_threshold)
-             for x, _ in samples]
+    probs = predict(model, [model.encode(x) for x, _ in samples], config.train.batch_size)
+    preds = decide(probs, model.spec.decision_threshold)
     test_ms_per_image = (time.perf_counter() - t0) * 1000.0 / len(samples)
     cm = confusion(preds, [y for _, y in samples])
 
@@ -272,7 +273,7 @@ def cmd_extract(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     records = datamod.load_manifest(config.manifest)
     for rec in records:
-        vec = model.features(model.encode(_load_input(config, rec)))
+        vec = model.features(model.encode(_load_input(config, rec))[None])[0]
         save_tensor(vec, out_dir / f"{rec.sample_id}.btft")
     print(f"extracted {len(records)} feature vectors "
           f"(dim {config.model.projection_dim}) -> {out_dir}")

@@ -1,7 +1,10 @@
 """Hot convolution kernels: stride tricks plus BLAS.
 
-All kernels preserve the input dtype (float32 at runtime, float64 when
-the gradient-check oracle re-runs a model in double precision).
+Every kernel takes any number of leading axes in front of the ones it
+convolves, so the same code runs one sample or a batch of them; weight
+and bias gradients are summed over the leading axes. All kernels
+preserve the input dtype (float32 at runtime, float64 when the
+gradient-check oracle re-runs a model in double precision).
 """
 
 import numpy as np
@@ -12,35 +15,33 @@ HAVE_NUMBA = False
 
 
 def conv1d_forward(x, w, b):
-    # x: (n,), w: (filters, K), b: (filters,) -> (filters, n-K+1)
-    windows = np.lib.stride_tricks.sliding_window_view(x, w.shape[1])
-    return np.ascontiguousarray((windows @ w.T + b).T)
+    # x: (..., n), w: (filters, K), b: (filters,) -> (..., filters, n-K+1)
+    windows = np.lib.stride_tricks.sliding_window_view(x, w.shape[1], axis=-1)
+    return np.ascontiguousarray(np.swapaxes(windows @ w.T + b, -1, -2))
 
 
 def conv1d_backward(x, w, g):
-    # g: (filters, L) -> dx (n,), dw (filters, K), db (filters,)
-    n = x.shape[0]
+    # g: (..., filters, L) -> dx (..., n), dw (filters, K), db (filters,)
     f, k = w.shape
-    windows = np.lib.stride_tricks.sliding_window_view(x, k)  # (L, K)
-    dw = g @ windows
-    db = g.sum(axis=1)
-    gp = np.zeros((f, g.shape[1] + 2 * (k - 1)), dtype=x.dtype)
-    gp[:, k - 1:k - 1 + g.shape[1]] = g
-    gwin = np.lib.stride_tricks.sliding_window_view(gp, k, axis=1)  # (F, n, K)
-    dx = np.einsum("fnk,fk->n", gwin, w[:, ::-1])
-    assert dx.shape[0] == n
-    return dx.astype(x.dtype, copy=False), dw, db
+    length = g.shape[-1]
+    windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)  # (..., L, K)
+    dw = np.swapaxes(g, -1, -2).reshape(-1, f).T @ windows.reshape(-1, k)
+    db = g.reshape(-1, f, length).sum(axis=(0, 2))
+    dx = np.zeros_like(x)
+    for j in range(k):
+        dx[..., j:j + length] += w[:, j] @ g
+    return dx, dw, db
 
 
 def conv2d_forward(x, w, b, stride):
-    # x: (H, W, Cin), w: (kh, kw, Cin, Cout), b: (Cout,) -> (H', W', Cout)
+    # x: (..., H, W, Cin), w: (kh, kw, Cin, Cout), b: (Cout,) -> (..., H', W', Cout)
     kh, kw = w.shape[0], w.shape[1]
-    h2 = (x.shape[0] - kh) // stride + 1
-    w2 = (x.shape[1] - kw) // stride + 1
-    out = np.zeros((h2, w2, w.shape[3]), dtype=x.dtype)
+    h2 = (x.shape[-3] - kh) // stride + 1
+    w2 = (x.shape[-2] - kw) // stride + 1
+    out = np.zeros(x.shape[:-3] + (h2, w2, w.shape[3]), dtype=x.dtype)
     for u in range(kh):
         for v in range(kw):
-            xs = x[u:u + h2 * stride:stride, v:v + w2 * stride:stride, :]
+            xs = x[..., u:u + h2 * stride:stride, v:v + w2 * stride:stride, :]
             out += xs @ w[u, v]
     out += b
     return out
@@ -48,13 +49,16 @@ def conv2d_forward(x, w, b, stride):
 
 def conv2d_backward(x, w, g, stride):
     kh, kw = w.shape[0], w.shape[1]
-    h2, w2 = g.shape[0], g.shape[1]
+    h2, w2 = g.shape[-3], g.shape[-2]
     dx = np.zeros_like(x)
     dw = np.zeros_like(w)
-    db = g.sum(axis=(0, 1))
+    lead = list(range(g.ndim - 1))  # batch and spatial axes, summed over
+    db = g.sum(axis=tuple(lead))
+    g_rows = g.reshape(-1, g.shape[-1])
     for u in range(kh):
         for v in range(kw):
-            xs = x[u:u + h2 * stride:stride, v:v + w2 * stride:stride, :]
-            dw[u, v] = np.tensordot(xs, g, axes=([0, 1], [0, 1]))
-            dx[u:u + h2 * stride:stride, v:v + w2 * stride:stride, :] += g @ w[u, v].T
+            xs = x[..., u:u + h2 * stride:stride, v:v + w2 * stride:stride, :]
+            dw[u, v] = np.tensordot(xs, g, axes=(lead, lead))
+            dx[..., u:u + h2 * stride:stride, v:v + w2 * stride:stride, :] += (
+                g_rows @ w[u, v].T).reshape(xs.shape)
     return dx, dw, db

@@ -1,9 +1,11 @@
 """Layers with hand-derived forward/backward pairs, plus a finite-difference oracle.
 
-Each layer keeps its parameters and gradient accumulators in ``params`` /
-``grads`` dicts and caches whatever its backward pass needs when the
-forward pass runs in train mode. Gradients accumulate until zero_grad();
-the training loop zeroes once per batch.
+Every layer takes a batch: axis 0 of its input indexes the samples,
+so a mini-batch costs one GEMM per layer. Each layer keeps its
+parameters and gradient accumulators in ``params`` / ``grads`` dicts and
+caches whatever its backward pass needs when the forward pass runs in
+train mode. Parameter gradients are summed over the batch rows and
+accumulate until zero_grad(); the training loop zeroes once per batch.
 """
 
 import copy
@@ -60,7 +62,7 @@ class Layer:
 
 
 class Dense(Layer):
-    """Affine map z = W x + b on a rank-1 input."""
+    """Affine map z = x W^T + b on a (B, din) batch, giving (B, dout)."""
 
     def __init__(self, din, dout, rng):
         super().__init__()
@@ -69,18 +71,18 @@ class Dense(Layer):
         self.grads = {"w": np.zeros((dout, din), dtype=DTYPE), "b": np.zeros(dout, dtype=DTYPE)}
 
     def forward(self, x, train=False):
-        if x.ndim != 1 or x.shape[0] != self.params["w"].shape[1]:
-            raise ShapeMismatch(f"dense expects ({self.params['w'].shape[1]},), got {x.shape}")
-        z = self.params["w"] @ x + self.params["b"]
+        if x.ndim != 2 or x.shape[1] != self.din:
+            raise ShapeMismatch(f"dense expects (B, {self.din}), got {x.shape}")
+        z = x @ self.params["w"].T + self.params["b"]
         if train:
             self._cache = x
         return ensure_finite(z, "dense_forward")
 
     def backward(self, grad_out):
         x = self._need_cache()
-        self.grads["w"] += np.outer(grad_out, x)
-        self.grads["b"] += grad_out
-        return self.params["w"].T @ grad_out
+        self.grads["w"] += grad_out.T @ x
+        self.grads["b"] += grad_out.sum(axis=0)
+        return grad_out @ self.params["w"]
 
 
 class ReLU(Layer):
@@ -96,7 +98,7 @@ class ReLU(Layer):
 
 
 class Sigmoid(Layer):
-    """Numerically stable sigmoid, clamped strictly inside (0, 1)."""
+    """Numerically stable elementwise sigmoid, clamped strictly inside (0, 1)."""
 
     def forward(self, x, train=False):
         info = np.finfo(x.dtype)
@@ -116,8 +118,9 @@ class Sigmoid(Layer):
 class Dropout(Layer):
     """Inverted dropout: eval is the identity, train rescales survivors by 1/(1-rate).
 
-    Set ``fixed_mask`` to make a train-mode forward deterministic (the
-    gradient checker relies on this).
+    A train-mode forward draws one keep-mask of the input's shape, so a
+    (B, D) batch takes one draw. Set ``fixed_mask`` to make a train-mode
+    forward deterministic (the gradient checker relies on this).
     """
 
     def __init__(self, rate, seed=0):
@@ -147,27 +150,29 @@ class Dropout(Layer):
 
 
 class GlobalAvgPool(Layer):
-    """Eq.-style global average pooling: H x W x C -> C."""
+    """Eq.-style global average pooling: (B, H, W, C) -> (B, C)."""
 
     def forward(self, x, train=False):
+        if x.ndim != 4:
+            raise RankError(f"global average pooling expects (B, H, W, C), got rank {x.ndim}")
         out = mean_over_spatial(x)
         if train:
             self._cache = x.shape
         return out
 
     def backward(self, grad_out):
-        h, w, c = self._need_cache()
-        if grad_out.shape != (c,):
-            raise ShapeMismatch(f"expected grad of shape ({c},), got {grad_out.shape}")
+        b, h, w, c = self._need_cache()
+        if grad_out.shape != (b, c):
+            raise ShapeMismatch(f"expected grad of shape ({b}, {c}), got {grad_out.shape}")
         per_cell = grad_out / grad_out.dtype.type(h * w)
-        return np.broadcast_to(per_cell, (h, w, c)).copy()
+        return np.broadcast_to(per_cell[:, None, None, :], (b, h, w, c)).copy()
 
 
 class Conv1D(Layer):
-    """Multi-filter valid 1-D convolution over a rank-1 signal.
+    """Multi-filter valid 1-D convolution over a (B, n) batch of signals.
 
-    The output is rank-1: the row-major flattening of the
-    (filters x n-K+1) response map.
+    Each output row is the row-major flattening of that sample's
+    (filters x n-K+1) response map, so the output is (B, filters * (n-K+1)).
     """
 
     def __init__(self, n_filters, kernel_len, rng):
@@ -180,14 +185,14 @@ class Conv1D(Layer):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def forward(self, x, train=False):
-        if x.ndim != 1:
-            raise RankError(f"conv1d layer expects rank-1 input, got rank {x.ndim}")
-        if self.kernel_len > x.shape[0]:
-            raise KernelTooLong(f"kernel length {self.kernel_len} > signal length {x.shape[0]}")
+        if x.ndim != 2:
+            raise RankError(f"conv1d layer expects (B, n) input, got rank {x.ndim}")
+        if self.kernel_len > x.shape[1]:
+            raise KernelTooLong(f"kernel length {self.kernel_len} > signal length {x.shape[1]}")
         out = kernels.conv1d_forward(x, self.params["w"], self.params["b"])
         if train:
             self._cache = (x, out.shape)
-        return ensure_finite(out.reshape(-1), "conv1d_layer_forward")
+        return ensure_finite(out.reshape(x.shape[0], -1), "conv1d_layer_forward")
 
     def backward(self, grad_out):
         x, out_shape = self._need_cache()
@@ -199,7 +204,7 @@ class Conv1D(Layer):
 
 
 class Conv2D(Layer):
-    """Valid cross-correlation over an H x W x Cin map, strided."""
+    """Valid cross-correlation over a (B, H, W, Cin) batch of maps, strided."""
 
     def __init__(self, cin, cout, kh, kw, stride, rng):
         super().__init__()
@@ -212,12 +217,12 @@ class Conv2D(Layer):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def forward(self, x, train=False):
-        if x.ndim != 3:
-            raise RankError(f"conv2d layer expects rank-3 input, got rank {x.ndim}")
-        if x.shape[2] != self.cin:
-            raise ShapeMismatch(f"input has {x.shape[2]} channels, layer expects {self.cin}")
-        if self.kh > x.shape[0] or self.kw > x.shape[1]:
-            raise ShapeMismatch(f"kernel {self.kh}x{self.kw} larger than input {x.shape[:2]}")
+        if x.ndim != 4:
+            raise RankError(f"conv2d layer expects (B, H, W, C) input, got rank {x.ndim}")
+        if x.shape[3] != self.cin:
+            raise ShapeMismatch(f"input has {x.shape[3]} channels, layer expects {self.cin}")
+        if self.kh > x.shape[1] or self.kw > x.shape[2]:
+            raise ShapeMismatch(f"kernel {self.kh}x{self.kw} larger than input {x.shape[1:3]}")
         out = kernels.conv2d_forward(x, self.params["w"], self.params["b"], self.stride)
         if train:
             self._cache = x
@@ -278,8 +283,7 @@ def _objective(out, loss, y, proj):
     if loss == "bce":
         from .train import bce_loss
 
-        p = float(np.asarray(out).reshape(-1)[0])
-        return bce_loss(p, y)[0]
+        return float(np.sum(bce_loss(np.reshape(out, -1), y)[0]))
     raise ValueError(f"unknown gradient-check loss {loss!r}")
 
 
@@ -288,10 +292,7 @@ def _objective_grad(out, loss, y, proj):
         return proj.astype(np.float64)
     from .train import bce_loss
 
-    p = float(np.asarray(out).reshape(-1)[0])
-    g = np.zeros_like(np.asarray(out, dtype=np.float64)).reshape(-1)
-    g[0] = bce_loss(p, y)[1]
-    return g.reshape(np.asarray(out).shape)
+    return bce_loss(np.reshape(out, -1), y)[1].reshape(np.shape(out))
 
 
 def gradient_check(model, x, loss="proj", y=1, tolerance=1e-3, abs_tol=1e-4, h=1e-3, rng=None):
@@ -300,7 +301,9 @@ def gradient_check(model, x, loss="proj", y=1, tolerance=1e-3, abs_tol=1e-4, h=1
     The fragment is deep-copied and re-run in float64. The default
     objective is sum(output * R) for a fixed random projection R, which
     seeds the backward pass with R and exercises every output component;
-    loss="bce" instead composes binary cross-entropy against label ``y``.
+    loss="bce" instead sums binary cross-entropy of every output (one
+    probability per batch row) against label(s) ``y``. ``model`` is any
+    fragment with the layer protocol: a Sequential or a whole Model.
     Parameter gradients and the input gradient are both checked. Passes
     iff |analytic - numeric| <= max(tolerance * |numeric|, abs_tol)
     everywhere.

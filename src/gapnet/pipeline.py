@@ -4,6 +4,10 @@ A model is GAP -> Dense(projection_dim) followed by one of three
 classifier heads ending in a single unit, with a sigmoid squashing the
 final pre-activation into a tumor probability. The decision rule is a
 strict threshold comparison on that probability.
+
+Unless the backbone trains, everything up to and including GAP is
+frozen, so a sample is encoded once into its GAP vector and every
+trained layer runs on (B, C) batches of those vectors.
 """
 
 import hashlib
@@ -55,6 +59,9 @@ class ModelSpec:
             raise SpecInvalid("conv_kernel cannot exceed projection_dim")
         if not 0.0 <= self.decision_threshold <= 1.0:
             raise SpecInvalid("decision_threshold must be in [0, 1]")
+        if self.backbone_trainable and self.backbone == "imported_features":
+            raise SpecInvalid("backbone_trainable needs a backbone to train; "
+                              "imported_features maps come from a frozen one")
         if self.backbone == "toy_cnn" and self.head_input_channels != ToyBackbone.output_channels:
             raise SpecInvalid(
                 f"toy_cnn emits {ToyBackbone.output_channels} channels, "
@@ -83,12 +90,9 @@ class ModelSpec:
 
 
 def build_feature_head(spec, rng):
-    """GAP over the backbone map, then the linear projection (no activation)."""
+    """The linear projection of GAP vectors (no activation): (B, C) -> (B, projection_dim)."""
     spec.validate()
-    return Sequential([
-        GlobalAvgPool(),
-        Dense(spec.head_input_channels, spec.projection_dim, rng),
-    ])
+    return Sequential([Dense(spec.head_input_channels, spec.projection_dim, rng)])
 
 
 def build_classifier(spec, rng):
@@ -114,19 +118,23 @@ def build_classifier(spec, rng):
 
 
 def decide(p, threshold=0.5):
-    """Strict threshold rule: tumor iff p > threshold."""
-    return 1 if p > threshold else 0
+    """Strict threshold rule: tumor (1) iff p > threshold; elementwise on arrays."""
+    out = (np.asarray(p) > threshold).astype(np.int64)
+    return int(out) if out.ndim == 0 else out
 
 
 class Model:
-    """Optional toy backbone + feature head + classifier + sigmoid.
+    """Optional toy backbone + GAP + feature head + classifier + sigmoid.
 
     The spec alone says what a raw input is: a 224x224x3 image for the
     toy_cnn backbone, an HxWx``head_input_channels`` map for imported
-    features. ``encode`` runs the frozen prefix, the part of the network
-    training never changes: the toy backbone when it is frozen, nothing
-    otherwise. ``forward`` and ``backward`` run the rest on an encoded
-    input, so a raw input scores as ``forward(encode(x))``.
+    features. ``encode`` runs the frozen prefix of one raw input, the
+    part of the network training never changes: the frozen toy backbone
+    (if any) and GAP, giving a ``(head_input_channels,)`` vector. With a
+    trainable backbone nothing is frozen and ``encode`` is the identity.
+    ``forward`` and ``backward`` run the rest on a batch of encoded
+    inputs stacked along axis 0, so raw inputs score as
+    ``forward(np.stack([encode(x) for x in xs]))``.
     """
 
     def __init__(self, spec, seed):
@@ -136,44 +144,60 @@ class Model:
         rng = np.random.default_rng(seed)
         self.backbone = None
         if spec.backbone == "toy_cnn":
-            self.backbone = ToyBackbone(rng, trainable=spec.backbone_trainable)
+            self.backbone = ToyBackbone(rng)
+        self.gap = GlobalAvgPool()
         self.head = build_feature_head(spec, rng)
         self.classifier = build_classifier(spec, rng)
         self.sigmoid = Sigmoid()
 
+    def rows_per_pass(self, batch_size):
+        """Rows one forward/backward pass takes out of a ``batch_size`` batch.
+
+        A trainable backbone runs one image at a time, so the conv
+        activations in memory stay those of one image; every other model
+        runs the whole batch on its cached GAP vectors.
+        """
+        return 1 if self.spec.backbone_trainable else batch_size
+
     # -- inference ----------------------------------------------------
     def encode(self, x):
-        """Raw input -> the input of ``forward``, through the frozen prefix."""
-        if self.backbone is not None and not self.backbone.trainable:
-            return self.backbone.forward(x, train=False)
-        return x
+        """One raw input -> the row ``forward`` takes for it, through the frozen prefix."""
+        if self.spec.backbone_trainable:
+            return x
+        fmap = x[None]
+        if self.backbone is not None:
+            fmap = self.backbone.forward(fmap, train=False)
+        elif x.ndim != 3 or x.shape[2] != self.spec.head_input_channels:
+            raise ShapeMismatch(f"input {x.shape} is not an HxWx"
+                                f"{self.spec.head_input_channels} feature map")
+        return self.gap.forward(fmap)[0]
 
     def features(self, z, train=False):
-        """Encoded input -> projected feature vector."""
-        if self.backbone is not None and self.backbone.trainable:
-            z = self.backbone.forward(z, train=train)
-        elif z.ndim != 3 or z.shape[2] != self.spec.head_input_channels:
-            raise ShapeMismatch(f"input {z.shape} is not an HxWx"
-                                f"{self.spec.head_input_channels} feature map")
+        """Batch of encoded inputs -> (B, projection_dim) projected feature vectors."""
+        if self.spec.backbone_trainable:
+            z = self.gap.forward(self.backbone.forward(z, train=train), train=train)
+        elif z.ndim != 2 or z.shape[1] != self.spec.head_input_channels:
+            raise ShapeMismatch(f"input {z.shape} is not a batch of "
+                                f"{self.spec.head_input_channels}-channel GAP vectors")
         return self.head.forward(z, train=train)
 
     def forward(self, z, train=False):
-        """Tumor probability of one encoded input."""
+        """(B,) tumor probabilities of a batch of encoded inputs."""
         z = self.classifier.forward(self.features(z, train), train=train)
-        p = self.sigmoid.forward(z, train=train)
-        return float(p[0])
+        return self.sigmoid.forward(z, train=train)[:, 0]
 
     def backward(self, dloss_dp):
-        g = self.sigmoid.backward(np.asarray([dloss_dp], dtype=self.dtype))
-        g = self.head.backward(self.classifier.backward(g))
-        if self.backbone is not None and self.backbone.trainable:
-            g = self.backbone.backward(g)
+        """(B,) dLoss/dp -> gradient with respect to the encoded inputs."""
+        g = np.asarray(dloss_dp, dtype=self.dtype).reshape(-1, 1)
+        g = self.head.backward(self.classifier.backward(self.sigmoid.backward(g)))
+        if self.spec.backbone_trainable:
+            g = self.backbone.backward(self.gap.backward(g))
         return g
 
     # -- parameter plumbing -------------------------------------------
     def parameters(self, trainable_only=True):
         out = []
-        if self.backbone is not None and (self.backbone.trainable or not trainable_only):
+        if self.backbone is not None and (self.spec.backbone_trainable or not trainable_only):
             out += self.backbone.parameters("backbone.")
         out += self.head.parameters("head.")
         out += self.classifier.parameters("clf.")

@@ -33,7 +33,7 @@ def ensure_finite(arr, where):
 
 
 def mean_over_spatial(x):
-    """Average an H x W x C map over its spatial positions, giving a C-vector."""
-    if x.ndim != 3:
-        raise RankError(f"mean_over_spatial needs rank-3 input, got rank {x.ndim}")
-    return ensure_finite(x.mean(axis=(0, 1)), "mean_over_spatial")
+    """Average (..., H, W, C) maps over their spatial positions, giving (..., C)."""
+    if x.ndim < 3:
+        raise RankError(f"mean_over_spatial needs rank >= 3 input, got rank {x.ndim}")
+    return ensure_finite(x.mean(axis=(-3, -2)), "mean_over_spatial")

@@ -35,21 +35,31 @@ class TrainConfig:
 
 
 def bce_loss(p, y):
-    """Binary cross-entropy and dL/dp, with p clamped into [1e-7, 1-1e-7]."""
-    pc = min(max(float(p), 1e-7), 1.0 - 1e-7)
+    """Elementwise binary cross-entropy and dL/dp, with p clamped into [1e-7, 1-1e-7].
+
+    Computed in float64; a scalar p gives scalars, an array of
+    probabilities one loss and one gradient per element.
+    """
+    pc = np.clip(np.asarray(p, dtype=np.float64), 1e-7, 1.0 - 1e-7)
+    y = np.asarray(y, dtype=np.float64)
     loss = -(y * np.log(pc) + (1 - y) * np.log(1.0 - pc))
     grad = -(y / pc - (1 - y) / (1.0 - pc))
-    return float(loss), float(grad)
+    return loss, grad
 
 
 class AdamState:
-    """First/second moment estimates with bias correction."""
+    """First/second moment estimates with bias correction.
+
+    Every step runs in place: the moments and one scratch buffer per
+    parameter are allocated on the first step and reused after it.
+    """
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {}
         self.v = {}
+        self.scratch = {}
 
     def step(self, named_params, lr):
         """named_params: (key, layer, param-name) triples; updates in place."""
@@ -64,13 +74,22 @@ class AdamState:
             if key not in self.m:
                 self.m[key] = np.zeros_like(p)
                 self.v[key] = np.zeros_like(p)
-            m = self.m[key]
-            v = self.v[key]
+                self.scratch[key] = np.empty_like(p)
+            m, v, s = self.m[key], self.v[key], self.scratch[key]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=s)
+            m += s
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, g, out=s)
+            s *= 1.0 - self.beta2
+            v += s
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, s, out=s)
+            s *= lr / bc1
+            p -= s
 
 
 def lr_on_plateau(val_losses, config):
@@ -152,14 +171,23 @@ class Dataset:
     test: list = field(default_factory=list)
 
 
-def _evaluate(model, samples):
-    losses = []
-    hits = 0
-    for x, y in samples:
-        p = model.forward(x, train=False)
-        losses.append(bce_loss(p, y)[0])
-        hits += decide(p, model.spec.decision_threshold) == y
-    return float(np.mean(losses)), hits / len(samples)
+def _passes(model, rows, batch_size):
+    """Split ``rows`` into the chunks one forward pass takes."""
+    step = model.rows_per_pass(batch_size)
+    return [rows[i:i + step] for i in range(0, len(rows), step)]
+
+
+def predict(model, inputs, batch_size):
+    """(N,) eval-mode probabilities of a list of N encoded inputs."""
+    return np.concatenate([model.forward(np.stack([inputs[i] for i in rows]))
+                           for rows in _passes(model, range(len(inputs)), batch_size)])
+
+
+def _evaluate(model, samples, batch_size):
+    p = predict(model, [x for x, _ in samples], batch_size)
+    y = np.array([y for _, y in samples])
+    hits = int(np.sum(decide(p, model.spec.decision_threshold) == y))
+    return float(np.mean(bce_loss(p, y)[0])), hits / len(samples)
 
 
 def train_loop(model, dataset, config):
@@ -167,7 +195,11 @@ def train_loop(model, dataset, config):
 
     The samples are encoded inputs (``Model.encode``): the caller runs the
     frozen prefix once per sample (the extract-once protocol), so every
-    epoch runs only the part of the network that training changes.
+    epoch runs only the part of the network that training changes, one
+    forward, BCE and backward per mini-batch. A model with a trainable
+    backbone accumulates each mini-batch one image at a time
+    (``Model.rows_per_pass``); either way one Adam step follows each
+    mini-batch.
     """
     config.validate()
     if not dataset.train:
@@ -193,19 +225,20 @@ def train_loop(model, dataset, config):
             batch = order[start:start + config.batch_size]
             model.zero_grad()
             try:
-                for i in batch:
-                    x, y = dataset.train[i]
+                for rows in _passes(model, batch, config.batch_size):
+                    x = np.stack([dataset.train[i][0] for i in rows])
+                    y = np.array([dataset.train[i][1] for i in rows])
                     p = model.forward(x, train=True)
                     loss, dldp = bce_loss(p, y)
                     losses.append(loss)
-                    hits += decide(p, model.spec.decision_threshold) == y
+                    hits += int(np.sum(decide(p, model.spec.decision_threshold) == y))
                     model.backward(dldp / len(batch))
             except NonFiniteTensor as e:
                 raise DivergedLoss(f"epoch {epoch}: {e}") from e
             adam.step(params, lr)
-        train_loss = float(np.mean(losses))
+        train_loss = float(np.mean(np.concatenate(losses)))
         train_acc = hits / len(dataset.train)
-        val_loss, val_acc = _evaluate(model, dataset.val)
+        val_loss, val_acc = _evaluate(model, dataset.val, config.batch_size)
         if not np.isfinite(train_loss) or not np.isfinite(val_loss):
             raise DivergedLoss(f"non-finite loss at epoch {epoch}")
         seconds = time.perf_counter() - t0

@@ -46,21 +46,23 @@ def report(name, ok, detail):
 
 # ------------------------------------------------------------------ 1
 
+B = 3  # rows per checked batch: every layer takes a leading batch axis
+
 LAYER_TABLE = {
     "dense": (lambda r: Sequential([Dense(4, 3, r)]),
-              lambda r: r.standard_normal(4)),
+              lambda r: r.standard_normal((B, 4))),
     "conv1d": (lambda r: Sequential([Conv1D(2, 3, r)]),
-               lambda r: r.standard_normal(8)),
+               lambda r: r.standard_normal((B, 8))),
     "conv2d": (lambda r: Sequential([Conv2D(2, 3, 2, 2, 1, r)]),
-               lambda r: r.standard_normal((4, 4, 2))),
+               lambda r: r.standard_normal((B, 4, 4, 2))),
     "gap": (lambda r: Sequential([GlobalAvgPool()]),
-            lambda r: r.standard_normal((3, 3, 2))),
+            lambda r: r.standard_normal((B, 3, 3, 2))),
     "sigmoid": (lambda r: Sequential([Sigmoid()]),
-                lambda r: r.standard_normal(5)),
+                lambda r: r.standard_normal((B, 5))),
     # keep relu inputs clear of the kink so h=1e-3 differences stay one-sided
     "relu": (lambda r: Sequential([ReLU()]),
-             lambda r: r.uniform(0.1, 1.0, 6) * r.choice([-1.0, 1.0], 6)),
-    "dropout": (None, lambda r: r.standard_normal(6)),
+             lambda r: r.uniform(0.1, 1.0, (B, 6)) * r.choice([-1.0, 1.0], (B, 6))),
+    "dropout": (None, lambda r: r.standard_normal((B, 6))),
 }
 
 
@@ -72,7 +74,7 @@ def test_criterion_1_gradient_fidelity():
             r = np.random.default_rng(1000 * offset + i)
             if name == "dropout":
                 layer = Dropout(0.5, seed=i)
-                layer.fixed_mask = r.random(6) >= 0.5
+                layer.fixed_mask = r.random((B, 6)) >= 0.5
                 frag = Sequential([layer])
             else:
                 frag = build(r)
@@ -83,7 +85,7 @@ def test_criterion_1_gradient_fidelity():
             worst = max(worst, rep.max_mixed_error)
     elapsed = time.perf_counter() - t0
     report("criterion 1 (gradient fidelity)", elapsed < 30.0,
-           f"7 layer types x 20 instances, worst mixed error {worst:.2e}, "
+           f"7 layer types x 20 instances of {B}-row batches, worst mixed error {worst:.2e}, "
            f"{elapsed:.1f}s (< 30s)")
 
 
@@ -148,7 +150,8 @@ def test_criterion_3_overfit_single_sample():
     t0 = time.perf_counter()
     model = Model(ModelSpec(head_input_channels=64), seed=5)
     x = np.random.default_rng(6).standard_normal((7, 7, 64)).astype(np.float32)
-    ds = Dataset(train=[(x, 1)] * 32, val=[(x, 1)])
+    z = model.encode(x)  # the GAP vector every epoch trains on
+    ds = Dataset(train=[(z, 1)] * 32, val=[(z, 1)])
     config = TrainConfig(seed=7, learning_rate=1e-4, max_epochs=200,
                          early_stop_patience=200)
     result = train_loop(model, ds, config)
@@ -161,17 +164,17 @@ def test_criterion_3_overfit_single_sample():
 # ------------------------------------------------------------------ 4 and 6
 
 def run_synthetic_end_to_end(tmp_path, tag):
-    """400 seeded blob/noise images -> frozen toy backbone -> three heads."""
+    """400 seeded blob/noise images -> frozen toy backbone + GAP -> three heads."""
     samples = blob_dataset(n_subjects=40, per_subject=10, size=224, seed=123)
     records = split(as_records(samples), (0.8, 0.2), seed=31, level="subject")
     specs = {h: ModelSpec(backbone="toy_cnn", head_input_channels=16, classifier=h)
              for h in HEADS}
     models = {h: Model(specs[h], seed=5) for h in HEADS}
-    extractor = models["dfn"].backbone  # all models share seed 5, identical weights
+    # all models share seed 5, so one frozen prefix (backbone + GAP) serves them all
+    encode = models["dfn"].encode
     ds = Dataset()
     for rec, (_, label, img) in zip(records, samples):
-        fmap = extractor.forward(as_model_input(img), train=False)
-        getattr(ds, rec.split).append((fmap, label))
+        getattr(ds, rec.split).append((encode(as_model_input(img)), label))
 
     out = {}
     for head in HEADS:

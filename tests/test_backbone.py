@@ -18,7 +18,9 @@ def test_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(0)
     t = rng.standard_normal((7, 7, 2048)).astype(np.float32)
     save_tensor(t, tmp_path / "t.btft")
-    assert np.array_equal(load_feature_map(tmp_path / "t.btft"), t)
+    back = load_feature_map(tmp_path / "t.btft")
+    assert np.array_equal(back, t)
+    assert back.flags.writeable and back.flags.owndata  # not a view of the file bytes
 
 
 def test_round_trip_random_shapes(tmp_path):
@@ -71,11 +73,13 @@ def test_malformed_files(tmp_path):
 
 def test_toy_backbone_shapes_and_zero_propagation():
     bb = ToyBackbone(np.random.default_rng(2))
-    out = bb.forward(np.zeros((224, 224, 3), np.float32))
-    assert out.shape == (53, 53, 16)
+    out = bb.forward(np.zeros((2, 224, 224, 3), np.float32))
+    assert out.shape == (2, 53, 53, 16)
     assert not np.any(out)
     with pytest.raises(ShapeMismatch):
-        bb.forward(np.zeros((64, 64, 3), np.float32))
+        bb.forward(np.zeros((1, 64, 64, 3), np.float32))
+    with pytest.raises(ShapeMismatch):
+        bb.forward(np.zeros((224, 224, 3), np.float32))  # no batch axis
 
 
 def test_conv_shape_formula_property():
@@ -86,14 +90,14 @@ def test_conv_shape_formula_property():
         for k in (3, 5):
             layer = Conv2D(2, 3, k, k, stride, rng)
             h, w = int(rng.integers(k, 14)), int(rng.integers(k, 14))
-            out = layer.forward(rng.standard_normal((h, w, 2)).astype(np.float32))
-            assert out.shape == ((h - k) // stride + 1, (w - k) // stride + 1, 3)
+            out = layer.forward(rng.standard_normal((2, h, w, 2)).astype(np.float32))
+            assert out.shape == (2, (h - k) // stride + 1, (w - k) // stride + 1, 3)
 
 
 def test_gradient_flows_through_both_conv_layers():
     # same two-stage structure as the toy backbone, desk-sized extents
     bb = ToyBackbone(np.random.default_rng(4))
-    x = np.random.default_rng(5).standard_normal((13, 13, 3)).astype(np.float32) * 0.5
+    x = np.random.default_rng(5).standard_normal((2, 13, 13, 3)).astype(np.float32) * 0.5
     report = gradient_check(bb.net, x, rng=np.random.default_rng(6))
     assert report.passed, report.per_param
 
@@ -105,12 +109,17 @@ def test_imported_features_contract(tmp_path):
     rng = np.random.default_rng(7)
     model = Model(ModelSpec(head_input_channels=8), seed=0)
     assert model.backbone is None  # imported maps carry no trainable backbone
-    # GAP takes any spatial extent, so maps of one dataset may differ in H x W
+    # GAP takes any spatial extent, so maps of one dataset may differ in H x W;
+    # encode pools each map to its 8-channel GAP vector
+    vectors = []
     for sid, shape in (("a", (4, 4, 8)), ("b", (4, 4, 8)), ("c", (5, 5, 8))):
         save_tensor(rng.standard_normal(shape).astype(np.float32), tmp_path / f"{sid}.btft")
         fmap = load_feature_map(tmp_path / f"{sid}.btft")
-        assert model.encode(fmap) is fmap
-        assert 0.0 < model.forward(fmap) < 1.0
+        vectors.append(model.encode(fmap))
+        assert vectors[-1].shape == (8,)
+        assert np.allclose(vectors[-1], fmap.mean(axis=(0, 1)), atol=1e-6)
+    p = model.forward(np.stack(vectors))
+    assert p.shape == (3,) and np.all((0.0 < p) & (p < 1.0))
     save_tensor(rng.standard_normal((4, 4, 3)).astype(np.float32), tmp_path / "d.btft")
     with pytest.raises(ShapeMismatch):
-        model.forward(load_feature_map(tmp_path / "d.btft"))
+        model.encode(load_feature_map(tmp_path / "d.btft"))

@@ -230,6 +230,9 @@ def _dangling_symlink(path):
     pytest.param(_bad_config(dataset=["manifest"]), 1, "dataset.manifest",
                  id="dataset-not-object"),
     pytest.param(_bad_config(model="ab"), 1, "c.json", id="model-not-object"),
+    pytest.param(_bad_config(model={"backbone": "imported_features",
+                                    "backbone_trainable": True}),
+                 1, "backbone_trainable", id="trainable-without-backbone"),
     pytest.param(_bad_checkpoint("{not json"), 1, "model.json", id="corrupt-model-json"),
     pytest.param(_bad_checkpoint('{"seed": 1}'), 1, "model_spec", id="model-json-without-spec"),
     pytest.param(_pgm_path(lambda p: p.mkdir()), 1, "t0_axial_0.pgm", id="pgm-is-directory"),

@@ -41,14 +41,14 @@ def test_conv1d_identity_kernel():
 
 def test_conv1d_kernel_too_long_and_length_contract():
     with pytest.raises(KernelTooLong):
-        Conv1D(1, 3, np.random.default_rng(0)).forward(T.tensor([1, 2]))
+        Conv1D(1, 3, np.random.default_rng(0)).forward(T.tensor([[1, 2]]))
     rng = np.random.default_rng(2)
     for n in range(1, 12):
         for k in range(1, n + 1):
             x = rng.standard_normal(n).astype(np.float32)
             kern = rng.standard_normal(k).astype(np.float32)
             assert conv1d(x, kern, 0.0).shape == (n - k + 1,)
-            assert Conv1D(2, k, rng).forward(x).shape == (2 * (n - k + 1),)
+            assert Conv1D(2, k, rng).forward(x[None]).shape == (1, 2 * (n - k + 1))
 
 
 def test_conv1d_delta_kernel_shifts():
@@ -78,13 +78,19 @@ def test_conv2d_hand_values_and_shapes():
     out = K.conv2d_forward(T.tensor(np.ones((4, 4, 1))), k, T.tensor([0.0]), 2)
     assert out.shape == (2, 2, 1)
 
+    # leading axes are a batch: each map convolves on its own
+    batch = rng.standard_normal((3, 6, 5, 1)).astype(np.float32)
+    out = K.conv2d_forward(batch, k, T.tensor([0.5]), 1)
+    for i in range(3):
+        assert np.array_equal(out[i], K.conv2d_forward(batch[i], k, T.tensor([0.5]), 1))
+
 
 def test_conv2d_channel_mismatch():
     layer = Conv2D(3, 1, 2, 2, 1, np.random.default_rng(0))
     with pytest.raises(ShapeMismatch):
-        layer.forward(T.tensor(np.ones((4, 4, 2))))
+        layer.forward(T.tensor(np.ones((1, 4, 4, 2))))
     with pytest.raises(ShapeMismatch):
-        layer.forward(T.tensor(np.ones((1, 4, 3))))  # kernel taller than the input
+        layer.forward(T.tensor(np.ones((1, 1, 4, 3))))  # kernel taller than the input
 
 
 def test_mean_over_spatial():
@@ -96,6 +102,8 @@ def test_mean_over_spatial():
     assert np.array_equal(T.mean_over_spatial(x), x[0, 0])
     with pytest.raises(RankError):
         T.mean_over_spatial(T.tensor(np.ones((3, 3))))
+    batch = np.random.default_rng(7).standard_normal((2, 3, 4, 5)).astype(np.float32)
+    assert np.array_equal(T.mean_over_spatial(batch)[1], T.mean_over_spatial(batch[1]))
 
 
 def test_mean_over_spatial_permutation_invariant():
@@ -118,7 +126,7 @@ def test_kernels_reject_non_finite_output():
     conv1.params["w"][...] = big
     conv2 = Conv2D(1, 1, 2, 2, 1, rng)
     conv2.params["w"][...] = big
-    for layer, x in ((dense, np.full(2, big)), (conv1, np.full(4, big)),
-                     (conv2, np.full((3, 3, 1), big))):
+    for layer, x in ((dense, np.full((1, 2), big)), (conv1, np.full((1, 4), big)),
+                     (conv2, np.full((1, 3, 3, 1), big))):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteTensor):
             layer.forward(x)

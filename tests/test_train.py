@@ -23,9 +23,15 @@ def test_bce_values():
     assert abs(bce_loss(0.5, 1)[0] - np.log(2)) < 1e-12
     assert abs(bce_loss(0.5, 0)[0] - np.log(2)) < 1e-12
     rng = np.random.default_rng(0)
-    for p in rng.random(200):
+    ps = rng.random(200)
+    for p in ps:
         for y in (0, 1):
             assert bce_loss(float(p), y)[0] >= 0.0
+    # elementwise on a batch, equal to the scalar losses
+    ys = rng.integers(0, 2, 200)
+    loss, grad = bce_loss(ps, ys)
+    assert np.array_equal(loss, [bce_loss(float(p), y)[0] for p, y in zip(ps, ys)])
+    assert np.array_equal(grad, [bce_loss(float(p), y)[1] for p, y in zip(ps, ys)])
 
 
 def test_bce_gradient_sign():
@@ -99,12 +105,14 @@ def small_model(seed=2):
 
 
 def small_dataset(seed=3, n=24):
+    """GAP vectors (``Model.encode``) of seeded 3x3x8 maps, 6 of them for val."""
     rng = np.random.default_rng(seed)
+    encode = small_model().encode  # an imported model's encode is GAP alone
     ds = Dataset()
     for i in range(n):
         y = i % 2
         x = (rng.standard_normal((3, 3, 8)) + (2.0 if y else -2.0)).astype(np.float32)
-        (ds.train if i < n - 6 else ds.val).append((x, y))
+        (ds.train if i < n - 6 else ds.val).append((encode(x), y))
     return ds
 
 
@@ -114,7 +122,7 @@ def test_early_stop_restores_best_parameters():
     result = train_loop(model, ds, cfg(seed=4, max_epochs=40, batch_size=6,
                                        learning_rate=5e-3, early_stop_patience=3))
     best = min(e.val_loss for e in result.epochs)
-    val_loss = np.mean([bce_loss(model.forward(x), y)[0] for x, y in ds.val])
+    val_loss = np.mean([bce_loss(model.forward(z[None])[0], y)[0] for z, y in ds.val])
     assert abs(val_loss - best) < 1e-6
 
 
@@ -122,18 +130,18 @@ def test_single_sample_loss_decreases_over_random_inits():
     for seed in range(20):
         model = small_model(seed=100 + seed)
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((3, 3, 8)).astype(np.float32)
-        ds = Dataset(train=[(x, 1)], val=[(x, 1)])
-        before = bce_loss(model.forward(x), 1)[0]
+        z = model.encode(rng.standard_normal((3, 3, 8)).astype(np.float32))
+        ds = Dataset(train=[(z, 1)], val=[(z, 1)])
+        before = bce_loss(model.forward(z[None]), 1)[0]
         train_loop(model, ds, cfg(seed=seed, max_epochs=1, learning_rate=1e-4))
-        after = bce_loss(model.forward(x), 1)[0]
+        after = bce_loss(model.forward(z[None]), 1)[0]
         assert after < before
 
 
 def test_overfit_single_sample_batch():
     model = Model(ModelSpec(head_input_channels=64), seed=5)
-    x = np.random.default_rng(6).standard_normal((7, 7, 64)).astype(np.float32)
-    ds = Dataset(train=[(x, 1)] * 32, val=[(x, 1)])
+    z = model.encode(np.random.default_rng(6).standard_normal((7, 7, 64)).astype(np.float32))
+    ds = Dataset(train=[(z, 1)] * 32, val=[(z, 1)])
     result = train_loop(model, ds, cfg(seed=7, max_epochs=200, learning_rate=1e-4,
                                        early_stop_patience=200))
     assert any(e.train_acc == 1.0 for e in result.epochs)
@@ -158,7 +166,7 @@ def test_empty_split_and_diverged_loss():
 
     model = small_model(seed=11)
     # blow up the projection so the forward pass overflows float32
-    model.head.layers[1].params["w"][...] = 1e38
+    model.head.layers[0].params["w"][...] = 1e38
     with np.errstate(over="ignore"), pytest.raises(DivergedLoss):
         train_loop(model, ds, cfg(seed=12, max_epochs=2))
 
@@ -172,3 +180,22 @@ def test_epoch_csv_format(tmp_path):
     assert lines[0] == "epoch,train_loss,train_acc,val_loss,val_acc,lr,seconds_per_epoch"
     assert lines[1].startswith("1,0.5,0.75,0.6,0.7,0.0001,")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("trainable, expected_rows", [(False, [4, 4, 2, 4, 2]), (True, [1] * 16)])
+def test_rows_per_forward_pass(trainable, expected_rows):
+    """A frozen model runs each mini-batch (train, then val) in one pass; a trainable
+    backbone runs one image at a time, in training and in evaluation."""
+    model = Model(ModelSpec(backbone="toy_cnn", head_input_channels=16,
+                            backbone_trainable=trainable, projection_dim=8,
+                            hidden_widths=(4,), dropout_rates=(0.0,)), seed=3)
+    model.backbone.input_shape = (13, 13, 3)  # desk-sized images
+    rng = np.random.default_rng(4)
+    imgs = [rng.standard_normal((13, 13, 3)).astype(np.float32) for _ in range(16)]
+    samples = [(model.encode(x), i % 2) for i, x in enumerate(imgs)]
+    rows = []
+    forward = model.forward
+    model.forward = lambda z, train=False: rows.append(len(z)) or forward(z, train)
+    train_loop(model, Dataset(train=samples[:10], val=samples[10:]),
+               cfg(seed=5, max_epochs=1, batch_size=4))
+    assert rows == expected_rows
