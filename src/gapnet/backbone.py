@@ -95,8 +95,8 @@ class ToyBackbone:
                                 f"got {imgs.shape}")
         return self.net.forward(imgs, train=train)
 
-    def backward(self, grad_out):
-        return self.net.backward(grad_out)
+    def backward(self, grad_out, input_grad=True):
+        return self.net.backward(grad_out, input_grad=input_grad)
 
     def zero_grad(self):
         self.net.zero_grad()

@@ -15,6 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import data as datamod
 from .backbone import load_feature_map, save_tensor
 from .errors import ConfigInvalid, GapnetError
@@ -83,19 +85,58 @@ def _map_records(fn, records):
         return list(pool.map(fn, records))
 
 
+def _pid_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        pass
+    return True
+
+
 class OutputLock:
-    """One training run per output directory at a time."""
+    """One training run per output directory at a time.
+
+    The lock file holds the PID of the run that took it; it appears with
+    that content in place (a hard link of a private file), so it is never
+    seen empty. A lock whose process has ended, such as one a killed run
+    left behind, is taken over; one whose content is not a PID is kept.
+    Two runs that find the same dead lock at the same instant may both
+    take it over.
+    """
 
     def __init__(self, directory):
         self.path = Path(directory) / ".lock"
 
-    def __enter__(self):
+    def _holder(self):
+        """PID of the live run holding the lock, or None if it can be taken."""
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise GapnetError(f"output directory is locked by another run: {self.path}")
-        os.close(fd)
-        return self
+            pid = int(self.path.read_text())
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError):
+            return "unknown"
+        if pid > 0 and not _pid_alive(pid):
+            self.path.unlink(missing_ok=True)
+            return None
+        return pid
+
+    def __enter__(self):
+        mine = self.path.with_name(f".lock.{os.getpid()}")
+        mine.write_text(f"{os.getpid()}\n")
+        try:
+            while True:
+                try:
+                    os.link(mine, self.path)
+                    return self
+                except FileExistsError:
+                    holder = self._holder()
+                    if holder is not None:
+                        raise GapnetError(f"output directory is locked by another run "
+                                          f"(pid {holder}): {self.path}") from None
+        finally:
+            mine.unlink()
 
     def __exit__(self, *exc):
         self.path.unlink(missing_ok=True)
@@ -272,9 +313,14 @@ def cmd_extract(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = datamod.load_manifest(config.manifest)
-    for rec in records:
-        vec = model.features(model.encode(_load_input(config, rec))[None])[0]
-        save_tensor(vec, out_dir / f"{rec.sample_id}.btft")
+    # one projection GEMM per chunk of encoded records, as predict() runs them
+    step = model.rows_per_pass(config.train.batch_size)
+    for start in range(0, len(records), step):
+        chunk = records[start:start + step]
+        vecs = model.features(np.stack([model.encode(_load_input(config, rec))
+                                        for rec in chunk]))
+        for rec, vec in zip(chunk, vecs):
+            save_tensor(vec, out_dir / f"{rec.sample_id}.btft")
     print(f"extracted {len(records)} feature vectors "
           f"(dim {config.model.projection_dim}) -> {out_dir}")
     return 0

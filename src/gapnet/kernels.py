@@ -2,7 +2,9 @@
 
 Every kernel takes any number of leading axes in front of the ones it
 convolves, so the same code runs one sample or a batch of them; weight
-and bias gradients are summed over the leading axes. All kernels
+and bias gradients are summed over the leading axes. The ``*_weight_grads``
+kernels give those two alone, for a layer whose input gradient nobody
+reads; ``*_backward`` adds the input gradient to them. All kernels
 preserve the input dtype (float32 at runtime, float64 when the
 gradient-check oracle re-runs a model in double precision).
 """
@@ -20,15 +22,21 @@ def conv1d_forward(x, w, b):
     return np.ascontiguousarray(np.swapaxes(windows @ w.T + b, -1, -2))
 
 
-def conv1d_backward(x, w, g):
-    # g: (..., filters, L) -> dx (..., n), dw (filters, K), db (filters,)
+def conv1d_weight_grads(x, w, g):
+    # g: (..., filters, L) -> dw (filters, K), db (filters,)
     f, k = w.shape
-    length = g.shape[-1]
     windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)  # (..., L, K)
     dw = np.swapaxes(g, -1, -2).reshape(-1, f).T @ windows.reshape(-1, k)
-    db = g.reshape(-1, f, length).sum(axis=(0, 2))
+    db = g.reshape(-1, f, g.shape[-1]).sum(axis=(0, 2))
+    return dw, db
+
+
+def conv1d_backward(x, w, g):
+    # g: (..., filters, L) -> dx (..., n), dw (filters, K), db (filters,)
+    dw, db = conv1d_weight_grads(x, w, g)
+    length = g.shape[-1]
     dx = np.zeros_like(x)
-    for j in range(k):
+    for j in range(w.shape[1]):
         dx[..., j:j + length] += w[:, j] @ g
     return dx, dw, db
 
@@ -47,18 +55,28 @@ def conv2d_forward(x, w, b, stride):
     return out
 
 
-def conv2d_backward(x, w, g, stride):
+def conv2d_weight_grads(x, w, g, stride):
+    # g: (..., H', W', Cout) -> dw (kh, kw, Cin, Cout), db (Cout,)
     kh, kw = w.shape[0], w.shape[1]
     h2, w2 = g.shape[-3], g.shape[-2]
-    dx = np.zeros_like(x)
+    lead = tuple(range(g.ndim - 1))  # batch and spatial axes, summed over
     dw = np.zeros_like(w)
-    lead = list(range(g.ndim - 1))  # batch and spatial axes, summed over
-    db = g.sum(axis=tuple(lead))
-    g_rows = g.reshape(-1, g.shape[-1])
     for u in range(kh):
         for v in range(kw):
             xs = x[..., u:u + h2 * stride:stride, v:v + w2 * stride:stride, :]
             dw[u, v] = np.tensordot(xs, g, axes=(lead, lead))
+    return dw, g.sum(axis=lead)
+
+
+def conv2d_backward(x, w, g, stride):
+    # g: (..., H', W', Cout) -> dx like x, dw, db
+    dw, db = conv2d_weight_grads(x, w, g, stride)
+    kh, kw = w.shape[0], w.shape[1]
+    h2, w2 = g.shape[-3], g.shape[-2]
+    dx = np.zeros_like(x)
+    g_rows = g.reshape(-1, g.shape[-1])
+    for u in range(kh):
+        for v in range(kw):
             dx[..., u:u + h2 * stride:stride, v:v + w2 * stride:stride, :] += (
-                g_rows @ w[u, v].T).reshape(xs.shape)
+                g_rows @ w[u, v].T).reshape(g.shape[:-1] + (w.shape[2],))
     return dx, dw, db

@@ -6,6 +6,10 @@ parameters and gradient accumulators in ``params`` / ``grads`` dicts and
 caches whatever its backward pass needs when the forward pass runs in
 train mode. Parameter gradients are summed over the batch rows and
 accumulate until zero_grad(); the training loop zeroes once per batch.
+``backward(grad_out, input_grad=True)`` returns dL/d(input); with
+``input_grad=False`` a layer with parameters fills its gradients only and
+returns None, so the first trainable layer of a model skips the input
+gradient nobody reads. Parameter-free layers ignore the flag.
 """
 
 import copy
@@ -41,7 +45,7 @@ class Layer:
     def forward(self, x, train=False):
         raise NotImplementedError
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         raise NotImplementedError
 
     def zero_grad(self):
@@ -78,11 +82,11 @@ class Dense(Layer):
             self._cache = x
         return ensure_finite(z, "dense_forward")
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         x = self._need_cache()
         self.grads["w"] += grad_out.T @ x
         self.grads["b"] += grad_out.sum(axis=0)
-        return grad_out @ self.params["w"]
+        return grad_out @ self.params["w"] if input_grad else None
 
 
 class ReLU(Layer):
@@ -91,7 +95,7 @@ class ReLU(Layer):
             self._cache = x
         return np.maximum(x, 0)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         x = self._need_cache()
         # subgradient 0 at x == 0
         return grad_out * (x > 0)
@@ -110,7 +114,7 @@ class Sigmoid(Layer):
             self._cache = s
         return s
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         s = self._need_cache()
         return grad_out * s * (1.0 - s)
 
@@ -142,7 +146,7 @@ class Dropout(Layer):
         self._cache = scale
         return x * scale
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         if self.rate == 0.0:
             return grad_out
         scale = self._need_cache()
@@ -160,7 +164,7 @@ class GlobalAvgPool(Layer):
             self._cache = x.shape
         return out
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         b, h, w, c = self._need_cache()
         if grad_out.shape != (b, c):
             raise ShapeMismatch(f"expected grad of shape ({b}, {c}), got {grad_out.shape}")
@@ -194,10 +198,14 @@ class Conv1D(Layer):
             self._cache = (x, out.shape)
         return ensure_finite(out.reshape(x.shape[0], -1), "conv1d_layer_forward")
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         x, out_shape = self._need_cache()
         g = grad_out.reshape(out_shape)
-        dx, dw, db = kernels.conv1d_backward(x, self.params["w"], g)
+        if input_grad:
+            dx, dw, db = kernels.conv1d_backward(x, self.params["w"], g)
+        else:
+            dx = None
+            dw, db = kernels.conv1d_weight_grads(x, self.params["w"], g)
         self.grads["w"] += dw
         self.grads["b"] += db
         return dx
@@ -228,16 +236,20 @@ class Conv2D(Layer):
             self._cache = x
         return ensure_finite(out, "conv2d_layer_forward")
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         x = self._need_cache()
-        dx, dw, db = kernels.conv2d_backward(x, self.params["w"], grad_out, self.stride)
+        if input_grad:
+            dx, dw, db = kernels.conv2d_backward(x, self.params["w"], grad_out, self.stride)
+        else:
+            dx = None
+            dw, db = kernels.conv2d_weight_grads(x, self.params["w"], grad_out, self.stride)
         self.grads["w"] += dw
         self.grads["b"] += db
         return dx
 
 
 class Sequential:
-    """Chain of layers with reverse-order backward."""
+    """Chain of layers with reverse-order backward; ``input_grad`` goes to the first layer."""
 
     def __init__(self, layers):
         self.layers = list(layers)
@@ -247,10 +259,10 @@ class Sequential:
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, grad_out):
-        for layer in reversed(self.layers):
+    def backward(self, grad_out, input_grad=True):
+        for layer in reversed(self.layers[1:]):
             grad_out = layer.backward(grad_out)
-        return grad_out
+        return self.layers[0].backward(grad_out, input_grad=input_grad)
 
     def zero_grad(self):
         for layer in self.layers:
@@ -325,7 +337,7 @@ def gradient_check(model, x, loss="proj", y=1, tolerance=1e-3, abs_tol=1e-4, h=1
 
     frag.zero_grad()
     out = frag.forward(x, train=True)
-    dx_analytic = frag.backward(_objective_grad(out, loss, y, proj))
+    dx_analytic = frag.backward(_objective_grad(out, loss, y, proj), input_grad=True)
 
     def f():
         return _objective(frag.forward(x, train=True), loss, y, proj)

@@ -174,6 +174,7 @@ class Model:
 
     def features(self, z, train=False):
         """Batch of encoded inputs -> (B, projection_dim) projected feature vectors."""
+        z = np.asarray(z, dtype=self.dtype)  # other dtypes would run mixed-dtype GEMMs
         if self.spec.backbone_trainable:
             z = self.gap.forward(self.backbone.forward(z, train=train), train=train)
         elif z.ndim != 2 or z.shape[1] != self.spec.head_input_channels:
@@ -186,13 +187,19 @@ class Model:
         z = self.classifier.forward(self.features(z, train), train=train)
         return self.sigmoid.forward(z, train=train)[:, 0]
 
-    def backward(self, dloss_dp):
-        """(B,) dLoss/dp -> gradient with respect to the encoded inputs."""
+    def backward(self, dloss_dp, input_grad=False):
+        """(B,) dLoss/dp -> parameter gradients, accumulated.
+
+        Returns the gradient with respect to the encoded inputs if
+        ``input_grad``, else None: by default the first trainable layer
+        (the backbone's first conv, or the projection) skips it.
+        """
         g = np.asarray(dloss_dp, dtype=self.dtype).reshape(-1, 1)
-        g = self.head.backward(self.classifier.backward(self.sigmoid.backward(g)))
-        if self.spec.backbone_trainable:
-            g = self.backbone.backward(self.gap.backward(g))
-        return g
+        g = self.classifier.backward(self.sigmoid.backward(g))
+        if not self.spec.backbone_trainable:
+            return self.head.backward(g, input_grad=input_grad)
+        g = self.gap.backward(self.head.backward(g))
+        return self.backbone.backward(g, input_grad=input_grad)
 
     # -- parameter plumbing -------------------------------------------
     def parameters(self, trainable_only=True):

@@ -82,6 +82,7 @@ def test_criterion_1_gradient_fidelity():
             rep = gradient_check(frag, x, tolerance=1e-3, abs_tol=1e-4, h=1e-3,
                                  rng=np.random.default_rng(i))
             assert rep.passed, (name, i, rep.per_param)
+            assert "input" in rep.per_param, (name, i)
             worst = max(worst, rep.max_mixed_error)
     elapsed = time.perf_counter() - t0
     report("criterion 1 (gradient fidelity)", elapsed < 30.0,

@@ -100,6 +100,7 @@ def test_gradient_flows_through_both_conv_layers():
     x = np.random.default_rng(5).standard_normal((2, 13, 13, 3)).astype(np.float32) * 0.5
     report = gradient_check(bb.net, x, rng=np.random.default_rng(6))
     assert report.passed, report.per_param
+    assert "input" in report.per_param
 
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -159,6 +162,25 @@ def test_output_lock_blocks_concurrent_runs(tmp_path):
         pass
 
 
+def test_output_lock_takes_over_a_dead_runs_lock(tmp_path):
+    from gapnet.cli import OutputLock
+
+    ended = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True)
+    lock = tmp_path / ".lock"
+    lock.write_text(ended.stdout)  # what a killed run leaves behind
+    with OutputLock(tmp_path):
+        assert int(lock.read_text()) == os.getpid()
+    assert not any(tmp_path.iterdir())  # neither the lock nor its private file is left
+
+
+def _live_lock(tmp_path):
+    cfg = _config(tmp_path)
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / ".lock").write_text(f"{os.getpid()}\n")
+    return ["train", cfg]
+
+
 def test_prepare_threads_env_matches_single_thread(raw_dir, tmp_path, monkeypatch):
     one = tmp_path / "one" / "m.jsonl"
     many = tmp_path / "many" / "m.jsonl"
@@ -237,6 +259,7 @@ def _dangling_symlink(path):
     pytest.param(_bad_checkpoint('{"seed": 1}'), 1, "model_spec", id="model-json-without-spec"),
     pytest.param(_pgm_path(lambda p: p.mkdir()), 1, "t0_axial_0.pgm", id="pgm-is-directory"),
     pytest.param(_pgm_path(_dangling_symlink), 2, "missing.pgm", id="pgm-missing"),
+    pytest.param(_live_lock, 1, "locked by another run", id="live-lock"),
 ])
 def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, setup, code, needle):
     assert main(setup(tmp_path)) == code

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gapnet import kernels
 from gapnet.errors import InvalidRate, NoCachedForward, NonDeterministicFragment, ShapeMismatch
 from gapnet.nn import (
     Conv1D,
@@ -163,6 +164,7 @@ def test_layer_gradients_match_finite_differences(name, build, shape):
         x = r.standard_normal(shape).astype(np.float32)
         report = gradient_check(frag, x, rng=np.random.default_rng(seed))
         assert report.passed, (name, seed, report.per_param)
+        assert "input" in report.per_param
 
 
 def test_relu_and_fixed_dropout_gradients():
@@ -184,7 +186,7 @@ def test_gradient_check_bce_and_corruption():
                           loss="bce", y=np.array([1, 0, 1]), tolerance=1e-3).passed
 
     class DoubledDense(Dense):
-        def backward(self, grad_out):
+        def backward(self, grad_out, input_grad=True):
             x_ = self._need_cache()
             self.grads["w"] += 2.0 * grad_out.T @ x_  # deliberately corrupted
             self.grads["b"] += grad_out.sum(axis=0)
@@ -240,3 +242,47 @@ def test_dropout_draws_one_mask_per_batch():
     assert np.array_equal(out, np.concatenate([rows.forward(x[i:i + 1], train=True)
                                                for i in range(4)]))
     assert len({row.tobytes() for row in out}) == 4  # rows get different masks
+
+
+@pytest.mark.parametrize("name,build,shape", [
+    ("dense", lambda r: Dense(5, 4, r), (3, 5)),
+    ("conv1d", lambda r: Conv1D(3, 3, r), (3, 9)),
+    ("conv2d", lambda r: Conv2D(3, 4, 3, 3, 2, r), (3, 9, 8, 3)),
+    ("sequential", lambda r: Sequential([Conv2D(3, 4, 3, 3, 2, r), ReLU(), GlobalAvgPool(),
+                                         Dense(4, 2, r)]), (3, 9, 8, 3)),
+])
+def test_input_grad_false_skips_dx_and_keeps_param_grads_bitwise(name, build, shape):
+    r = np.random.default_rng(4000)
+    frag = build(r)
+    x = r.standard_normal(shape).astype(np.float32)
+    g = r.standard_normal(frag.forward(x).shape).astype(np.float32)
+    frag.forward(x, train=True)
+    dx = frag.backward(g, input_grad=True)
+    assert dx.shape == x.shape
+    layers = frag.layers if isinstance(frag, Sequential) else [frag]
+    with_dx = [{k: v.copy() for k, v in layer.grads.items()} for layer in layers]
+
+    frag.zero_grad()
+    frag.forward(x, train=True)
+    assert frag.backward(g, input_grad=False) is None
+    for layer, grads in zip(layers, with_dx):
+        assert layer.grads.keys() == grads.keys()
+        assert all(np.array_equal(layer.grads[k], grads[k]) for k in grads), name
+
+
+def test_weight_grad_kernels_match_backward_bitwise():
+    r = np.random.default_rng(4001)
+    for stride in (1, 2):
+        x = r.standard_normal((2, 11, 10, 3)).astype(np.float32)
+        w = r.standard_normal((5, 5, 3, 4)).astype(np.float32)
+        g = r.standard_normal(kernels.conv2d_forward(x, w, np.zeros(4, np.float32),
+                                                     stride).shape).astype(np.float32)
+        _, dw, db = kernels.conv2d_backward(x, w, g, stride)
+        dw2, db2 = kernels.conv2d_weight_grads(x, w, g, stride)
+        assert np.array_equal(dw, dw2) and np.array_equal(db, db2)
+    x = r.standard_normal((3, 12)).astype(np.float32)
+    w = r.standard_normal((4, 3)).astype(np.float32)
+    g = r.standard_normal((3, 4, 10)).astype(np.float32)
+    _, dw, db = kernels.conv1d_backward(x, w, g)
+    dw2, db2 = kernels.conv1d_weight_grads(x, w, g)
+    assert np.array_equal(dw, dw2) and np.array_equal(db, db2)

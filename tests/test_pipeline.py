@@ -167,8 +167,10 @@ def test_whole_frozen_model_gradients_on_a_batch(classifier):
                   for _ in range(3)])
     report = gradient_check(model, z, rng=np.random.default_rng(21))
     assert report.passed, report.per_param
+    assert "input" in report.per_param
     report = gradient_check(model, z, loss="bce", y=np.array([1, 0, 1]))
     assert report.passed, report.per_param
+    assert "input" in report.per_param
 
 
 def test_whole_trainable_model_gradients_on_a_batch():
@@ -180,6 +182,7 @@ def test_whole_trainable_model_gradients_on_a_batch():
     # a small step keeps the differences clear of the conv stages' ReLU kinks
     report = gradient_check(model, x, h=1e-5, rng=np.random.default_rng(23))
     assert report.passed, report.per_param
+    assert "input" in report.per_param
     assert any(name.startswith("backbone.") for name in report.per_param)
 
 
@@ -202,3 +205,38 @@ def test_batch_step_matches_rows_accumulated_one_at_a_time():
     for name, layer, pn in model.parameters():
         diff = np.max(np.abs(layer.grads[pn] - batch[name]))
         assert diff <= 1e-5 * np.max(np.abs(batch[name])), name
+
+
+@pytest.mark.parametrize("trainable", [False, True])
+def test_model_backward_skips_input_grad_by_default_bitwise(trainable):
+    rng = np.random.default_rng(25)
+    if trainable:
+        model = Model(ModelSpec(backbone_trainable=True, classifier="fcnn", projection_dim=6,
+                                hidden_widths=(5,), **TOY), seed=3)
+        model.backbone.input_shape = (13, 13, 3)  # desk-sized images
+        z = rng.standard_normal((2, 13, 13, 3)).astype(np.float32)
+    else:
+        model = Model(ModelSpec(head_input_channels=8, classifier="fcnn", projection_dim=6,
+                                hidden_widths=(5,)), seed=3)
+        z = rng.standard_normal((3, 8)).astype(np.float32)
+    dldp = rng.standard_normal(len(z))
+    model.zero_grad()
+    model.forward(z, train=True)
+    dz = model.backward(dldp, input_grad=True)
+    assert dz.shape == z.shape
+    with_dz = {name: layer.grads[pn].copy() for name, layer, pn in model.parameters()}
+
+    model.zero_grad()
+    model.forward(z, train=True)
+    assert model.backward(dldp) is None
+    for name, layer, pn in model.parameters():
+        assert np.array_equal(layer.grads[pn], with_dz[name]), name
+
+
+def test_float64_rows_score_like_float32_rows():
+    model = Model(ModelSpec(head_input_channels=8, projection_dim=6, hidden_widths=(5,),
+                            dropout_rates=(0.5,)), seed=4)
+    z = np.random.default_rng(26).standard_normal((3, 8)).astype(np.float32)
+    p32 = model.forward(z)
+    p64 = model.forward(z.astype(np.float64))
+    assert p64.dtype == np.float32 and np.array_equal(p32, p64)

@@ -199,3 +199,31 @@ def test_rows_per_forward_pass(trainable, expected_rows):
     train_loop(model, Dataset(train=samples[:10], val=samples[10:]),
                cfg(seed=5, max_epochs=1, batch_size=4))
     assert rows == expected_rows
+
+
+def test_trainable_backbone_never_computes_the_image_gradient(monkeypatch):
+    from gapnet import kernels
+
+    model = Model(ModelSpec(backbone="toy_cnn", head_input_channels=16,
+                            backbone_trainable=True, projection_dim=8,
+                            hidden_widths=(4,), dropout_rates=(0.0,)), seed=3)
+    model.backbone.input_shape = (13, 13, 3)  # desk-sized images
+    rng = np.random.default_rng(6)
+    samples = [(rng.standard_normal((13, 13, 3)).astype(np.float32), i % 2) for i in range(6)]
+    cin = {}  # kernel name -> input channels of each call
+
+    def spy(name):
+        kernel = getattr(kernels, name)
+
+        def wrapper(x, w, g, stride):
+            cin.setdefault(name, []).append(w.shape[2])
+            return kernel(x, w, g, stride)
+        monkeypatch.setattr(kernels, name, wrapper)
+
+    spy("conv2d_backward")
+    spy("conv2d_weight_grads")
+    train_loop(model, Dataset(train=samples[:4], val=samples[4:]),
+               cfg(seed=7, max_epochs=1, batch_size=2))
+    # stage 2 still passes dL/d(input) down to stage 1, which stops at its weights
+    assert set(cin["conv2d_backward"]) == {8}
+    assert 3 in cin["conv2d_weight_grads"]
