@@ -10,7 +10,10 @@ BTFT layout (little-endian): magic "BTFT", version u32, dtype code u8
 payload. Header for a rank-1 tensor is exactly 14 bytes.
 """
 
+import contextlib
+import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -32,42 +35,64 @@ DTYPE_F32 = 1
 
 
 def save_tensor(t, path):
-    """Write one tensor in the BTFT container layout."""
+    """Write one tensor in the BTFT container layout, atomically.
+
+    The bytes go to a temp file in the same directory, named for this
+    process and thread, which then replaces ``path``: a reader sees the
+    old file or the whole new one, and a write that fails leaves the old
+    file as it was and no temp file behind.
+    """
     arr = np.ascontiguousarray(t, dtype="<f4")
     header = struct.pack("<4sIBB", MAGIC, VERSION, DTYPE_F32, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(arr.tobytes())
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(header)
+                fh.write(arr.data)  # the array's buffer: no bytes copy
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            raise
     except OSError as e:
         raise IoFailure(f"cannot write tensor to {path}: {e}") from e
 
 
 def load_feature_map(path):
-    """Read one BTFT tensor; bit-exact round trip with save_tensor."""
+    """Read one BTFT tensor; bit-exact round trip with save_tensor.
+
+    The payload is read straight into the array the tensor owns: no copy
+    of the file bytes is made and freed on the way.
+    """
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(10)
+            if len(head) < 10 or head[:4] != MAGIC:
+                raise BadMagic(f"{path}: not a BTFT file")
+            version, dtype_code, rank = struct.unpack_from("<IBB", head, 4)
+            if version != VERSION:
+                raise UnsupportedVersion(f"{path}: version {version}, expected {VERSION}")
+            if dtype_code != DTYPE_F32:
+                raise UnsupportedDtype(f"{path}: dtype code {dtype_code}, "
+                                       f"expected {DTYPE_F32}")
+            offset = 10 + 4 * rank
+            if size < offset:
+                raise TruncatedPayload(f"{path}: header truncated")
+            extents = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+            count = int(np.prod(extents)) if rank else 0
+            if size - offset != 4 * count:
+                raise TruncatedPayload(f"{path}: payload {size - offset} bytes, "
+                                       f"header implies {4 * count}")
+            arr = np.empty(extents, dtype="<f4")
+            if fh.readinto(arr) != arr.nbytes:
+                raise TruncatedPayload(f"{path}: payload shorter than its header says")
     except OSError as e:
         raise IoFailure(f"cannot read tensor from {path}: {e}") from e
-    if len(raw) < 10 or raw[:4] != MAGIC:
-        raise BadMagic(f"{path}: not a BTFT file")
-    version, dtype_code, rank = struct.unpack_from("<IBB", raw, 4)
-    if version != VERSION:
-        raise UnsupportedVersion(f"{path}: version {version}, expected {VERSION}")
-    if dtype_code != DTYPE_F32:
-        raise UnsupportedDtype(f"{path}: dtype code {dtype_code}, expected {DTYPE_F32}")
-    offset = 10 + 4 * rank
-    if len(raw) < offset:
-        raise TruncatedPayload(f"{path}: header truncated")
-    extents = struct.unpack_from(f"<{rank}I", raw, 10)
-    count = int(np.prod(extents)) if rank else 0
-    if len(raw) - offset != 4 * count:
-        raise TruncatedPayload(f"{path}: payload {len(raw) - offset} bytes, "
-                               f"header implies {4 * count}")
-    # a view of the file bytes; astype makes the one copy the tensor owns
-    arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-    return tensor(arr.reshape(extents).astype(np.float32))
+    return tensor(arr.astype(np.float32, copy=False))
 
 
 class ToyBackbone:

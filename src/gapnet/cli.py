@@ -7,9 +7,12 @@ deterministic single-threaded runs).
 """
 
 import argparse
+import contextlib
+import hashlib
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import data as datamod
 from .backbone import load_feature_map, save_tensor
-from .errors import ConfigInvalid, GapnetError
+from .errors import ConfigInvalid, GapnetError, IoFailure, ParseError
 from .metrics import (
     build_report,
     confusion,
@@ -43,10 +46,7 @@ class ExperimentConfig:
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
-        try:
-            obj = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigInvalid(f"{path}: not valid JSON: {e}") from e
+        obj = _read_json_object(path)
         if "seed" not in obj:
             raise ConfigInvalid(f"{path}: an explicit seed is required")
         try:
@@ -233,14 +233,121 @@ def _load_input(config, rec):
     return load_feature_map(_resolve(config.manifest, rec.path))
 
 
-def build_dataset(config, splits=("train", "val", "test"), encode=None):
-    """(input, label) pairs of the wanted splits. ``encode`` runs on each
-    input as it loads, so only what it returns stays in memory."""
+CACHE_DIR = ".gapnet-cache"
+CACHE_FORMAT = "gapnet encode cache 1"
+
+
+def _tag(*parts):
+    return hashlib.sha256("\0".join(map(str, parts)).encode()).hexdigest()[:32]
+
+
+class _EncodeCache:
+    """The frozen prefix's output for each input file, kept on disk.
+
+    The entries of one frozen prefix live in ``<manifest dir>/.gapnet-cache/
+    <prefix tag>/``. The prefix tag hashes the frozen weights, so every head
+    built from one seed (or its checkpoint) shares it. An entry is keyed by
+    a path tag, hashing the input's absolute path, and a stat tag, hashing
+    the stat data git's index uses, which changes whenever the file is
+    rewritten; so a hit never reads the input. An entry holds the float32
+    bits ``encode`` returned.
+
+    Entries are stored as segments: ``<name>.keys``, one ``<path tag> <stat
+    tag>`` line per entry, named for the hash of its text so that a torn
+    one shows, beside ``<name>.btft``, one row per line. A run that encodes
+    anything writes one segment of every entry it knows, an input's new
+    entry replacing its old one, and deletes the segments it read: two
+    files per run rather than one per input, because creating hundreds of
+    small files right after ``prepare`` costs the first head more than a
+    tenth of its set-up time. A missing, torn or wrong-shaped segment is a
+    miss for each of its entries; a cache that cannot be written leaves
+    the run uncached, with one warning.
+    """
+
+    def __init__(self, config, model):
+        self.config, self.model = config, model
+        h = hashlib.sha256(f"{CACHE_FORMAT}\0{model.spec.backbone}\0"
+                           f"{model.spec.head_input_channels}".encode())
+        for name, layer, pname in (model.backbone.parameters() if model.backbone else ()):
+            value = np.ascontiguousarray(layer.params[pname], dtype="<f4")
+            h.update(f"\0{name}\0{value.shape}\0".encode() + value.tobytes())
+        self.dir = config.manifest.parent / CACHE_DIR / h.hexdigest()[:32]
+        self.known = {}  # path tag -> (stat tag, vector)
+        self.lock = threading.Lock()  # build_dataset may call from several threads
+        self.encoded = False
+        try:
+            self.listed = {n for n in os.listdir(self.dir) if not n.startswith(".")}
+        except OSError:  # no cache yet, or none possible: everything misses
+            self.listed = set()
+        width = model.spec.head_input_channels
+        for keys in sorted(n for n in self.listed if n.endswith(".keys")):
+            try:
+                text = (self.dir / keys).read_text()
+                rows = load_feature_map(self.dir / f"{keys[:-5]}.btft")
+            except (OSError, ValueError, GapnetError):
+                continue  # a missing or torn segment: its entries miss
+            lines = [line.split() for line in text.splitlines()]
+            if _tag(text) == keys[:-5] and rows.shape == (len(lines), width):
+                for (path_tag, stat_tag), row in zip(lines, rows):
+                    self.known[path_tag] = (stat_tag, row)
+
+    def __call__(self, rec):
+        path = _resolve(self.config.manifest, rec.path)
+        try:
+            st = os.stat(path)
+        except OSError:  # reading the input reports it
+            return self.model.encode(_load_input(self.config, rec))
+        path_tag = _tag(path)
+        stat_tag = _tag(st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+        with self.lock:
+            entry = self.known.get(path_tag)
+        if entry is not None and entry[0] == stat_tag:
+            return entry[1]
+        vec = self.model.encode(_load_input(self.config, rec))
+        with self.lock:
+            self.known[path_tag] = (stat_tag, vec)
+            self.encoded = True
+        return vec
+
+    def save(self):
+        """Write every known entry as one segment, if this run encoded any."""
+        if not self.encoded:
+            return
+        tags = sorted(self.known)
+        text = "".join(f"{t} {self.known[t][0]}\n" for t in tags)
+        name = _tag(text)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+            save_tensor(np.stack([self.known[t][1] for t in tags]), self.dir / f"{name}.btft")
+            (self.dir / f"{name}.keys").write_text(text)
+            for old in self.listed - {f"{name}.btft", f"{name}.keys"}:
+                (self.dir / old).unlink(missing_ok=True)
+        except (OSError, IoFailure) as e:
+            print(f"warning: not caching encoded inputs: {e}", file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _encoded_inputs(config, model):
+    """Yields rec -> the row ``model.forward`` takes for it. With a frozen
+    prefix the row comes from the on-disk cache where it can, and what was
+    encoded is cached on exit; a trainable backbone's rows are its raw
+    inputs, which are never cached."""
+    if model.spec.backbone_trainable:
+        yield lambda rec: model.encode(_load_input(config, rec))
+        return
+    cache = _EncodeCache(config, model)
+    yield cache
+    cache.save()
+
+
+def build_dataset(config, splits=("train", "val", "test"), load=None):
+    """(input, label) pairs of the wanted splits. ``load`` maps a record to
+    what is kept of it (by default its raw input), so only that stays in
+    memory."""
     records = datamod.load_manifest(config.manifest)
     dataset = Dataset()
     wanted = [r for r in records if r.split in splits]
-    encode = encode or (lambda x: x)
-    xs = _map_records(lambda r: encode(_load_input(config, r)), wanted)
+    xs = _map_records(load or (lambda r: _load_input(config, r)), wanted)
     for rec, x in zip(wanted, xs):
         getattr(dataset, rec.split).append((x, rec.label))
     return dataset
@@ -248,13 +355,24 @@ def build_dataset(config, splits=("train", "val", "test"), encode=None):
 
 # ------------------------------------------------------------ subcommands
 
+def _read_json_object(path):
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ParseError(f"{path}: not valid JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def cmd_train(args):
     config = ExperimentConfig.load(args.config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     with OutputLock(config.output_dir):
         model = Model(config.model, seed=config.seed)
-        # extract-once: the frozen prefix runs a single time per sample
-        dataset = build_dataset(config, splits=("train", "val"), encode=model.encode)
+        # extract-once: the frozen prefix runs at most once per input file
+        with _encoded_inputs(config, model) as load:
+            dataset = build_dataset(config, splits=("train", "val"), load=load)
         result = train_loop(model, dataset, config.train)
         write_epoch_csv(result.epochs, config.output_dir / "epochs.csv")
         save_checkpoint(model, config.output_dir / "checkpoint")
@@ -287,7 +405,7 @@ def cmd_eval(args):
     seconds_per_epoch = 0.0
     timing_file = config.output_dir / "timing.json"
     if timing_file.exists():
-        seconds_per_epoch = json.loads(timing_file.read_text()).get("seconds_per_epoch", 0.0)
+        seconds_per_epoch = _read_json_object(timing_file).get("seconds_per_epoch", 0.0)
     report = build_report(
         cm, model_name=config.model.classifier,
         fingerprint=config.model.fingerprint(), seed=config.seed,
@@ -315,12 +433,12 @@ def cmd_extract(args):
     records = datamod.load_manifest(config.manifest)
     # one projection GEMM per chunk of encoded records, as predict() runs them
     step = model.rows_per_pass(config.train.batch_size)
-    for start in range(0, len(records), step):
-        chunk = records[start:start + step]
-        vecs = model.features(np.stack([model.encode(_load_input(config, rec))
-                                        for rec in chunk]))
-        for rec, vec in zip(chunk, vecs):
-            save_tensor(vec, out_dir / f"{rec.sample_id}.btft")
+    with _encoded_inputs(config, model) as load:
+        for start in range(0, len(records), step):
+            chunk = records[start:start + step]
+            vecs = model.features(np.stack([load(rec) for rec in chunk]))
+            for rec, vec in zip(chunk, vecs):
+                save_tensor(vec, out_dir / f"{rec.sample_id}.btft")
     print(f"extracted {len(records)} feature vectors "
           f"(dim {config.model.projection_dim}) -> {out_dir}")
     return 0
@@ -332,9 +450,14 @@ def cmd_report(args):
         metrics_file = Path(run_dir) / "metrics.json"
         if not metrics_file.exists():
             raise FileNotFoundError(f"metrics file not found: {metrics_file}")
-        obj = json.loads(metrics_file.read_text())
-        rows.append((obj["model"], obj["accuracy"], obj["precision"],
-                     obj["recall"], obj["f1"]))
+        obj = _read_json_object(metrics_file)
+        try:
+            rows.append((obj["model"], *(float(obj[k]) for k in
+                                         ("accuracy", "precision", "recall", "f1"))))
+        except KeyError as e:
+            raise ParseError(f"{metrics_file}: lacks {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"{metrics_file}: a metric is not a number: {e}") from e
     lines = ["Model,Accuracy,Precision,Recall,F1"]
     for name, acc, prec, rec, f1 in rows:
         lines.append(f"{name},{100 * acc:.2f},{100 * prec:.2f},{100 * rec:.2f},{100 * f1:.2f}")

@@ -323,10 +323,3 @@ def load_pgm(path):
     if len(pixels) != width * height:
         raise ParseError(f"{path}: expected {width * height} pixels, got {len(pixels)}")
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width).copy()
-
-
-def save_pgm(img, path):
-    img = gray_image(img)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        fh.write(img.tobytes())

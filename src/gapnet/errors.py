@@ -35,10 +35,6 @@ class InvalidRate(GapnetError):
     pass
 
 
-class NonDeterministicFragment(GapnetError):
-    pass
-
-
 # pipeline
 class SpecInvalid(GapnetError):
     pass

@@ -236,12 +236,6 @@ class Model:
             layer.params[pname] = value.astype(layer.params[pname].dtype).copy()
 
 
-def count_parameters(model):
-    """Exact count of weight and bias elements (imported backbones add none)."""
-    return sum(layer.params[pname].size
-               for _, layer, pname in model.parameters(trainable_only=False))
-
-
 # ------------------------------------------------------- checkpoints
 
 def save_checkpoint(model, directory):

@@ -1,8 +1,8 @@
-"""Synthetic bright-blob vs blob-free image set shared by the test suite."""
+"""Synthetic bright-blob vs blob-free image set and small helpers shared by the test suite."""
 
 import numpy as np
 
-from gapnet.data import ManifestRecord, normalize, replicate_channels
+from gapnet.data import ManifestRecord, gray_image, normalize, replicate_channels
 
 
 def blob_dataset(n_subjects=40, per_subject=10, size=224, seed=123):
@@ -38,3 +38,17 @@ def as_records(samples):
 
 def as_model_input(img):
     return replicate_channels(normalize(img))
+
+
+def save_pgm(img, path):
+    """Write a 2-D uint8 image as a binary (P5) PGM."""
+    img = gray_image(img)
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
+        fh.write(img.tobytes())
+
+
+def count_parameters(model):
+    """Exact count of weight and bias elements (imported backbones add none)."""
+    return sum(layer.params[pname].size
+               for _, layer, pname in model.parameters(trainable_only=False))

@@ -21,7 +21,6 @@ from gapnet.nn import (
     ReLU,
     Sequential,
     Sigmoid,
-    gradient_check,
 )
 from gapnet.pipeline import Model, ModelSpec, decide
 from gapnet.tensor import mean_over_spatial
@@ -34,6 +33,7 @@ from gapnet.train import (
     train_loop,
     write_epoch_csv,
 )
+from gradcheck import gradient_check
 from synth import as_model_input, as_records, blob_dataset
 
 HEADS = ("dfn", "fcnn", "cnn1d")

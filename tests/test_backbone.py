@@ -3,15 +3,17 @@ import struct
 import numpy as np
 import pytest
 
+from gapnet import backbone
 from gapnet.backbone import ToyBackbone, load_feature_map, save_tensor
 from gapnet.errors import (
     BadMagic,
+    IoFailure,
     ShapeMismatch,
     TruncatedPayload,
     UnsupportedDtype,
     UnsupportedVersion,
 )
-from gapnet.nn import gradient_check
+from gradcheck import gradient_check
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -32,6 +34,40 @@ def test_round_trip_random_shapes(tmp_path):
         save_tensor(t, tmp_path / f"{i}.btft")
         back = load_feature_map(tmp_path / f"{i}.btft")
         assert back.shape == shape and np.array_equal(back, t)
+
+
+@pytest.mark.parametrize("error, raised", [
+    (OSError(28, "No space left on device"), IoFailure),
+    (KeyboardInterrupt(), KeyboardInterrupt),
+])
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatch,
+                                                            error, raised):
+    path = tmp_path / "t.btft"
+    save_tensor(np.arange(6, dtype=np.float32), path)
+    old = path.read_bytes()
+
+    class TornFile:
+        """Writes the header, then fails on the payload."""
+
+        def __init__(self, name, mode):
+            self.fh = open(name, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if self.fh.tell():
+                raise error
+            return self.fh.write(data)
+
+    monkeypatch.setattr(backbone, "open", TornFile, raising=False)
+    with pytest.raises(raised):
+        save_tensor(np.ones((2, 3), np.float32), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["t.btft"]
 
 
 def test_header_layout(tmp_path):
@@ -65,10 +101,22 @@ def test_malformed_files(tmp_path):
     with pytest.raises(UnsupportedDtype):
         load_feature_map(bad)
 
-    # header claims 2x2 floats (16 bytes) but payload carries 12
-    bad.write_bytes(bytes(raw[:-4]))
-    with pytest.raises(TruncatedPayload):
+    # header claims 2x2 floats (16 bytes) but payload carries 12, or 20
+    for payload_cut in (bytes(raw[:-4]), bytes(raw) + b"\0" * 4):
+        bad.write_bytes(payload_cut)
+        with pytest.raises(TruncatedPayload, match="header implies 16"):
+            load_feature_map(bad)
+
+    bad.write_bytes(bytes(raw[:14]))  # rank 2 needs an 18-byte header
+    with pytest.raises(TruncatedPayload, match="header truncated"):
         load_feature_map(bad)
+
+    bad.write_bytes(bytes(raw[:6]))
+    with pytest.raises(BadMagic):
+        load_feature_map(bad)
+
+    with pytest.raises(IoFailure):
+        load_feature_map(tmp_path)  # a directory
 
 
 def test_toy_backbone_shapes_and_zero_propagation():

@@ -1,14 +1,18 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from gapnet import backbone, kernels
+from gapnet.backbone import load_feature_map, save_tensor
 from gapnet.cli import main
-from gapnet.data import load_manifest, save_manifest, save_pgm
-from synth import blob_dataset
+from gapnet.data import ManifestRecord, load_manifest, save_manifest
+from gapnet.pipeline import Model, ModelSpec, save_checkpoint
+from synth import blob_dataset, save_pgm
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +185,189 @@ def _live_lock(tmp_path):
     return ["train", cfg]
 
 
+# ------------------------------------------------------------ encode cache
+
+def _prepared(raw_dir, tmp_path, seed="3"):
+    manifest = tmp_path / "work" / "manifest.jsonl"
+    assert main(["prepare", str(raw_dir), str(manifest), "--seed", seed,
+                 "--split", "0.8,0.2", "--image-size", "224"]) == 0
+    return manifest
+
+
+def _cache_files(manifest):
+    return sorted(p for p in (manifest.parent / ".gapnet-cache").rglob("*") if p.is_file())
+
+
+def _one_segment(manifest, entries):
+    """The cache holds a single segment of ``entries`` inputs; returns its two files."""
+    rows, keys = _cache_files(manifest)
+    assert (rows.suffix, keys.suffix) == (".btft", ".keys") and rows.stem == keys.stem
+    lines = keys.read_text().splitlines()
+    assert len(lines) == entries == len({line.split()[0] for line in lines})
+    assert load_feature_map(rows).shape == (entries, 16)
+    return keys, rows
+
+
+@pytest.fixture
+def conv_calls(monkeypatch):
+    """Counts conv2d_forward calls: two (stage 1 and 2) per encoded image."""
+    calls = []
+    real = kernels.conv2d_forward
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "conv2d_forward", spy)
+    return calls
+
+
+def _run_bytes(run_dir):
+    lines = (run_dir / "epochs.csv").read_text().splitlines()
+    params = sorted((run_dir / "checkpoint" / "params").iterdir())
+    return ([line.rsplit(",", 1)[0] for line in lines],  # timing column stripped
+            [(p.name, p.read_bytes()) for p in params])
+
+
+def _extracted(out_dir):
+    return [(p.name, p.read_bytes()) for p in sorted(out_dir.iterdir())]
+
+
+def test_second_head_trains_on_cached_gap_vectors(raw_dir, tmp_path, monkeypatch, conv_calls):
+    manifest = _prepared(raw_dir, tmp_path)
+    monkeypatch.setenv("GAPNET_THREADS", "4")
+    cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "dfn", "dfn")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave often: a lost update drops an entry
+    try:
+        assert main(["train", str(cfg)]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    _one_segment(manifest, 30)
+    monkeypatch.delenv("GAPNET_THREADS")
+
+    conv_calls.clear()
+    cfg = write_config(tmp_path / "hit.json", manifest, tmp_path / "hit", "fcnn")
+    assert main(["train", str(cfg)]) == 0
+    assert conv_calls == []  # every input came from the cache
+
+    shutil.rmtree(manifest.parent / ".gapnet-cache")
+    cfg = write_config(tmp_path / "miss.json", manifest, tmp_path / "miss", "fcnn")
+    assert main(["train", str(cfg)]) == 0
+    assert len(conv_calls) == 2 * 30
+    assert _run_bytes(tmp_path / "hit") == _run_bytes(tmp_path / "miss")
+
+    conv_calls.clear()
+    assert main(["eval", str(cfg), str(tmp_path / "miss" / "checkpoint")]) == 0
+    assert len(conv_calls) == 2 * 6  # eval times the whole network, backbone included
+
+
+def test_extract_cache_hits_match_misses(raw_dir, tmp_path, conv_calls):
+    manifest = _prepared(raw_dir, tmp_path)
+    cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn")
+    assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "miss")]) == 0
+    assert len(conv_calls) == 2 * 30
+    conv_calls.clear()
+    assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "hit")]) == 0
+    assert conv_calls == []
+    assert _extracted(tmp_path / "hit") == _extracted(tmp_path / "miss")
+
+
+def test_rewritten_inputs_and_another_backbone_miss(raw_dir, tmp_path, conv_calls):
+    manifest = _prepared(raw_dir, tmp_path)
+    cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn")
+    extract = ["extract", str(cfg), "--out-dir", str(tmp_path / "vectors")]
+    assert main(extract) == 0
+    before = _extracted(tmp_path / "vectors")
+
+    # one input rewritten with the same bytes and its mtime restored: ctime still moves
+    tensor = sorted((manifest.parent / "tensors").iterdir())[4]
+    st = tensor.stat()
+    tensor.write_bytes(tensor.read_bytes())
+    os.utime(tensor, ns=(st.st_atime_ns, st.st_mtime_ns))
+    conv_calls.clear()
+    assert main(extract) == 0
+    assert len(conv_calls) == 2
+
+    _prepared(raw_dir, tmp_path)  # same pixels, every file rewritten
+    conv_calls.clear()
+    assert main(extract) == 0
+    assert len(conv_calls) == 2 * 30
+    _one_segment(manifest, 30)  # one entry per input, the old ones replaced
+    assert _extracted(tmp_path / "vectors") == before
+
+    other = write_config(tmp_path / "seed.json", manifest, tmp_path / "run", "dfn", seed=22)
+    conv_calls.clear()
+    assert main(["extract", str(other), "--out-dir", str(tmp_path / "other")]) == 0
+    assert len(conv_calls) == 2 * 30
+    assert len({p.parent for p in _cache_files(manifest)}) == 2
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda keys, rows: rows.write_bytes(rows.read_bytes()[:-5]), id="truncated"),
+    pytest.param(lambda keys, rows: save_tensor(np.zeros((30, 3), np.float32), rows),
+                 id="wrong-shape"),
+    pytest.param(lambda keys, rows: keys.write_text(keys.read_text()[:-40]), id="torn-keys"),
+    pytest.param(lambda keys, rows: rows.unlink(), id="rows-missing"),
+])
+def test_bad_cache_segment_is_recomputed_and_rewritten(raw_dir, tmp_path, capsys, conv_calls,
+                                                       corrupt):
+    manifest = _prepared(raw_dir, tmp_path)
+    cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn")
+    assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "a")]) == 0
+    keys, rows = _one_segment(manifest, 30)
+    good = keys.read_bytes(), rows.read_bytes()
+    corrupt(keys, rows)
+    conv_calls.clear()
+    capsys.readouterr()
+    assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(conv_calls) == 2 * 30
+    assert _one_segment(manifest, 30) == (keys, rows)
+    assert (keys.read_bytes(), rows.read_bytes()) == good
+    assert _extracted(tmp_path / "a") == _extracted(tmp_path / "b")
+
+
+def _cache_is_a_file(manifest, monkeypatch):
+    (manifest.parent / ".gapnet-cache").write_text("")
+
+
+def _cache_writes_denied(manifest, monkeypatch):
+    real_open = open
+
+    def read_only_cache(path, *args, **kwargs):
+        if ".gapnet-cache" in str(path):
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(backbone, "open", read_only_cache, raising=False)
+
+
+@pytest.mark.parametrize("block", [_cache_is_a_file, _cache_writes_denied])
+def test_unwritable_cache_runs_uncached_with_one_warning(raw_dir, tmp_path, capsys,
+                                                         monkeypatch, block):
+    manifest = _prepared(raw_dir, tmp_path)
+    block(manifest, monkeypatch)
+    cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn", max_epochs=1)
+    capsys.readouterr()
+    monkeypatch.setenv("GAPNET_THREADS", "4")
+    assert main(["train", str(cfg)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and err.count("\n") == 1
+    assert _cache_files(manifest) == []
+
+
+def test_trainable_backbone_creates_no_cache(raw_dir, tmp_path):
+    manifest = _prepared(raw_dir, tmp_path)
+    cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn", max_epochs=1)
+    obj = json.loads(cfg.read_text())
+    obj["model"]["backbone_trainable"] = True
+    cfg.write_text(json.dumps(obj))
+    assert main(["train", str(cfg)]) == 0
+    assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "vectors")]) == 0
+    assert not (manifest.parent / ".gapnet-cache").exists()
+
+
 def test_prepare_threads_env_matches_single_thread(raw_dir, tmp_path, monkeypatch):
     one = tmp_path / "one" / "m.jsonl"
     many = tmp_path / "many" / "m.jsonl"
@@ -247,6 +434,34 @@ def _dangling_symlink(path):
     path.symlink_to(path.with_name("missing.pgm"))
 
 
+def _config_text(text):
+    def setup(tmp_path):
+        (tmp_path / "c.json").write_text(text)
+        return ["train", str(tmp_path / "c.json")]
+    return setup
+
+
+def _bad_metrics(text):
+    def setup(tmp_path):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "metrics.json").write_text(text)
+        return ["report", str(tmp_path / "run"), "--out", str(tmp_path / "table.csv")]
+    return setup
+
+
+def _bad_timing(text):
+    def setup(tmp_path):
+        save_tensor(np.zeros((224, 224, 3), np.float32), tmp_path / "x.btft")
+        save_manifest([ManifestRecord("x", "x.btft", 1, "s", split="val")], tmp_path / "m.jsonl")
+        cfg = write_config(tmp_path / "c.json", tmp_path / "m.jsonl", tmp_path / "run")
+        spec = ModelSpec.from_dict(json.loads(cfg.read_text())["model"])
+        save_checkpoint(Model(spec, seed=21), tmp_path / "ckpt")
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "timing.json").write_text(text)
+        return ["eval", str(cfg), str(tmp_path / "ckpt")]
+    return setup
+
+
 @pytest.mark.parametrize("setup, code, needle", [
     pytest.param(_bad_config(seed="abc"), 1, "seed must be an integer", id="seed-not-int"),
     pytest.param(_bad_config(dataset=["manifest"]), 1, "dataset.manifest",
@@ -260,6 +475,17 @@ def _dangling_symlink(path):
     pytest.param(_pgm_path(lambda p: p.mkdir()), 1, "t0_axial_0.pgm", id="pgm-is-directory"),
     pytest.param(_pgm_path(_dangling_symlink), 2, "missing.pgm", id="pgm-missing"),
     pytest.param(_live_lock, 1, "locked by another run", id="live-lock"),
+    pytest.param(_config_text("{not json"), 1, "not valid JSON", id="config-not-json"),
+    pytest.param(_config_text("5"), 1, "expected a JSON object", id="config-not-object"),
+    pytest.param(_bad_metrics("{not json"), 1, "metrics.json", id="metrics-json-not-json"),
+    pytest.param(_bad_metrics('{"model": "dfn"}'), 1, "accuracy",
+                 id="metrics-json-without-accuracy"),
+    pytest.param(_bad_metrics("[1, 2]"), 1, "list", id="metrics-json-is-list"),
+    pytest.param(_bad_metrics('{"model": "dfn", "accuracy": "high", "precision": 1,'
+                              ' "recall": 1, "f1": 1}'), 1, "not a number",
+                 id="metrics-json-accuracy-not-number"),
+    pytest.param(_bad_timing("{not json"), 1, "timing.json", id="timing-json-not-json"),
+    pytest.param(_bad_timing("[]"), 1, "timing.json", id="timing-json-is-list"),
 ])
 def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, setup, code, needle):
     assert main(setup(tmp_path)) == code

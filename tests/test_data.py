@@ -13,7 +13,6 @@ from gapnet.data import (
     replicate_channels,
     resize_bilinear,
     save_manifest,
-    save_pgm,
     split,
 )
 from gapnet.errors import (
@@ -25,6 +24,7 @@ from gapnet.errors import (
     ParseError,
     TargetUnreachable,
 )
+from synth import save_pgm
 
 
 def img(values):

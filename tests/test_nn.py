@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gapnet import kernels
-from gapnet.errors import InvalidRate, NoCachedForward, NonDeterministicFragment, ShapeMismatch
+from gapnet.errors import InvalidRate, NoCachedForward, ShapeMismatch
 from gapnet.nn import (
     Conv1D,
     Conv2D,
@@ -12,8 +12,8 @@ from gapnet.nn import (
     ReLU,
     Sequential,
     Sigmoid,
-    gradient_check,
 )
+from gradcheck import NonDeterministicFragment, gradient_check
 
 
 def rng():

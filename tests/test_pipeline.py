@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from gapnet.errors import CheckpointMismatch, ShapeMismatch, SpecInvalid
-from gapnet.nn import Conv1D, Dense, Dropout, ReLU, gradient_check
+from gapnet.nn import Conv1D, Dense, Dropout, ReLU
 from gapnet.pipeline import (
     Model,
     ModelSpec,
     build_classifier,
     build_feature_head,
-    count_parameters,
     decide,
     load_checkpoint,
     save_checkpoint,
 )
+from gradcheck import gradient_check
+from synth import count_parameters
 
 
 def count_layers(seq, cls):
