@@ -95,19 +95,19 @@ def load_feature_map(path):
     return tensor(arr.astype(np.float32, copy=False))
 
 
-class ToyBackbone:
+class ToyBackbone(Sequential):
     """Two strided conv+ReLU stages: (B, 224, 224, 3) -> (B, 53, 53, 16).
 
     A desk-scale stand-in for the frozen pretrained extractor; frozen by
     default, trainable on request (``ModelSpec.backbone_trainable``) for
-    end-to-end gradient flow.
+    end-to-end gradient flow. A ``Sequential`` that checks its input shape.
     """
 
     input_shape = (224, 224, 3)
     output_channels = 16
 
     def __init__(self, rng):
-        self.net = Sequential([
+        super().__init__([
             Conv2D(3, 8, 5, 5, 2, rng),
             ReLU(),
             Conv2D(8, 16, 5, 5, 2, rng),
@@ -118,16 +118,4 @@ class ToyBackbone:
         if imgs.shape[1:] != self.input_shape:
             raise ShapeMismatch(f"toy backbone expects (B, *{self.input_shape}), "
                                 f"got {imgs.shape}")
-        return self.net.forward(imgs, train=train)
-
-    def backward(self, grad_out, input_grad=True):
-        return self.net.backward(grad_out, input_grad=input_grad)
-
-    def zero_grad(self):
-        self.net.zero_grad()
-
-    def astype(self, dtype):
-        self.net.astype(dtype)
-
-    def parameters(self, prefix="backbone."):
-        return self.net.parameters(prefix)
+        return super().forward(imgs, train=train)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data as datamod
 from .backbone import load_feature_map, save_tensor
-from .errors import ConfigInvalid, GapnetError, IoFailure, ParseError
+from .errors import BadFractions, ConfigInvalid, GapnetError, IoFailure, ParseError
 from .metrics import (
     build_report,
     confusion,
@@ -56,6 +56,10 @@ class ExperimentConfig:
         dataset = obj.get("dataset", {})
         if not isinstance(dataset, dict) or "manifest" not in dataset:
             raise ConfigInvalid(f"{path}: dataset.manifest is required")
+        output_dir = obj.get("output_dir", "run")
+        for name, value in (("dataset.manifest", dataset["manifest"]), ("output_dir", output_dir)):
+            if not isinstance(value, str):
+                raise ConfigInvalid(f"{path}: {name} must be a path string, got {value!r}")
         manifest = (path.parent / dataset["manifest"]).resolve()
         if not manifest.exists():
             raise FileNotFoundError(f"manifest not found: {manifest}")
@@ -64,7 +68,7 @@ class ExperimentConfig:
             train = TrainConfig(seed=seed, **obj.get("train", {})).validate()
         except (TypeError, ValueError) as e:
             raise ConfigInvalid(f"{path}: {e}") from e
-        output_dir = (path.parent / obj.get("output_dir", "run")).resolve()
+        output_dir = (path.parent / output_dir).resolve()
         return cls(seed=seed, manifest=manifest, model=spec, train=train,
                    output_dir=output_dir)
 
@@ -174,6 +178,10 @@ def _preprocess_image(img, size):
 
 
 def cmd_prepare(args):
+    try:
+        fractions = tuple(float(f) for f in args.split.split(","))
+    except ValueError as e:
+        raise BadFractions(f"--split takes comma-separated numbers, got {args.split!r}") from e
     src = Path(args.input)
     if not src.exists():
         raise FileNotFoundError(f"input path not found: {src}")
@@ -195,7 +203,6 @@ def cmd_prepare(args):
         records = datamod.balance_classes(records, args.balance_to, args.seed,
                                           materialize=note_transform)
 
-    fractions = tuple(float(f) for f in args.split.split(","))
     records = datamod.split(records, fractions, args.seed, level=args.level)
 
     if not args.manifest_only:
@@ -268,7 +275,8 @@ class _EncodeCache:
         self.config, self.model = config, model
         h = hashlib.sha256(f"{CACHE_FORMAT}\0{model.spec.backbone}\0"
                            f"{model.spec.head_input_channels}".encode())
-        for name, layer, pname in (model.backbone.parameters() if model.backbone else ()):
+        frozen = model.backbone.parameters("backbone.") if model.backbone else ()
+        for name, layer, pname in frozen:
             value = np.ascontiguousarray(layer.params[pname], dtype="<f4")
             h.update(f"\0{name}\0{value.shape}\0".encode() + value.tobytes())
         self.dir = config.manifest.parent / CACHE_DIR / h.hexdigest()[:32]
@@ -332,7 +340,7 @@ def _encoded_inputs(config, model):
     prefix the row comes from the on-disk cache where it can, and what was
     encoded is cached on exit; a trainable backbone's rows are its raw
     inputs, which are never cached."""
-    if model.spec.backbone_trainable:
+    if not model.frozen.layers:
         yield lambda rec: model.encode(_load_input(config, rec))
         return
     cache = _EncodeCache(config, model)
@@ -517,7 +525,7 @@ def main(argv=None):
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except GapnetError as e:
+    except (GapnetError, OSError) as e:  # any other OSError: a path of the wrong kind
         print(f"error: {e}", file=sys.stderr)
         return 1
 

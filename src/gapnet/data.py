@@ -227,7 +227,7 @@ def _allocate(n, fractions):
 def _check_fractions(fractions):
     if len(fractions) not in (2, 3):
         raise BadFractions(f"need 2 or 3 fractions, got {len(fractions)}")
-    if any(f <= 0 for f in fractions):
+    if not all(f > 0 for f in fractions):  # NaN fails this too
         raise BadFractions(f"fractions must be positive, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise BadFractions(f"fractions must sum to 1, got sum {sum(fractions)}")
@@ -237,50 +237,30 @@ def _check_fractions(fractions):
 def split(manifest, fractions, seed, level="subject"):
     """Assign stratified train/val[/test] splits, deterministic under the seed.
 
-    SUBJECT level keeps every record of one subject in a single split.
+    The unit of assignment is a sample or, at SUBJECT level, a subject,
+    whose records all land in one split. A unit's stratum is its records'
+    majority label, ties -> tumor; a sample's is its own label.
     """
     names = _check_fractions(fractions)
     if level not in ("sample", "subject"):
         raise BadFractions(f"level must be 'sample' or 'subject', got {level!r}")
+    key = "sample_id" if level == "sample" else "subject_id"
+    labels = {}
+    for r in manifest:
+        labels.setdefault(getattr(r, key), []).append(r.label)
     rng = np.random.default_rng(seed)
     assignment = {}
-
-    if level == "sample":
-        for label in (0, 1):
-            ids = [r.sample_id for r in manifest if r.label == label]
-            if not ids:
-                continue
-            perm = rng.permutation(len(ids))
-            counts = _allocate(len(ids), fractions)
-            cursor = 0
-            for name, count in zip(names, counts):
-                for k in perm[cursor:cursor + count]:
-                    assignment[ids[k]] = name
-                cursor += count
-    else:
-        subjects = {}
-        for r in manifest:
-            subjects.setdefault(r.subject_id, []).append(r.label)
-        subject_ids = list(subjects)
-        for label in (0, 1):
-            # a subject's stratum is its records' majority label, ties -> tumor
-            group = [s for s in subject_ids
-                     if (1 if 2 * sum(subjects[s]) >= len(subjects[s]) else 0) == label]
-            if not group:
-                continue
-            perm = rng.permutation(len(group))
-            counts = _allocate(len(group), fractions)
-            cursor = 0
-            for name, count in zip(names, counts):
-                for k in perm[cursor:cursor + count]:
-                    assignment[group[k]] = name
-                cursor += count
-
-    out = []
-    for r in manifest:
-        key = r.sample_id if level == "sample" else r.subject_id
-        out.append(replace(r, split=assignment[key]))
-    return out
+    for label in (0, 1):
+        group = [u for u, ys in labels.items() if int(2 * sum(ys) >= len(ys)) == label]
+        if not group:
+            continue
+        perm = rng.permutation(len(group))
+        cursor = 0
+        for name, count in zip(names, _allocate(len(group), fractions)):
+            for k in perm[cursor:cursor + count]:
+                assignment[group[k]] = name
+            cursor += count
+    return [replace(r, split=assignment[getattr(r, key)]) for r in manifest]
 
 
 # ------------------------------------------------------- PGM (P5) raster i/o

@@ -1,8 +1,17 @@
 """Exception hierarchy shared by all gapnet modules."""
 
+import numbers
+
 
 class GapnetError(Exception):
     """Base class for every contract violation raised by this package."""
+
+
+def require_counts(error, **values):
+    """Raise ``error`` naming the first value that is not an integer >= 1 (a bool is not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise error(f"{name} must be an integer >= 1, got {value!r}")
 
 
 # tensor kernels

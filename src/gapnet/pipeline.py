@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import ToyBackbone, load_feature_map, save_tensor
-from .errors import CheckpointMismatch, ParseError, ShapeMismatch, SpecInvalid
+from .errors import CheckpointMismatch, ParseError, ShapeMismatch, SpecInvalid, require_counts
 from .nn import Conv1D, Dense, Dropout, GlobalAvgPool, ReLU, Sequential, Sigmoid
 
 CLASSIFIERS = ("dfn", "fcnn", "cnn1d")
@@ -43,18 +43,16 @@ class ModelSpec:
             raise SpecInvalid(f"unknown backbone {self.backbone!r}")
         if self.classifier not in CLASSIFIERS:
             raise SpecInvalid(f"unknown classifier {self.classifier!r}")
-        if self.head_input_channels < 1:
-            raise SpecInvalid("head_input_channels must be >= 1")
-        if self.projection_dim < 1:
-            raise SpecInvalid("projection_dim must be >= 1")
-        if any(w < 1 for w in self.hidden_widths):
-            raise SpecInvalid(f"all hidden widths must be >= 1, got {self.hidden_widths}")
+        require_counts(SpecInvalid, head_input_channels=self.head_input_channels,
+                       projection_dim=self.projection_dim, conv_filters=self.conv_filters,
+                       conv_kernel=self.conv_kernel,
+                       **{f"hidden_widths[{i}]": w for i, w in enumerate(self.hidden_widths)})
+        if not isinstance(self.backbone_trainable, bool):
+            raise SpecInvalid(f"backbone_trainable is not a bool: {self.backbone_trainable!r}")
         if any(not 0.0 <= r < 1.0 for r in self.dropout_rates):
             raise SpecInvalid(f"dropout rates must be in [0, 1), got {self.dropout_rates}")
         if self.classifier == "dfn" and len(self.dropout_rates) != len(self.hidden_widths):
             raise SpecInvalid("dfn needs one dropout rate per hidden width")
-        if self.conv_filters < 1 or self.conv_kernel < 1:
-            raise SpecInvalid("conv_filters and conv_kernel must be >= 1")
         if self.conv_kernel > self.projection_dim:
             raise SpecInvalid("conv_kernel cannot exceed projection_dim")
         if not 0.0 <= self.decision_threshold <= 1.0:
@@ -97,23 +95,18 @@ def build_feature_head(spec, rng):
 
 def build_classifier(spec, rng):
     spec.validate()
+    if spec.classifier == "cnn1d":  # treat the projected vector as a length-512 signal
+        flat = spec.conv_filters * (spec.projection_dim - spec.conv_kernel + 1)
+        return Sequential([Conv1D(spec.conv_filters, spec.conv_kernel, rng), ReLU(),
+                           Dense(flat, 1, rng)])
     layers = []
     din = spec.projection_dim
-    if spec.classifier == "dfn":
-        for width, rate in zip(spec.hidden_widths, spec.dropout_rates):
-            layers += [Dense(din, width, rng), ReLU(),
-                       Dropout(rate, seed=int(rng.integers(2**63)))]
-            din = width
-        layers.append(Dense(din, 1, rng))
-    elif spec.classifier == "fcnn":
-        for width in spec.hidden_widths:
-            layers += [Dense(din, width, rng), ReLU()]
-            din = width
-        layers.append(Dense(din, 1, rng))
-    else:  # cnn1d: treat the projected vector as a length-512 signal
-        flat = spec.conv_filters * (spec.projection_dim - spec.conv_kernel + 1)
-        layers += [Conv1D(spec.conv_filters, spec.conv_kernel, rng), ReLU(),
-                   Dense(flat, 1, rng)]
+    for i, width in enumerate(spec.hidden_widths):  # fcnn is dfn without the Dropouts
+        layers += [Dense(din, width, rng), ReLU()]
+        if spec.classifier == "dfn":
+            layers.append(Dropout(spec.dropout_rates[i], seed=int(rng.integers(2**63))))
+        din = width
+    layers.append(Dense(din, 1, rng))
     return Sequential(layers)
 
 
@@ -126,15 +119,15 @@ def decide(p, threshold=0.5):
 class Model:
     """Optional toy backbone + GAP + feature head + classifier + sigmoid.
 
-    The spec alone says what a raw input is: a 224x224x3 image for the
-    toy_cnn backbone, an HxWx``head_input_channels`` map for imported
-    features. ``encode`` runs the frozen prefix of one raw input, the
-    part of the network training never changes: the frozen toy backbone
-    (if any) and GAP, giving a ``(head_input_channels,)`` vector. With a
-    trainable backbone nothing is frozen and ``encode`` is the identity.
-    ``forward`` and ``backward`` run the rest on a batch of encoded
-    inputs stacked along axis 0, so raw inputs score as
-    ``forward(np.stack([encode(x) for x in xs]))``.
+    The chain [toy backbone, GAP, feature head] is cut once, at the freeze
+    point, into two ``Sequential`` parts: ``frozen``, which training never
+    changes (frozen backbone and GAP, or GAP alone for imported maps;
+    nothing when the backbone trains), and ``trained``, the rest. A raw
+    input is a 224x224x3 image for toy_cnn, an HxWx``head_input_channels``
+    map for imported features. ``encode`` runs ``frozen`` on one raw input
+    (or returns it when nothing is frozen); ``forward`` and ``backward``
+    run ``trained``, the classifier and the sigmoid on a batch of encoded
+    inputs, so raw inputs score as ``forward(np.stack([encode(x) for x in xs]))``.
     """
 
     def __init__(self, spec, seed):
@@ -142,13 +135,17 @@ class Model:
         self.seed = seed
         self.dtype = np.float32
         rng = np.random.default_rng(seed)
-        self.backbone = None
-        if spec.backbone == "toy_cnn":
-            self.backbone = ToyBackbone(rng)
-        self.gap = GlobalAvgPool()
+        self.backbone = ToyBackbone(rng) if spec.backbone == "toy_cnn" else None
         self.head = build_feature_head(spec, rng)
         self.classifier = build_classifier(spec, rng)
         self.sigmoid = Sigmoid()
+        chain = [part for part in (self.backbone, GlobalAvgPool(), self.head) if part is not None]
+        cut = 0 if spec.backbone_trainable else len(chain) - 1
+        self.frozen, self.trained = Sequential(chain[:cut]), Sequential(chain[cut:])
+        # the prefixes name the files of a checkpoint's params/
+        self._named = [(prefix, part) for prefix, part in
+                       (("backbone.", self.backbone), ("head.", self.head),
+                        ("clf.", self.classifier)) if part is not None]
 
     def rows_per_pass(self, batch_size):
         """Rows one forward/backward pass takes out of a ``batch_size`` batch.
@@ -157,30 +154,22 @@ class Model:
         activations in memory stay those of one image; every other model
         runs the whole batch on its cached GAP vectors.
         """
-        return 1 if self.spec.backbone_trainable else batch_size
+        return batch_size if self.frozen.layers else 1
 
     # -- inference ----------------------------------------------------
     def encode(self, x):
-        """One raw input -> the row ``forward`` takes for it, through the frozen prefix."""
-        if self.spec.backbone_trainable:
+        """One raw input -> the row ``forward`` takes for it, through ``frozen``."""
+        if not self.frozen.layers:
             return x
-        fmap = x[None]
-        if self.backbone is not None:
-            fmap = self.backbone.forward(fmap, train=False)
-        elif x.ndim != 3 or x.shape[2] != self.spec.head_input_channels:
+        if self.backbone is None and (x.ndim != 3 or x.shape[2] != self.spec.head_input_channels):
             raise ShapeMismatch(f"input {x.shape} is not an HxWx"
                                 f"{self.spec.head_input_channels} feature map")
-        return self.gap.forward(fmap)[0]
+        return self.frozen.forward(x[None])[0]
 
     def features(self, z, train=False):
         """Batch of encoded inputs -> (B, projection_dim) projected feature vectors."""
         z = np.asarray(z, dtype=self.dtype)  # other dtypes would run mixed-dtype GEMMs
-        if self.spec.backbone_trainable:
-            z = self.gap.forward(self.backbone.forward(z, train=train), train=train)
-        elif z.ndim != 2 or z.shape[1] != self.spec.head_input_channels:
-            raise ShapeMismatch(f"input {z.shape} is not a batch of "
-                                f"{self.spec.head_input_channels}-channel GAP vectors")
-        return self.head.forward(z, train=train)
+        return self.trained.forward(z, train=train)
 
     def forward(self, z, train=False):
         """(B,) tumor probabilities of a batch of encoded inputs."""
@@ -196,32 +185,22 @@ class Model:
         """
         g = np.asarray(dloss_dp, dtype=self.dtype).reshape(-1, 1)
         g = self.classifier.backward(self.sigmoid.backward(g))
-        if not self.spec.backbone_trainable:
-            return self.head.backward(g, input_grad=input_grad)
-        g = self.gap.backward(self.head.backward(g))
-        return self.backbone.backward(g, input_grad=input_grad)
+        return self.trained.backward(g, input_grad=input_grad)
 
     # -- parameter plumbing -------------------------------------------
     def parameters(self, trainable_only=True):
-        out = []
-        if self.backbone is not None and (self.spec.backbone_trainable or not trainable_only):
-            out += self.backbone.parameters("backbone.")
-        out += self.head.parameters("head.")
-        out += self.classifier.parameters("clf.")
-        return out
+        return [entry for prefix, part in self._named
+                if not (trainable_only and part in self.frozen.layers)
+                for entry in part.parameters(prefix)]
 
     def zero_grad(self):
-        if self.backbone is not None:
-            self.backbone.zero_grad()
-        self.head.zero_grad()
-        self.classifier.zero_grad()
+        for part in (self.frozen, self.trained, self.classifier):
+            part.zero_grad()
 
     def astype(self, dtype):
         self.dtype = dtype
-        if self.backbone is not None:
-            self.backbone.astype(dtype)
-        self.head.astype(dtype)
-        self.classifier.astype(dtype)
+        for part in (self.frozen, self.trained, self.classifier):
+            part.astype(dtype)
 
     def state_dict(self):
         return {name: layer.params[pname].copy()

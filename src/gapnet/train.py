@@ -5,7 +5,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigInvalid, DivergedLoss, EmptySplit, NonFiniteTensor, ShapeMismatch
+from .errors import (
+    ConfigInvalid,
+    DivergedLoss,
+    EmptySplit,
+    NonFiniteTensor,
+    ShapeMismatch,
+    require_counts,
+)
 from .pipeline import decide
 
 IMPROVE_EPS = 1e-4  # absolute val-loss improvement that resets patience counters
@@ -23,12 +30,11 @@ class TrainConfig:
     min_lr: float = 1e-6
 
     def validate(self):
+        require_counts(ConfigInvalid, batch_size=self.batch_size, max_epochs=self.max_epochs,
+                       early_stop_patience=self.early_stop_patience,
+                       lr_plateau_patience=self.lr_plateau_patience)
         if self.learning_rate <= 0 or self.min_lr <= 0:
             raise ConfigInvalid("learning rates must be positive")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigInvalid("batch_size and max_epochs must be >= 1")
-        if self.early_stop_patience < 1 or self.lr_plateau_patience < 1:
-            raise ConfigInvalid("patience values must be >= 1")
         if not 0.0 < self.lr_factor < 1.0:
             raise ConfigInvalid(f"lr_factor must be in (0, 1), got {self.lr_factor}")
         return self

@@ -145,8 +145,9 @@ def test_conv_shape_formula_property():
 def test_gradient_flows_through_both_conv_layers():
     # same two-stage structure as the toy backbone, desk-sized extents
     bb = ToyBackbone(np.random.default_rng(4))
+    bb.input_shape = (13, 13, 3)
     x = np.random.default_rng(5).standard_normal((2, 13, 13, 3)).astype(np.float32) * 0.5
-    report = gradient_check(bb.net, x, rng=np.random.default_rng(6))
+    report = gradient_check(bb, x, rng=np.random.default_rng(6))
     assert report.passed, report.per_param
     assert "input" in report.per_param
 

@@ -462,6 +462,26 @@ def _bad_timing(text):
     return setup
 
 
+def _a_file(tmp_path):
+    (tmp_path / "afile").write_text("")
+    return str(tmp_path / "afile")
+
+
+def _prepare_manifest(args):
+    def setup(tmp_path):
+        (tmp_path / "in.jsonl").write_text("")
+        return ["prepare", str(tmp_path / "in.jsonl"), *args(tmp_path), "--seed", "1",
+                "--manifest-only"]
+    return setup
+
+
+def _report_to_a_directory(tmp_path):
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "metrics.json").write_text(
+        '{"model": "dfn", "accuracy": 1, "precision": 1, "recall": 1, "f1": 1}')
+    return ["report", str(tmp_path / "run"), "--out", str(tmp_path / "run")]
+
+
 @pytest.mark.parametrize("setup, code, needle", [
     pytest.param(_bad_config(seed="abc"), 1, "seed must be an integer", id="seed-not-int"),
     pytest.param(_bad_config(dataset=["manifest"]), 1, "dataset.manifest",
@@ -486,6 +506,38 @@ def _bad_timing(text):
                  id="metrics-json-accuracy-not-number"),
     pytest.param(_bad_timing("{not json"), 1, "timing.json", id="timing-json-not-json"),
     pytest.param(_bad_timing("[]"), 1, "timing.json", id="timing-json-is-list"),
+    pytest.param(lambda t: ["train", _config(t, output_dir=_a_file(t))], 1, "afile",
+                 id="output-dir-is-a-file"),
+    pytest.param(_prepare_manifest(lambda t: [_a_file(t) + "/m.jsonl"]), 1, "afile",
+                 id="prepare-out-under-a-file"),
+    pytest.param(lambda t: ["extract", _config(t), "--out-dir", _a_file(t)], 1, "afile",
+                 id="extract-out-dir-is-a-file"),
+    pytest.param(_report_to_a_directory, 1, "run", id="report-out-is-a-directory"),
+    pytest.param(lambda t: ["train", str(t)], 1, "directory", id="config-is-a-directory"),
+    pytest.param(_bad_config(output_dir=5), 1, "output_dir", id="output-dir-not-string"),
+    pytest.param(_bad_config(dataset={"manifest": 5}), 1, "dataset.manifest",
+                 id="manifest-not-string"),
+    pytest.param(_bad_config(model={"head_input_channels": 2.5}), 1, "head_input_channels",
+                 id="head-input-channels-not-int"),
+    pytest.param(_bad_config(model={"hidden_widths": [256, 1.5]}), 1, "hidden_widths",
+                 id="hidden-width-not-int"),
+    pytest.param(_bad_config(model={"classifier": "cnn1d", "conv_filters": 2.5}), 1,
+                 "conv_filters", id="conv-filters-not-int"),
+    pytest.param(_bad_config(model={"classifier": "cnn1d", "conv_kernel": True}), 1,
+                 "conv_kernel", id="conv-kernel-is-bool"),
+    pytest.param(_bad_config(model={"backbone": "toy_cnn", "head_input_channels": 16,
+                                    "backbone_trainable": "no"}),
+                 1, "backbone_trainable", id="backbone-trainable-not-bool"),
+    pytest.param(_bad_config(train={"batch_size": 2.5}), 1, "batch_size",
+                 id="batch-size-not-int"),
+    pytest.param(_bad_config(train={"max_epochs": 2.5}), 1, "max_epochs",
+                 id="max-epochs-not-int"),
+    pytest.param(_bad_config(train={"early_stop_patience": 1.5}), 1, "early_stop_patience",
+                 id="early-stop-patience-not-int"),
+    pytest.param(_bad_config(train={"lr_plateau_patience": "3"}), 1, "lr_plateau_patience",
+                 id="lr-plateau-patience-not-int"),
+    pytest.param(_prepare_manifest(lambda t: [str(t / "m.jsonl"), "--split", "a,b"]), 1,
+                 "'a,b'", id="split-not-numbers"),
 ])
 def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, setup, code, needle):
     assert main(setup(tmp_path)) == code

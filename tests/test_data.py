@@ -246,6 +246,19 @@ def test_subject_split_no_leakage():
         assert seen.setdefault(r.subject_id, r.split) == r.split
 
 
+def test_split_assignment_is_pinned_at_both_levels():
+    # labels of each subject's records; c is a tie (-> tumor stratum), d and g majorities
+    subjects = {"a": [1, 1], "b": [0], "c": [1, 0], "d": [0, 0, 1], "e": [1],
+                "f": [0, 0], "g": [1, 1, 0], "h": [0]}
+    recs = [ManifestRecord(f"{s}{k}", "p", y, s)
+            for s, labels in subjects.items() for k, y in enumerate(labels)]
+    expected = {"sample": "tr va te tr tr va tr te te va tr tr va te tr",
+                "subject": "va va va tr tr tr tr tr te te te tr tr tr tr"}
+    for level, splits in expected.items():
+        out = split(recs, (0.5, 0.25, 0.25), seed=11, level=level)
+        assert " ".join(r.split[:2] for r in out) == splits
+
+
 def test_split_rejects_bad_fractions():
     recs = mock_manifest(4, 4)
     with pytest.raises(BadFractions):
@@ -254,6 +267,8 @@ def test_split_rejects_bad_fractions():
         split(recs, (1.0,), seed=0)
     with pytest.raises(BadFractions):
         split(recs, (0.8, -0.2, 0.4), seed=0)
+    with pytest.raises(BadFractions):
+        split(recs, (float("nan"), 1.0), seed=0)
 
 
 # ------------------------------------------------------- pgm

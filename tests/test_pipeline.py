@@ -74,6 +74,12 @@ def test_spec_validation():
         ModelSpec(backbone="toy_cnn", head_input_channels=99).validate()
     with pytest.raises(SpecInvalid):  # no backbone to train
         ModelSpec(backbone="imported_features", backbone_trainable=True).validate()
+    for wrong_type in ({"head_input_channels": 2.5}, {"projection_dim": "512"},
+                       {"hidden_widths": (256, 128.0)}, {"conv_filters": True},
+                       {"conv_kernel": 3.0}, {"backbone_trainable": "no", **TOY},
+                       {"backbone_trainable": 0, **TOY}):
+        with pytest.raises(SpecInvalid):
+            ModelSpec(**wrong_type).validate()
 
 
 def test_model_count_parameters():
@@ -154,6 +160,25 @@ def test_checkpoint_round_trip_and_mismatch(tmp_path):
     other = ModelSpec(head_input_channels=16, backbone="toy_cnn", classifier="fcnn")
     with pytest.raises(CheckpointMismatch):
         load_checkpoint(tmp_path / "ckpt", expected_spec=other)
+
+
+BACKBONE_ENTRIES = ["backbone.0.w", "backbone.0.b", "backbone.2.w", "backbone.2.b"]
+DFN_ENTRIES = ["head.0.w", "head.0.b", "clf.0.w", "clf.0.b", "clf.3.w", "clf.3.b",
+               "clf.6.w", "clf.6.b"]
+
+
+@pytest.mark.parametrize("spec, entries, trains_backbone", [
+    (ModelSpec(**TOY), BACKBONE_ENTRIES + DFN_ENTRIES, False),
+    (ModelSpec(backbone_trainable=True, **TOY), BACKBONE_ENTRIES + DFN_ENTRIES, True),
+    (ModelSpec(classifier="cnn1d"), ["head.0.w", "head.0.b", "clf.0.w", "clf.0.b",
+                                     "clf.2.w", "clf.2.b"], False),
+], ids=["frozen-toy-dfn", "trainable-toy-dfn", "imported-cnn1d"])
+def test_checkpoint_entry_names_are_pinned(spec, entries, trains_backbone):
+    # the names of a checkpoint's params/ files: renaming one orphans every saved checkpoint
+    model = Model(spec, seed=0)
+    assert [name for name, _, _ in model.parameters(trainable_only=False)] == entries
+    trainable = [name for name, _, _ in model.parameters()]
+    assert trainable == [n for n in entries if trains_backbone or not n.startswith("backbone.")]
 
 
 @pytest.mark.parametrize("classifier", ["dfn", "fcnn", "cnn1d"])
