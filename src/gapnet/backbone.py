@@ -13,7 +13,6 @@ payload. Header for a rank-1 tensor is exactly 14 bytes.
 import contextlib
 import os
 import struct
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -34,29 +33,34 @@ VERSION = 1
 DTYPE_F32 = 1
 
 
-def save_tensor(t, path):
-    """Write one tensor in the BTFT container layout, atomically.
+def write_atomic(path, *chunks):
+    """Write the bytes-like ``chunks`` to ``path``, atomically.
 
     The bytes go to a temp file in the same directory, named for this
-    process and thread, which then replaces ``path``: a reader sees the
-    old file or the whole new one, and a write that fails leaves the old
-    file as it was and no temp file behind.
+    process, which then replaces ``path``: a reader sees the old file or
+    the whole new one, and a write that fails leaves the old file as it
+    was and no temp file behind.
     """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
+def save_tensor(t, path):
+    """Write one tensor in the BTFT container layout, atomically."""
     arr = np.ascontiguousarray(t, dtype="<f4")
     header = struct.pack("<4sIBB", MAGIC, VERSION, DTYPE_F32, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(header)
-                fh.write(arr.data)  # the array's buffer: no bytes copy
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                tmp.unlink()
-            raise
+        write_atomic(path, header, arr.data)  # the array's buffer: no bytes copy
     except OSError as e:
         raise IoFailure(f"cannot write tensor to {path}: {e}") from e
 
@@ -90,6 +94,8 @@ def load_feature_map(path):
             arr = np.empty(extents, dtype="<f4")
             if fh.readinto(arr) != arr.nbytes:
                 raise TruncatedPayload(f"{path}: payload shorter than its header says")
+    except FileNotFoundError:
+        raise  # a missing resource, not a bad input
     except OSError as e:
         raise IoFailure(f"cannot read tensor from {path}: {e}") from e
     return tensor(arr.astype(np.float32, copy=False))

@@ -1,27 +1,24 @@
 """Experiment driver: prepare | extract | train | eval | report.
 
 Configs are JSON with a mandatory seed. Exit codes: 0 success, 1
-contract violation in the inputs, 2 missing resource. GAPNET_THREADS
-caps preprocessing workers (default 1, which also guarantees
-deterministic single-threaded runs).
+contract violation in the inputs, 2 missing resource.
 """
 
 import argparse
 import contextlib
+import fcntl
 import hashlib
 import json
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data as datamod
-from .backbone import load_feature_map, save_tensor
+from .backbone import load_feature_map, save_tensor, write_atomic
 from .errors import BadFractions, ConfigInvalid, GapnetError, IoFailure, ParseError
 from .metrics import (
     build_report,
@@ -73,77 +70,42 @@ class ExperimentConfig:
                    output_dir=output_dir)
 
 
-def _worker_count():
-    try:
-        n = int(os.environ.get("GAPNET_THREADS", "1"))
-    except ValueError as e:
-        raise ConfigInvalid(f"GAPNET_THREADS must be an integer: {e}") from e
-    return max(1, n)
-
-
-def _map_records(fn, records):
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(r) for r in records]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, records))
-
-
-def _pid_alive(pid):
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # alive, owned by another user
-        pass
-    return True
-
-
 class OutputLock:
     """One training run per output directory at a time.
 
-    The lock file holds the PID of the run that took it; it appears with
-    that content in place (a hard link of a private file), so it is never
-    seen empty. A lock whose process has ended, such as one a killed run
-    left behind, is taken over; one whose content is not a PID is kept.
-    Two runs that find the same dead lock at the same instant may both
-    take it over.
+    The run holds an exclusive ``flock`` on ``<output_dir>/.lock``, which
+    the kernel drops however the run ends, a kill included. The file names
+    the holder's PID, for the error message only; it is removed on exit.
     """
 
     def __init__(self, directory):
         self.path = Path(directory) / ".lock"
 
-    def _holder(self):
-        """PID of the live run holding the lock, or None if it can be taken."""
-        try:
-            pid = int(self.path.read_text())
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            return "unknown"
-        if pid > 0 and not _pid_alive(pid):
-            self.path.unlink(missing_ok=True)
-            return None
-        return pid
-
     def __enter__(self):
-        mine = self.path.with_name(f".lock.{os.getpid()}")
-        mine.write_text(f"{os.getpid()}\n")
-        try:
-            while True:
-                try:
-                    os.link(mine, self.path)
+        while True:
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                here = None
+                with contextlib.suppress(FileNotFoundError):
+                    here = os.stat(self.path)
+                if here is not None and os.path.samestat(os.fstat(fd), here):
+                    os.ftruncate(fd, 0)
+                    os.write(fd, f"{os.getpid()}\n".encode())
+                    self.fd, fd = fd, None
                     return self
-                except FileExistsError:
-                    holder = self._holder()
-                    if holder is not None:
-                        raise GapnetError(f"output directory is locked by another run "
-                                          f"(pid {holder}): {self.path}") from None
-        finally:
-            mine.unlink()
+                # the run that held this file removed it on exit: lock the one now there
+            except BlockingIOError:
+                holder = os.read(fd, 32).decode(errors="replace").strip() or "unknown"
+                raise GapnetError(f"output directory is locked by another run "
+                                  f"(pid {holder}): {self.path}") from None
+            finally:
+                if fd is not None:
+                    os.close(fd)
 
     def __exit__(self, *exc):
         self.path.unlink(missing_ok=True)
+        os.close(self.fd)
         return False
 
 
@@ -193,32 +155,23 @@ def cmd_prepare(args):
     else:
         records = datamod.load_manifest(src)
 
-    aug_transforms = {}
-
-    def note_transform(src_rec, transform, new_id):
-        aug_transforms[new_id] = transform
-        return src_rec.path
-
     if args.balance_to is not None:
-        records = datamod.balance_classes(records, args.balance_to, args.seed,
-                                          materialize=note_transform)
+        records = datamod.balance_classes(records, args.balance_to, args.seed)
 
     records = datamod.split(records, fractions, args.seed, level=args.level)
 
     if not args.manifest_only:
         tensor_dir = out_manifest.parent / "tensors"
         tensor_dir.mkdir(parents=True, exist_ok=True)
-
-        def process(rec):
+        prepared = []
+        for rec in records:
             img = datamod.load_pgm(rec.path)
-            if rec.sample_id in aug_transforms:
-                img = datamod.augment(img, aug_transforms[rec.sample_id])
-            tens = _preprocess_image(img, args.image_size)
-            save_tensor(tens, tensor_dir / f"{rec.sample_id}.btft")
-            return f"tensors/{rec.sample_id}.btft"
-
-        paths = _map_records(process, records)
-        records = [replace(r, path=p) for r, p in zip(records, paths)]
+            if rec.augmented_from is not None:  # its id is <source id>.<transform>
+                img = datamod.augment(img, rec.sample_id.removeprefix(f"{rec.augmented_from}."))
+            save_tensor(_preprocess_image(img, args.image_size),
+                        tensor_dir / f"{rec.sample_id}.btft")
+            prepared.append(replace(rec, path=f"tensors/{rec.sample_id}.btft"))
+        records = prepared
 
     datamod.save_manifest(records, out_manifest)
     counts = {0: 0, 1: 0}
@@ -281,7 +234,6 @@ class _EncodeCache:
             h.update(f"\0{name}\0{value.shape}\0".encode() + value.tobytes())
         self.dir = config.manifest.parent / CACHE_DIR / h.hexdigest()[:32]
         self.known = {}  # path tag -> (stat tag, vector)
-        self.lock = threading.Lock()  # build_dataset may call from several threads
         self.encoded = False
         try:
             self.listed = {n for n in os.listdir(self.dir) if not n.startswith(".")}
@@ -307,14 +259,12 @@ class _EncodeCache:
             return self.model.encode(_load_input(self.config, rec))
         path_tag = _tag(path)
         stat_tag = _tag(st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-        with self.lock:
-            entry = self.known.get(path_tag)
+        entry = self.known.get(path_tag)
         if entry is not None and entry[0] == stat_tag:
             return entry[1]
         vec = self.model.encode(_load_input(self.config, rec))
-        with self.lock:
-            self.known[path_tag] = (stat_tag, vec)
-            self.encoded = True
+        self.known[path_tag] = (stat_tag, vec)
+        self.encoded = True
         return vec
 
     def save(self):
@@ -327,7 +277,7 @@ class _EncodeCache:
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
             save_tensor(np.stack([self.known[t][1] for t in tags]), self.dir / f"{name}.btft")
-            (self.dir / f"{name}.keys").write_text(text)
+            write_atomic(self.dir / f"{name}.keys", text.encode())
             for old in self.listed - {f"{name}.btft", f"{name}.keys"}:
                 (self.dir / old).unlink(missing_ok=True)
         except (OSError, IoFailure) as e:
@@ -354,10 +304,10 @@ def build_dataset(config, splits=("train", "val", "test"), load=None):
     memory."""
     records = datamod.load_manifest(config.manifest)
     dataset = Dataset()
-    wanted = [r for r in records if r.split in splits]
-    xs = _map_records(load or (lambda r: _load_input(config, r)), wanted)
-    for rec, x in zip(wanted, xs):
-        getattr(dataset, rec.split).append((x, rec.label))
+    for rec in records:
+        if rec.split in splits:
+            x = load(rec) if load else _load_input(config, rec)
+            getattr(dataset, rec.split).append((x, rec.label))
     return dataset
 
 
@@ -385,7 +335,8 @@ def cmd_train(args):
         write_epoch_csv(result.epochs, config.output_dir / "epochs.csv")
         save_checkpoint(model, config.output_dir / "checkpoint")
         timing = {"seconds_per_epoch": result.seconds_per_epoch}
-        (config.output_dir / "timing.json").write_text(json.dumps(timing, indent=2) + "\n")
+        write_atomic(config.output_dir / "timing.json",
+                     (json.dumps(timing, indent=2) + "\n").encode())
     last = result.epochs[-1]
     print(f"trained {config.model.classifier} for {last.epoch} epochs: "
           f"val_loss {last.val_loss:.4f}, val_acc {last.val_acc:.4f} "
@@ -421,9 +372,9 @@ def cmd_eval(args):
         test_ms_per_image=test_ms_per_image,
     )
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    (config.output_dir / "metrics.json").write_text(report.to_json())
-    (config.output_dir / "confusion.csv").write_text(render_confusion_csv(cm))
-    (config.output_dir / "confusion.svg").write_text(render_confusion_svg(cm))
+    write_atomic(config.output_dir / "metrics.json", report.to_json().encode())
+    write_atomic(config.output_dir / "confusion.csv", render_confusion_csv(cm).encode())
+    write_atomic(config.output_dir / "confusion.svg", render_confusion_svg(cm).encode())
     print(f"{config.model.classifier}: accuracy {report.accuracy:.4f}, "
           f"precision {report.precision:.4f}, recall {report.recall:.4f}, "
           f"f1 {report.f1:.4f} -> {config.output_dir / 'metrics.json'}")
@@ -470,7 +421,7 @@ def cmd_report(args):
     for name, acc, prec, rec, f1 in rows:
         lines.append(f"{name},{100 * acc:.2f},{100 * prec:.2f},{100 * rec:.2f},{100 * f1:.2f}")
     text = "\n".join(lines) + "\n"
-    Path(args.out).write_text(text)
+    write_atomic(args.out, text.encode())
     print(text, end="")
     return 0
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .backbone import write_atomic
 from .errors import (
     BadFractions,
     DuplicateId,
@@ -75,19 +76,20 @@ def load_manifest(path):
 
 
 def save_manifest(records, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            obj = {
-                "sample_id": rec.sample_id,
-                "path": rec.path,
-                "label": rec.label,
-                "subject_id": rec.subject_id,
-                "plane": rec.plane,
-                "split": rec.split,
-            }
-            if rec.augmented_from is not None:
-                obj["augmented_from"] = rec.augmented_from
-            fh.write(json.dumps(obj) + "\n")
+    lines = []
+    for rec in records:
+        obj = {
+            "sample_id": rec.sample_id,
+            "path": rec.path,
+            "label": rec.label,
+            "subject_id": rec.subject_id,
+            "plane": rec.plane,
+            "split": rec.split,
+        }
+        if rec.augmented_from is not None:
+            obj["augmented_from"] = rec.augmented_from
+        lines.append(json.dumps(obj) + "\n")
+    write_atomic(path, "".join(lines).encode())
 
 
 # ------------------------------------------------------- gray images
@@ -173,37 +175,35 @@ def augment(img, transform):
 
 # ------------------------------------------------------- balancing / splits
 
-def balance_classes(manifest, target_per_class, seed, materialize=None):
+def balance_classes(manifest, target_per_class, seed):
     """Top up under-represented classes with augmented records.
 
-    Draws (source, transform) pairs without replacement under the seed;
-    classes at or above the target and all original records are left
-    untouched. ``materialize(record, transform, new_id)`` may produce the
-    augmented file and return its path; otherwise the source path is
-    reused.
+    Draws (source, transform) pairs without replacement under the seed,
+    skipping pairs whose id ``<source id>.<transform>`` the manifest
+    already holds; classes at or above the target and all original
+    records are left untouched. An augmented record keeps its source's
+    path; ``prepare`` applies the transform its id names to the pixels.
     """
     rng = np.random.default_rng(seed)
+    taken = {r.sample_id for r in manifest}
     out = list(manifest)
     for label in (0, 1):
         class_records = [r for r in manifest if r.label == label]
         if not class_records or len(class_records) >= target_per_class:
             continue
-        sources = [r for r in class_records if r.augmented_from is None]
-        capacity = len(class_records) + len(sources) * len(TRANSFORMS)
+        pairs = [(rec, t) for rec in class_records if rec.augmented_from is None
+                 for t in TRANSFORMS if f"{rec.sample_id}.{t}" not in taken]
+        capacity = len(class_records) + len(pairs)
         if target_per_class > capacity:
             raise TargetUnreachable(
                 f"label {label}: target {target_per_class} exceeds capacity {capacity}"
             )
-        need = target_per_class - len(class_records)
-        pairs = [(rec, t) for rec in sources for t in TRANSFORMS]
-        order = rng.permutation(len(pairs))[:need]
+        order = rng.permutation(len(pairs))[:target_per_class - len(class_records)]
         for idx in order:
             src, transform = pairs[idx]
-            new_id = f"{src.sample_id}.{transform}"
-            path = materialize(src, transform, new_id) if materialize else src.path
             out.append(ManifestRecord(
-                sample_id=new_id,
-                path=str(path),
+                sample_id=f"{src.sample_id}.{transform}",
+                path=src.path,
                 label=src.label,
                 subject_id=src.subject_id,
                 plane=src.plane,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import ToyBackbone, load_feature_map, save_tensor
+from .backbone import ToyBackbone, load_feature_map, save_tensor, write_atomic
 from .errors import CheckpointMismatch, ParseError, ShapeMismatch, SpecInvalid, require_counts
 from .nn import Conv1D, Dense, Dropout, GlobalAvgPool, ReLU, Sequential, Sigmoid
 
@@ -228,7 +228,8 @@ def save_checkpoint(model, directory):
         "fingerprint": model.spec.fingerprint(),
         "seed": model.seed,
     }
-    (directory / "model.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(directory / "model.json",
+                 (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_checkpoint(directory, expected_spec=None):

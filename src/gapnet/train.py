@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .backbone import write_atomic
 from .errors import (
     ConfigInvalid,
     DivergedLoss,
@@ -277,5 +278,4 @@ def write_epoch_csv(logs, path):
             repr(log.lr),
             repr(log.seconds_per_epoch),
         ]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())

@@ -86,6 +86,27 @@ def test_prepare_manifest_only_balances_without_pixels(tmp_path):
     assert not (tmp_path / "tensors").exists()
 
 
+def test_balancing_as_its_own_step_augments_the_pixels(raw_dir, tmp_path):
+    args = ["--seed", "5", "--split", "0.75,0.25", "--image-size", "64"]
+    one = tmp_path / "one" / "m.jsonl"
+    assert main(["prepare", str(raw_dir), str(one), "--balance-to", "18"] + args) == 0
+    balanced = tmp_path / "balanced.jsonl"
+    assert main(["prepare", str(raw_dir), str(balanced), "--balance-to", "18",
+                 "--manifest-only"] + args) == 0
+    two = tmp_path / "two" / "m.jsonl"
+    assert main(["prepare", str(balanced), str(two)] + args) == 0
+    assert one.read_bytes() == two.read_bytes()
+    records = load_manifest(two)
+    assert sum(r.augmented_from is not None for r in records) == 36 - 30
+
+    for rec in records:
+        prepared = (two.parent / rec.path).read_bytes()
+        assert prepared == (one.parent / rec.path).read_bytes()
+        if rec.augmented_from is not None:  # a transform of its source, not a copy
+            source = two.parent / "tensors" / f"{rec.augmented_from}.btft"
+            assert prepared != source.read_bytes()
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     rc = main(["prepare", str(tmp_path / "nope"), str(tmp_path / "m.jsonl"), "--seed", "1"])
     assert rc == 2
@@ -175,14 +196,72 @@ def test_output_lock_takes_over_a_dead_runs_lock(tmp_path):
     lock.write_text(ended.stdout)  # what a killed run leaves behind
     with OutputLock(tmp_path):
         assert int(lock.read_text()) == os.getpid()
-    assert not any(tmp_path.iterdir())  # neither the lock nor its private file is left
+    assert not any(tmp_path.iterdir())  # the lock file goes on exit
 
 
-def _live_lock(tmp_path):
+def test_output_lock_ignores_a_live_pid_that_holds_no_lock(tmp_path):
+    from gapnet.cli import OutputLock
+
+    lock = tmp_path / ".lock"
+    for pid in (1, os.getpid()):  # a reused PID: the process is alive but holds no lock
+        lock.write_text(f"{pid}\n")
+        with OutputLock(tmp_path):
+            assert int(lock.read_text()) == os.getpid()
+        assert not lock.exists()
+
+
+def test_output_lock_is_free_once_its_holder_is_killed(tmp_path):
+    from gapnet.cli import OutputLock
+    from gapnet.errors import GapnetError
+
+    hold = ("import sys, time\nfrom gapnet.cli import OutputLock\n"
+            "with OutputLock(sys.argv[1]):\n    print('held', flush=True)\n    time.sleep(60)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with subprocess.Popen([sys.executable, "-c", hold, str(tmp_path)], env=env,
+                          stdout=subprocess.PIPE, text=True) as holder:
+        try:
+            assert holder.stdout.readline() == "held\n"
+            with pytest.raises(GapnetError, match=f"pid {holder.pid}"):
+                with OutputLock(tmp_path):
+                    pass
+        finally:
+            holder.kill()  # SIGKILL: the holder runs no exit code
+    assert (tmp_path / ".lock").read_text() == f"{holder.pid}\n"  # left behind
+    with OutputLock(tmp_path):
+        assert int((tmp_path / ".lock").read_text()) == os.getpid()
+    assert not any(tmp_path.iterdir())
+
+
+def test_output_lock_retries_when_its_file_was_removed_before_the_flock(tmp_path, monkeypatch):
+    from gapnet import cli
+    from gapnet.errors import GapnetError
+
+    real_flock = cli.fcntl.flock
+    removed = []
+
+    def flock(fd, operation):
+        if not removed:  # the run that held the opened file ends and removes it
+            (tmp_path / ".lock").unlink()
+            removed.append(fd)
+        return real_flock(fd, operation)
+
+    monkeypatch.setattr(cli.fcntl, "flock", flock)
+    with cli.OutputLock(tmp_path) as lock:
+        assert os.path.samestat(os.fstat(lock.fd), os.stat(tmp_path / ".lock"))
+        with pytest.raises(GapnetError, match="locked"):
+            with cli.OutputLock(tmp_path):
+                pass
+
+
+def test_train_into_a_locked_directory_exits_1(tmp_path, capsys):
+    from gapnet.cli import OutputLock
+
     cfg = _config(tmp_path)
     (tmp_path / "run").mkdir()
-    (tmp_path / "run" / ".lock").write_text(f"{os.getpid()}\n")
-    return ["train", cfg]
+    with OutputLock(tmp_path / "run"):
+        assert main(["train", cfg]) == 1
+    assert capsys.readouterr().err == (f"error: output directory is locked by another run "
+                                       f"(pid {os.getpid()}): {tmp_path / 'run' / '.lock'}\n")
 
 
 # ------------------------------------------------------------ encode cache
@@ -233,18 +312,11 @@ def _extracted(out_dir):
     return [(p.name, p.read_bytes()) for p in sorted(out_dir.iterdir())]
 
 
-def test_second_head_trains_on_cached_gap_vectors(raw_dir, tmp_path, monkeypatch, conv_calls):
+def test_second_head_trains_on_cached_gap_vectors(raw_dir, tmp_path, conv_calls):
     manifest = _prepared(raw_dir, tmp_path)
-    monkeypatch.setenv("GAPNET_THREADS", "4")
     cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "dfn", "dfn")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads interleave often: a lost update drops an entry
-    try:
-        assert main(["train", str(cfg)]) == 0
-    finally:
-        sys.setswitchinterval(interval)
+    assert main(["train", str(cfg)]) == 0
     _one_segment(manifest, 30)
-    monkeypatch.delenv("GAPNET_THREADS")
 
     conv_calls.clear()
     cfg = write_config(tmp_path / "hit.json", manifest, tmp_path / "hit", "fcnn")
@@ -350,7 +422,6 @@ def test_unwritable_cache_runs_uncached_with_one_warning(raw_dir, tmp_path, caps
     block(manifest, monkeypatch)
     cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn", max_epochs=1)
     capsys.readouterr()
-    monkeypatch.setenv("GAPNET_THREADS", "4")
     assert main(["train", str(cfg)]) == 0
     err = capsys.readouterr().err
     assert err.startswith("warning: ") and err.count("\n") == 1
@@ -366,19 +437,6 @@ def test_trainable_backbone_creates_no_cache(raw_dir, tmp_path):
     assert main(["train", str(cfg)]) == 0
     assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "vectors")]) == 0
     assert not (manifest.parent / ".gapnet-cache").exists()
-
-
-def test_prepare_threads_env_matches_single_thread(raw_dir, tmp_path, monkeypatch):
-    one = tmp_path / "one" / "m.jsonl"
-    many = tmp_path / "many" / "m.jsonl"
-    args = ["--seed", "4", "--split", "0.8,0.2", "--image-size", "64"]
-    assert main(["prepare", str(raw_dir), str(one)] + args) == 0
-    monkeypatch.setenv("GAPNET_THREADS", "4")
-    assert main(["prepare", str(raw_dir), str(many)] + args) == 0
-    assert one.read_bytes() == many.read_bytes()
-    for a, b in zip(sorted((one.parent / "tensors").iterdir()),
-                    sorted((many.parent / "tensors").iterdir())):
-        assert a.read_bytes() == b.read_bytes()
 
 
 def test_train_idempotent_checkpoints(raw_dir, tmp_path):
@@ -462,6 +520,29 @@ def _bad_timing(text):
     return setup
 
 
+def _unknown_transform(tmp_path):
+    save_pgm(np.zeros((8, 8), np.uint8), tmp_path / "a.pgm")
+    save_manifest([ManifestRecord("a", str(tmp_path / "a.pgm"), 1, "s"),
+                   ManifestRecord("a.blur", str(tmp_path / "a.pgm"), 1, "s",
+                                  augmented_from="a")], tmp_path / "in.jsonl")
+    return ["prepare", str(tmp_path / "in.jsonl"), str(tmp_path / "m.jsonl"), "--seed", "1",
+            "--level", "sample", "--image-size", "8"]
+
+
+def _missing_record_tensor(tmp_path):
+    save_manifest([ManifestRecord("x", "x.btft", 1, "s", split="train")], tmp_path / "m.jsonl")
+    return ["train", str(write_config(tmp_path / "c.json", tmp_path / "m.jsonl",
+                                      tmp_path / "run"))]
+
+
+def _missing_checkpoint_param(tmp_path):
+    args = _missing_record_tensor(tmp_path)
+    spec = ModelSpec.from_dict(json.loads((tmp_path / "c.json").read_text())["model"])
+    save_checkpoint(Model(spec, seed=21), tmp_path / "ckpt")
+    (tmp_path / "ckpt" / "params" / "clf.0.w.btft").unlink()
+    return ["eval", args[1], str(tmp_path / "ckpt")]
+
+
 def _a_file(tmp_path):
     (tmp_path / "afile").write_text("")
     return str(tmp_path / "afile")
@@ -494,7 +575,6 @@ def _report_to_a_directory(tmp_path):
     pytest.param(_bad_checkpoint('{"seed": 1}'), 1, "model_spec", id="model-json-without-spec"),
     pytest.param(_pgm_path(lambda p: p.mkdir()), 1, "t0_axial_0.pgm", id="pgm-is-directory"),
     pytest.param(_pgm_path(_dangling_symlink), 2, "missing.pgm", id="pgm-missing"),
-    pytest.param(_live_lock, 1, "locked by another run", id="live-lock"),
     pytest.param(_config_text("{not json"), 1, "not valid JSON", id="config-not-json"),
     pytest.param(_config_text("5"), 1, "expected a JSON object", id="config-not-object"),
     pytest.param(_bad_metrics("{not json"), 1, "metrics.json", id="metrics-json-not-json"),
@@ -538,6 +618,10 @@ def _report_to_a_directory(tmp_path):
                  id="lr-plateau-patience-not-int"),
     pytest.param(_prepare_manifest(lambda t: [str(t / "m.jsonl"), "--split", "a,b"]), 1,
                  "'a,b'", id="split-not-numbers"),
+    pytest.param(_unknown_transform, 1, "unknown transform 'blur'",
+                 id="augmented-id-names-no-transform"),
+    pytest.param(_missing_record_tensor, 2, "x.btft", id="record-tensor-missing"),
+    pytest.param(_missing_checkpoint_param, 2, "clf.0.w.btft", id="checkpoint-param-missing"),
 ])
 def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, setup, code, needle):
     assert main(setup(tmp_path)) == code

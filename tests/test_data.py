@@ -205,6 +205,28 @@ def test_balance_determinism_and_noop():
         balance_classes(manifest, 40 * 6 + 1, seed=5)
 
 
+def test_balance_draws_are_pinned():
+    out = balance_classes(mock_manifest(5, 12), 12, seed=2)
+    assert [r.sample_id for r in out[17:]] == [
+        "t2.rot270", "t4.vflip", "t4.hflip", "t1.rot90", "t3.vflip", "t3.rot180", "t4.rot180"]
+
+
+def test_rebalance_draws_only_free_ids():
+    once = balance_classes(mock_manifest(40, 100), 80, seed=5)
+    twice = balance_classes(once, 100, seed=6)
+    ids = [r.sample_id for r in twice]
+    assert len(ids) == len(set(ids)) == 200
+    assert twice[:len(once)] == once
+    # an original whose id looks augmented is a source like any other
+    held = [ManifestRecord("a", "a.pgm", 1, "s"), ManifestRecord("a.hflip", "b.pgm", 1, "s")]
+    out = balance_classes(held + mock_manifest(0, 11), 11, seed=1)  # every free pair
+    assert len({r.sample_id for r in out}) == len(out) == 22
+    # capacity counts the free pairs: each original and its five transforms
+    assert len(balance_classes(once, 240, seed=6)) == 2 * 240
+    with pytest.raises(TargetUnreachable, match="capacity 240"):
+        balance_classes(once, 241, seed=6)
+
+
 def test_augmented_records_keep_source_label():
     out = balance_classes(mock_manifest(5, 12), 12, seed=2)
     by_id = {r.sample_id: r for r in out}
