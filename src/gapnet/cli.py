@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as datamod
 from .backbone import load_feature_map, save_tensor, write_atomic
-from .errors import BadFractions, ConfigInvalid, GapnetError, IoFailure, ParseError
+from .errors import BadFractions, ConfigInvalid, GapnetError, IoFailure, ParseError, require_counts
 from .metrics import (
     build_report,
     confusion,
@@ -27,7 +27,7 @@ from .metrics import (
     render_confusion_svg,
 )
 from .pipeline import Model, ModelSpec, decide, load_checkpoint, save_checkpoint
-from .train import Dataset, TrainConfig, predict, train_loop, write_epoch_csv
+from .train import Dataset, TrainConfig, passes, predict, train_loop, write_epoch_csv
 
 
 @dataclass
@@ -46,10 +46,8 @@ class ExperimentConfig:
         obj = _read_json_object(path)
         if "seed" not in obj:
             raise ConfigInvalid(f"{path}: an explicit seed is required")
-        try:
-            seed = int(obj["seed"])
-        except (TypeError, ValueError) as e:
-            raise ConfigInvalid(f"{path}: seed must be an integer, got {obj['seed']!r}") from e
+        seed = obj["seed"]
+        require_counts(ConfigInvalid, least=0, seed=seed)  # the seeds numpy accepts
         dataset = obj.get("dataset", {})
         if not isinstance(dataset, dict) or "manifest" not in dataset:
             raise ConfigInvalid(f"{path}: dataset.manifest is required")
@@ -109,6 +107,15 @@ class OutputLock:
         return False
 
 
+def _records(manifest, splits=None):
+    """The records of a manifest (those in ``splits``, if given), each with
+    its ``path`` joined onto the manifest's directory: the one rule for
+    where a record's file lives. An absolute path is kept as it is."""
+    base = Path(manifest).absolute().parent
+    return [replace(rec, path=str(base / rec.path)) for rec in datamod.load_manifest(manifest)
+            if splits is None or rec.split in splits]
+
+
 # ------------------------------------------------------------ prepare
 
 def _scan_raw_dir(raw_dir):
@@ -140,6 +147,7 @@ def _preprocess_image(img, size):
 
 
 def cmd_prepare(args):
+    require_counts(ConfigInvalid, least=0, seed=args.seed)
     try:
         fractions = tuple(float(f) for f in args.split.split(","))
     except ValueError as e:
@@ -150,10 +158,7 @@ def cmd_prepare(args):
     out_manifest = Path(args.out)
     out_manifest.parent.mkdir(parents=True, exist_ok=True)
 
-    if src.is_dir():
-        records = _scan_raw_dir(src)
-    else:
-        records = datamod.load_manifest(src)
+    records = _scan_raw_dir(src) if src.is_dir() else _records(src)
 
     if args.balance_to is not None:
         records = datamod.balance_classes(records, args.balance_to, args.seed)
@@ -165,10 +170,7 @@ def cmd_prepare(args):
         tensor_dir.mkdir(parents=True, exist_ok=True)
         prepared = []
         for rec in records:
-            img = datamod.load_pgm(rec.path)
-            if rec.augmented_from is not None:  # its id is <source id>.<transform>
-                img = datamod.augment(img, rec.sample_id.removeprefix(f"{rec.augmented_from}."))
-            save_tensor(_preprocess_image(img, args.image_size),
+            save_tensor(_preprocess_image(datamod.load_image(rec), args.image_size),
                         tensor_dir / f"{rec.sample_id}.btft")
             prepared.append(replace(rec, path=f"tensors/{rec.sample_id}.btft"))
         records = prepared
@@ -183,15 +185,6 @@ def cmd_prepare(args):
 
 
 # ------------------------------------------------------------ datasets
-
-def _resolve(manifest_path, rec_path):
-    p = Path(rec_path)
-    return p if p.is_absolute() else manifest_path.parent / p
-
-
-def _load_input(config, rec):
-    return load_feature_map(_resolve(config.manifest, rec.path))
-
 
 CACHE_DIR = ".gapnet-cache"
 CACHE_FORMAT = "gapnet encode cache 1"
@@ -224,15 +217,15 @@ class _EncodeCache:
     the run uncached, with one warning.
     """
 
-    def __init__(self, config, model):
-        self.config, self.model = config, model
+    def __init__(self, manifest, model):
+        self.model = model
         h = hashlib.sha256(f"{CACHE_FORMAT}\0{model.spec.backbone}\0"
                            f"{model.spec.head_input_channels}".encode())
         frozen = model.backbone.parameters("backbone.") if model.backbone else ()
         for name, layer, pname in frozen:
             value = np.ascontiguousarray(layer.params[pname], dtype="<f4")
             h.update(f"\0{name}\0{value.shape}\0".encode() + value.tobytes())
-        self.dir = config.manifest.parent / CACHE_DIR / h.hexdigest()[:32]
+        self.dir = manifest.parent / CACHE_DIR / h.hexdigest()[:32]
         self.known = {}  # path tag -> (stat tag, vector)
         self.encoded = False
         try:
@@ -252,17 +245,16 @@ class _EncodeCache:
                     self.known[path_tag] = (stat_tag, row)
 
     def __call__(self, rec):
-        path = _resolve(self.config.manifest, rec.path)
         try:
-            st = os.stat(path)
+            st = os.stat(rec.path)
         except OSError:  # reading the input reports it
-            return self.model.encode(_load_input(self.config, rec))
-        path_tag = _tag(path)
+            return self.model.encode(load_feature_map(rec.path))
+        path_tag = _tag(rec.path)
         stat_tag = _tag(st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
         entry = self.known.get(path_tag)
         if entry is not None and entry[0] == stat_tag:
             return entry[1]
-        vec = self.model.encode(_load_input(self.config, rec))
+        vec = self.model.encode(load_feature_map(rec.path))
         self.known[path_tag] = (stat_tag, vec)
         self.encoded = True
         return vec
@@ -285,15 +277,15 @@ class _EncodeCache:
 
 
 @contextlib.contextmanager
-def _encoded_inputs(config, model):
-    """Yields rec -> the row ``model.forward`` takes for it. With a frozen
-    prefix the row comes from the on-disk cache where it can, and what was
-    encoded is cached on exit; a trainable backbone's rows are its raw
-    inputs, which are never cached."""
+def _encoded_inputs(manifest, model):
+    """Yields rec -> the row ``model.forward`` takes for it, for the
+    records of ``manifest``. With a frozen prefix the row comes from the
+    on-disk cache where it can, and what was encoded is cached on exit; a
+    trainable backbone's rows are its raw inputs, which are never cached."""
     if not model.frozen.layers:
-        yield lambda rec: model.encode(_load_input(config, rec))
+        yield lambda rec: model.encode(load_feature_map(rec.path))
         return
-    cache = _EncodeCache(config, model)
+    cache = _EncodeCache(manifest, model)
     yield cache
     cache.save()
 
@@ -302,12 +294,10 @@ def build_dataset(config, splits=("train", "val", "test"), load=None):
     """(input, label) pairs of the wanted splits. ``load`` maps a record to
     what is kept of it (by default its raw input), so only that stays in
     memory."""
-    records = datamod.load_manifest(config.manifest)
     dataset = Dataset()
-    for rec in records:
-        if rec.split in splits:
-            x = load(rec) if load else _load_input(config, rec)
-            getattr(dataset, rec.split).append((x, rec.label))
+    for rec in _records(config.manifest, splits):
+        x = load(rec) if load else load_feature_map(rec.path)
+        getattr(dataset, rec.split).append((x, rec.label))
     return dataset
 
 
@@ -329,7 +319,7 @@ def cmd_train(args):
     with OutputLock(config.output_dir):
         model = Model(config.model, seed=config.seed)
         # extract-once: the frozen prefix runs at most once per input file
-        with _encoded_inputs(config, model) as load:
+        with _encoded_inputs(config.manifest, model) as load:
             dataset = build_dataset(config, splits=("train", "val"), load=load)
         result = train_loop(model, dataset, config.train)
         write_epoch_csv(result.epochs, config.output_dir / "epochs.csv")
@@ -389,12 +379,10 @@ def cmd_extract(args):
         model = Model(config.model, seed=config.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = datamod.load_manifest(config.manifest)
+    records = _records(config.manifest)
     # one projection GEMM per chunk of encoded records, as predict() runs them
-    step = model.rows_per_pass(config.train.batch_size)
-    with _encoded_inputs(config, model) as load:
-        for start in range(0, len(records), step):
-            chunk = records[start:start + step]
+    with _encoded_inputs(config.manifest, model) as load:
+        for chunk in passes(model, records, config.train.batch_size):
             vecs = model.features(np.stack([load(rec) for rec in chunk]))
             for rec, vec in zip(chunk, vecs):
                 save_tensor(vec, out_dir / f"{rec.sample_id}.btft")

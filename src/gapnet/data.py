@@ -182,7 +182,7 @@ def balance_classes(manifest, target_per_class, seed):
     skipping pairs whose id ``<source id>.<transform>`` the manifest
     already holds; classes at or above the target and all original
     records are left untouched. An augmented record keeps its source's
-    path; ``prepare`` applies the transform its id names to the pixels.
+    path; ``load_image`` applies the transform its id names to the pixels.
     """
     rng = np.random.default_rng(seed)
     taken = {r.sample_id for r in manifest}
@@ -303,3 +303,12 @@ def load_pgm(path):
     if len(pixels) != width * height:
         raise ParseError(f"{path}: expected {width * height} pixels, got {len(pixels)}")
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width).copy()
+
+
+def load_image(rec):
+    """A manifest record's gray pixels: its PGM, transformed as its id
+    ``<augmented_from>.<transform>`` names when it is an augmented record."""
+    img = load_pgm(rec.path)
+    if rec.augmented_from is None:
+        return img
+    return augment(img, rec.sample_id.removeprefix(f"{rec.augmented_from}."))

@@ -7,11 +7,12 @@ class GapnetError(Exception):
     """Base class for every contract violation raised by this package."""
 
 
-def require_counts(error, **values):
-    """Raise ``error`` naming the first value that is not an integer >= 1 (a bool is not)."""
+def require_counts(error, least=1, **values):
+    """Raise ``error`` naming the first value that is not an integer >= ``least``
+    (a bool is not)."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise error(f"{name} must be an integer >= 1, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # tensor kernels

@@ -34,8 +34,9 @@ class TrainConfig:
         require_counts(ConfigInvalid, batch_size=self.batch_size, max_epochs=self.max_epochs,
                        early_stop_patience=self.early_stop_patience,
                        lr_plateau_patience=self.lr_plateau_patience)
-        if self.learning_rate <= 0 or self.min_lr <= 0:
-            raise ConfigInvalid("learning rates must be positive")
+        if not all(0 < lr < np.inf for lr in (self.learning_rate, self.min_lr)):  # NaN fails
+            raise ConfigInvalid(f"learning rates must be positive and finite, got learning_rate "
+                                f"{self.learning_rate!r}, min_lr {self.min_lr!r}")
         if not 0.0 < self.lr_factor < 1.0:
             raise ConfigInvalid(f"lr_factor must be in (0, 1), got {self.lr_factor}")
         return self
@@ -129,7 +130,7 @@ class EarlyStopState:
 
 
 def early_stop_update(state, val_loss, patience, model=None):
-    """Returns "continue" or "stop"; on stop the best snapshot is restored.
+    """Returns "continue" or "stop"; restoring the snapshot is the caller's.
 
     best_val_loss/snapshot track the minimum observed loss; the patience
     counter only resets on improvements of at least IMPROVE_EPS so float
@@ -144,11 +145,7 @@ def early_stop_update(state, val_loss, patience, model=None):
         state.epochs_since_improve = 0
         return "continue"
     state.epochs_since_improve += 1
-    if state.epochs_since_improve >= patience:
-        if model is not None and state.snapshot is not None:
-            model.load_state_dict(state.snapshot)
-        return "stop"
-    return "continue"
+    return "stop" if state.epochs_since_improve >= patience else "continue"
 
 
 @dataclass
@@ -164,10 +161,8 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
-    model: object
     epochs: list
     seconds_per_epoch: float
-    stopped_early: bool
 
 
 @dataclass
@@ -178,7 +173,7 @@ class Dataset:
     test: list = field(default_factory=list)
 
 
-def _passes(model, rows, batch_size):
+def passes(model, rows, batch_size):
     """Split ``rows`` into the chunks one forward pass takes."""
     step = model.rows_per_pass(batch_size)
     return [rows[i:i + step] for i in range(0, len(rows), step)]
@@ -187,7 +182,7 @@ def _passes(model, rows, batch_size):
 def predict(model, inputs, batch_size):
     """(N,) eval-mode probabilities of a list of N encoded inputs."""
     return np.concatenate([model.forward(np.stack([inputs[i] for i in rows]))
-                           for rows in _passes(model, range(len(inputs)), batch_size)])
+                           for rows in passes(model, range(len(inputs)), batch_size)])
 
 
 def _evaluate(model, samples, batch_size):
@@ -220,7 +215,6 @@ def train_loop(model, dataset, config):
     val_history = []
     logs = []
     params = model.parameters(trainable_only=True)
-    stopped = False
 
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
@@ -232,7 +226,7 @@ def train_loop(model, dataset, config):
             batch = order[start:start + config.batch_size]
             model.zero_grad()
             try:
-                for rows in _passes(model, batch, config.batch_size):
+                for rows in passes(model, batch, config.batch_size):
                     x = np.stack([dataset.train[i][0] for i in rows])
                     y = np.array([dataset.train[i][1] for i in rows])
                     p = model.forward(x, train=True)
@@ -252,15 +246,13 @@ def train_loop(model, dataset, config):
         logs.append(EpochLog(epoch, train_loss, train_acc, val_loss, val_acc, lr, seconds))
         val_history.append(val_loss)
         if early_stop_update(stopper, val_loss, config.early_stop_patience, model) == "stop":
-            stopped = True
             break
 
-    if not stopped and stopper.snapshot is not None:
+    if stopper.snapshot is not None:  # however the loop ended, keep the best epoch's weights
         model.load_state_dict(stopper.snapshot)
 
     seconds_per_epoch = float(np.mean([log.seconds_per_epoch for log in logs]))
-    return TrainResult(model=model, epochs=logs, seconds_per_epoch=seconds_per_epoch,
-                       stopped_early=stopped)
+    return TrainResult(epochs=logs, seconds_per_epoch=seconds_per_epoch)
 
 
 EPOCH_CSV_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc,lr,seconds_per_epoch"

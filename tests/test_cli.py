@@ -11,7 +11,7 @@ from gapnet import backbone, kernels
 from gapnet.backbone import load_feature_map, save_tensor
 from gapnet.cli import main
 from gapnet.data import ManifestRecord, load_manifest, save_manifest
-from gapnet.pipeline import Model, ModelSpec, save_checkpoint
+from gapnet.pipeline import Model, ModelSpec, load_checkpoint, save_checkpoint
 from synth import blob_dataset, save_pgm
 
 
@@ -105,6 +105,53 @@ def test_balancing_as_its_own_step_augments_the_pixels(raw_dir, tmp_path):
         if rec.augmented_from is not None:  # a transform of its source, not a copy
             source = two.parent / "tensors" / f"{rec.augmented_from}.btft"
             assert prepared != source.read_bytes()
+
+
+def test_prepare_reads_record_paths_from_the_manifests_directory(tmp_path, monkeypatch):
+    a = tmp_path / "a"
+    a.mkdir()
+    recs = []
+    for i in range(4):
+        save_pgm(np.full((8, 8), 40 * i, np.uint8), a / f"p{i}.pgm")
+        recs.append(ManifestRecord(f"p{i}", f"p{i}.pgm", i % 2, f"s{i}"))
+    save_manifest(recs, a / "m.jsonl")
+    args = ["--seed", "0", "--balance-to", "3", "--level", "sample", "--image-size", "8"]
+    for cwd, manifest, out in ((a, "m.jsonl", "inside"), (tmp_path, "a/m.jsonl", "outside")):
+        monkeypatch.chdir(cwd)  # the input's relative paths name files in a/ either way
+        assert main(["prepare", manifest, str(tmp_path / out / "m.jsonl")] + args) == 0
+    inside, outside = tmp_path / "inside", tmp_path / "outside"
+    assert (inside / "m.jsonl").read_bytes() == (outside / "m.jsonl").read_bytes()
+    assert len(_extracted(inside / "tensors")) == 6  # two of them augmented
+    assert _extracted(inside / "tensors") == _extracted(outside / "tensors")
+
+
+def test_manifest_only_output_in_another_directory_trains(raw_dir, tmp_path):
+    manifest = _prepared(raw_dir, tmp_path)  # its records name tensors/*.btft beside it
+    moved = tmp_path / "elsewhere" / "m.jsonl"
+    assert main(["prepare", str(manifest), str(moved), "--seed", "3", "--manifest-only"]) == 0
+    records = load_manifest(moved)
+    assert len(records) == 30 and all(os.path.isabs(r.path) for r in records)
+    cfg = write_config(tmp_path / "c.json", moved, tmp_path / "run", seed=0, max_epochs=1)
+    assert main(["train", str(cfg)]) == 0
+
+
+def test_extract_with_a_checkpoint_writes_its_trained_features(raw_dir, tmp_path):
+    manifest = _prepared(raw_dir, tmp_path)
+    cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn",
+                       max_epochs=2, learning_rate=3e-3)
+    assert main(["train", str(cfg)]) == 0
+    ckpt = tmp_path / "run" / "checkpoint"
+    for out, extra in (("trained", ["--checkpoint", str(ckpt)]), ("seeded", [])):
+        assert main(["extract", str(cfg), "--out-dir", str(tmp_path / out)] + extra) == 0
+    model = load_checkpoint(ckpt)
+    records = load_manifest(manifest)
+    assert len(list((tmp_path / "trained").iterdir())) == len(records) == 30
+    for rec in records:
+        want = model.features(model.encode(load_feature_map(manifest.parent / rec.path))[None])[0]
+        got = load_feature_map(tmp_path / "trained" / f"{rec.sample_id}.btft")
+        assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+        seeded = load_feature_map(tmp_path / "seeded" / f"{rec.sample_id}.btft")
+        assert np.linalg.norm(seeded - want) > 1e-3 * np.linalg.norm(want)
 
 
 def test_missing_input_exits_2(tmp_path, capsys):
@@ -548,12 +595,26 @@ def _a_file(tmp_path):
     return str(tmp_path / "afile")
 
 
-def _prepare_manifest(args):
+def _prepare_manifest(args, seed="1"):
     def setup(tmp_path):
         (tmp_path / "in.jsonl").write_text("")
-        return ["prepare", str(tmp_path / "in.jsonl"), *args(tmp_path), "--seed", "1",
+        return ["prepare", str(tmp_path / "in.jsonl"), *args(tmp_path), "--seed", seed,
                 "--manifest-only"]
     return setup
+
+
+def _extract_checkpoint(make):
+    def setup(tmp_path):
+        make(tmp_path / "ckpt")
+        return ["extract", _config(tmp_path), "--out-dir", str(tmp_path / "vectors"),
+                "--checkpoint", str(tmp_path / "ckpt")]
+    return setup
+
+
+def _fcnn_checkpoint(path):
+    spec = ModelSpec.from_dict({"backbone": "toy_cnn", "head_input_channels": 16,
+                                "classifier": "fcnn"})
+    save_checkpoint(Model(spec, seed=21), path)
 
 
 def _report_to_a_directory(tmp_path):
@@ -565,6 +626,11 @@ def _report_to_a_directory(tmp_path):
 
 @pytest.mark.parametrize("setup, code, needle", [
     pytest.param(_bad_config(seed="abc"), 1, "seed must be an integer", id="seed-not-int"),
+    pytest.param(_bad_config(seed=-1), 1, "seed must be an integer >= 0", id="seed-negative"),
+    pytest.param(_bad_config(seed=True), 1, "seed must be an integer", id="seed-is-bool"),
+    pytest.param(_bad_config(seed=1.7), 1, "seed must be an integer", id="seed-not-whole"),
+    pytest.param(_prepare_manifest(lambda t: [str(t / "m.jsonl")], seed="-1"), 1,
+                 "seed must be an integer >= 0", id="prepare-seed-negative"),
     pytest.param(_bad_config(dataset=["manifest"]), 1, "dataset.manifest",
                  id="dataset-not-object"),
     pytest.param(_bad_config(model="ab"), 1, "c.json", id="model-not-object"),
@@ -616,12 +682,21 @@ def _report_to_a_directory(tmp_path):
                  id="early-stop-patience-not-int"),
     pytest.param(_bad_config(train={"lr_plateau_patience": "3"}), 1, "lr_plateau_patience",
                  id="lr-plateau-patience-not-int"),
+    pytest.param(_bad_config(train={"learning_rate": float("nan")}), 1, "learning_rate nan",
+                 id="learning-rate-nan"),
+    pytest.param(_bad_config(train={"learning_rate": float("inf")}), 1, "learning_rate inf",
+                 id="learning-rate-infinite"),
+    pytest.param(_bad_config(train={"min_lr": float("nan")}), 1, "min_lr nan", id="min-lr-nan"),
     pytest.param(_prepare_manifest(lambda t: [str(t / "m.jsonl"), "--split", "a,b"]), 1,
                  "'a,b'", id="split-not-numbers"),
     pytest.param(_unknown_transform, 1, "unknown transform 'blur'",
                  id="augmented-id-names-no-transform"),
     pytest.param(_missing_record_tensor, 2, "x.btft", id="record-tensor-missing"),
     pytest.param(_missing_checkpoint_param, 2, "clf.0.w.btft", id="checkpoint-param-missing"),
+    pytest.param(_extract_checkpoint(_fcnn_checkpoint), 1, "fingerprint",
+                 id="extract-checkpoint-of-another-spec"),
+    pytest.param(_extract_checkpoint(lambda path: None), 2, "ckpt",
+                 id="extract-checkpoint-missing"),
 ])
 def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, setup, code, needle):
     assert main(setup(tmp_path)) == code

@@ -302,3 +302,24 @@ def test_pgm_round_trip(tmp_path):
     (tmp_path / "bad.pgm").write_bytes(b"P2\n2 2\n255\n0 0 0 0")
     with pytest.raises(ParseError):
         load_pgm(tmp_path / "bad.pgm")
+
+
+def test_pgm_header_comments_are_skipped(tmp_path):
+    x = rng_image(3, 4, seed=2)
+    save_pgm(x, tmp_path / "plain.pgm")
+    (tmp_path / "commented.pgm").write_bytes(
+        b"P5 # a comment after the magic\n# a comment line\n4 # width\n3\n# maxval next\n255\n"
+        + x.tobytes())
+    assert np.array_equal(load_pgm(tmp_path / "commented.pgm"), load_pgm(tmp_path / "plain.pgm"))
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(b"P5\n4 three\n255\n" + bytes(12), id="extent-not-a-number"),
+    pytest.param(b"P5\n4", id="header-cut-short"),
+    pytest.param(b"P5\n4 3\n65535\n" + bytes(24), id="maxval-not-255"),
+    pytest.param(b"P5\n4 3\n255\n" + bytes(11), id="payload-short"),
+])
+def test_pgm_bad_headers_raise_parse_error(tmp_path, data):
+    (tmp_path / "bad.pgm").write_bytes(data)
+    with pytest.raises(ParseError):
+        load_pgm(tmp_path / "bad.pgm")
