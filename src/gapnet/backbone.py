@@ -17,14 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    IoFailure,
-    ShapeMismatch,
-    TruncatedPayload,
-    UnsupportedDtype,
-    UnsupportedVersion,
-)
+from .errors import GapnetError
 from .nn import Conv2D, ReLU, Sequential
 from .tensor import tensor
 
@@ -62,7 +55,7 @@ def save_tensor(t, path):
     try:
         write_atomic(path, header, arr.data)  # the array's buffer: no bytes copy
     except OSError as e:
-        raise IoFailure(f"cannot write tensor to {path}: {e}") from e
+        raise GapnetError(f"cannot write tensor to {path}: {e}") from e
 
 
 def load_feature_map(path):
@@ -76,28 +69,28 @@ def load_feature_map(path):
             size = os.fstat(fh.fileno()).st_size
             head = fh.read(10)
             if len(head) < 10 or head[:4] != MAGIC:
-                raise BadMagic(f"{path}: not a BTFT file")
+                raise GapnetError(f"{path}: not a BTFT file")
             version, dtype_code, rank = struct.unpack_from("<IBB", head, 4)
             if version != VERSION:
-                raise UnsupportedVersion(f"{path}: version {version}, expected {VERSION}")
+                raise GapnetError(f"{path}: version {version}, expected {VERSION}")
             if dtype_code != DTYPE_F32:
-                raise UnsupportedDtype(f"{path}: dtype code {dtype_code}, "
-                                       f"expected {DTYPE_F32}")
+                raise GapnetError(f"{path}: dtype code {dtype_code}, "
+                                  f"expected {DTYPE_F32}")
             offset = 10 + 4 * rank
             if size < offset:
-                raise TruncatedPayload(f"{path}: header truncated")
+                raise GapnetError(f"{path}: header truncated")
             extents = struct.unpack(f"<{rank}I", fh.read(4 * rank))
             count = int(np.prod(extents)) if rank else 0
             if size - offset != 4 * count:
-                raise TruncatedPayload(f"{path}: payload {size - offset} bytes, "
-                                       f"header implies {4 * count}")
+                raise GapnetError(f"{path}: payload {size - offset} bytes, "
+                                  f"header implies {4 * count}")
             arr = np.empty(extents, dtype="<f4")
             if fh.readinto(arr) != arr.nbytes:
-                raise TruncatedPayload(f"{path}: payload shorter than its header says")
+                raise GapnetError(f"{path}: payload shorter than its header says")
     except FileNotFoundError:
         raise  # a missing resource, not a bad input
     except OSError as e:
-        raise IoFailure(f"cannot read tensor from {path}: {e}") from e
+        raise GapnetError(f"cannot read tensor from {path}: {e}") from e
     return tensor(arr.astype(np.float32, copy=False))
 
 
@@ -122,6 +115,6 @@ class ToyBackbone(Sequential):
 
     def forward(self, imgs, train=False):
         if imgs.shape[1:] != self.input_shape:
-            raise ShapeMismatch(f"toy backbone expects (B, *{self.input_shape}), "
-                                f"got {imgs.shape}")
+            raise GapnetError(f"toy backbone expects (B, *{self.input_shape}), "
+                              f"got {imgs.shape}")
         return super().forward(imgs, train=train)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as datamod
 from .backbone import load_feature_map, save_tensor, write_atomic
-from .errors import BadFractions, ConfigInvalid, GapnetError, IoFailure, ParseError, require_counts
+from .errors import GapnetError, require_counts
 from .metrics import (
     build_report,
     confusion,
@@ -45,16 +45,16 @@ class ExperimentConfig:
             raise FileNotFoundError(f"config file not found: {path}")
         obj = _read_json_object(path)
         if "seed" not in obj:
-            raise ConfigInvalid(f"{path}: an explicit seed is required")
+            raise GapnetError(f"{path}: an explicit seed is required")
         seed = obj["seed"]
-        require_counts(ConfigInvalid, least=0, seed=seed)  # the seeds numpy accepts
+        require_counts(least=0, seed=seed)  # the seeds numpy accepts
         dataset = obj.get("dataset", {})
         if not isinstance(dataset, dict) or "manifest" not in dataset:
-            raise ConfigInvalid(f"{path}: dataset.manifest is required")
+            raise GapnetError(f"{path}: dataset.manifest is required")
         output_dir = obj.get("output_dir", "run")
         for name, value in (("dataset.manifest", dataset["manifest"]), ("output_dir", output_dir)):
             if not isinstance(value, str):
-                raise ConfigInvalid(f"{path}: {name} must be a path string, got {value!r}")
+                raise GapnetError(f"{path}: {name} must be a path string, got {value!r}")
         manifest = (path.parent / dataset["manifest"]).resolve()
         if not manifest.exists():
             raise FileNotFoundError(f"manifest not found: {manifest}")
@@ -62,7 +62,7 @@ class ExperimentConfig:
             spec = ModelSpec.from_dict(obj.get("model", {}))
             train = TrainConfig(seed=seed, **obj.get("train", {})).validate()
         except (TypeError, ValueError) as e:
-            raise ConfigInvalid(f"{path}: {e}") from e
+            raise GapnetError(f"{path}: {e}") from e
         output_dir = (path.parent / output_dir).resolve()
         return cls(seed=seed, manifest=manifest, model=spec, train=train,
                    output_dir=output_dir)
@@ -147,11 +147,13 @@ def _preprocess_image(img, size):
 
 
 def cmd_prepare(args):
-    require_counts(ConfigInvalid, least=0, seed=args.seed)
+    require_counts(least=0, seed=args.seed)
+    balance = {} if args.balance_to is None else {"balance_to": args.balance_to}
+    require_counts(**balance, image_size=args.image_size)
     try:
         fractions = tuple(float(f) for f in args.split.split(","))
     except ValueError as e:
-        raise BadFractions(f"--split takes comma-separated numbers, got {args.split!r}") from e
+        raise GapnetError(f"--split takes comma-separated numbers, got {args.split!r}") from e
     src = Path(args.input)
     if not src.exists():
         raise FileNotFoundError(f"input path not found: {src}")
@@ -272,7 +274,7 @@ class _EncodeCache:
             write_atomic(self.dir / f"{name}.keys", text.encode())
             for old in self.listed - {f"{name}.btft", f"{name}.keys"}:
                 (self.dir / old).unlink(missing_ok=True)
-        except (OSError, IoFailure) as e:
+        except (OSError, GapnetError) as e:
             print(f"warning: not caching encoded inputs: {e}", file=sys.stderr)
 
 
@@ -307,9 +309,9 @@ def _read_json_object(path):
     try:
         obj = json.loads(path.read_text())
     except ValueError as e:  # not JSON, or not UTF-8
-        raise ParseError(f"{path}: not valid JSON: {e}") from e
+        raise GapnetError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+        raise GapnetError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     return obj
 
 
@@ -402,9 +404,9 @@ def cmd_report(args):
             rows.append((obj["model"], *(float(obj[k]) for k in
                                          ("accuracy", "precision", "recall", "f1"))))
         except KeyError as e:
-            raise ParseError(f"{metrics_file}: lacks {e}") from e
+            raise GapnetError(f"{metrics_file}: lacks {e}") from e
         except (TypeError, ValueError) as e:
-            raise ParseError(f"{metrics_file}: a metric is not a number: {e}") from e
+            raise GapnetError(f"{metrics_file}: a metric is not a number: {e}") from e
     lines = ["Model,Accuracy,Precision,Recall,F1"]
     for name, acc, prec, rec, f1 in rows:
         lines.append(f"{name},{100 * acc:.2f},{100 * prec:.2f},{100 * rec:.2f},{100 * f1:.2f}")
@@ -416,9 +418,16 @@ def cmd_report(args):
 
 # ------------------------------------------------------------ entry point
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ``GapnetError``, so ``main`` prints it as one
+    line and exits 1; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise GapnetError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="gapnet",
-                                     description="GAP feature-head tumor classifier harness")
+    parser = _Parser(prog="gapnet", description="GAP feature-head tumor classifier harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="preprocess a raw dir (or rebalance a manifest)")
@@ -458,8 +467,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -6,21 +6,13 @@ are newline-delimited JSON, one flat record per line, order preserving.
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .backbone import write_atomic
-from .errors import (
-    BadFractions,
-    DuplicateId,
-    EmptyImage,
-    InvalidExtent,
-    IoFailure,
-    NonSquareRotation,
-    ParseError,
-    TargetUnreachable,
-)
+from .errors import GapnetError
 
 PLANES = ("axial", "coronal", "sagittal", "unknown")
 SPLITS = ("train", "val", "test", "unassigned")
@@ -38,12 +30,15 @@ class ManifestRecord:
     augmented_from: str | None = None
 
     def validate(self):
+        name = str(self.sample_id)  # names the files prepare and extract write
+        if name in ("", ".", "..") or "/" in name or os.sep in name:
+            raise GapnetError(f"sample_id {self.sample_id!r} is not a plain file name")
         if self.label not in (0, 1):
-            raise ParseError(f"{self.sample_id}: label must be 0 or 1, got {self.label}")
+            raise GapnetError(f"{self.sample_id}: label must be 0 or 1, got {self.label}")
         if self.plane not in PLANES:
-            raise ParseError(f"{self.sample_id}: unknown plane {self.plane!r}")
+            raise GapnetError(f"{self.sample_id}: unknown plane {self.plane!r}")
         if self.split not in SPLITS:
-            raise ParseError(f"{self.sample_id}: unknown split {self.split!r}")
+            raise GapnetError(f"{self.sample_id}: unknown split {self.split!r}")
         return self
 
 
@@ -67,9 +62,9 @@ def load_manifest(path):
                     augmented_from=obj.get("augmented_from"),
                 ).validate()
             except (ValueError, KeyError, TypeError) as e:
-                raise ParseError(f"{path}: line {lineno}: {e}") from e
+                raise GapnetError(f"{path}: line {lineno}: {e}") from e
             if rec.sample_id in seen:
-                raise DuplicateId(f"{path}: line {lineno}: duplicate sample_id {rec.sample_id!r}")
+                raise GapnetError(f"{path}: line {lineno}: duplicate sample_id {rec.sample_id!r}")
             seen.add(rec.sample_id)
             records.append(rec)
     return records
@@ -97,7 +92,7 @@ def save_manifest(records, path):
 def gray_image(values):
     arr = np.ascontiguousarray(values, dtype=np.uint8)
     if arr.ndim != 2 or arr.size == 0:
-        raise EmptyImage(f"gray image must be 2-D and non-empty, got shape {arr.shape}")
+        raise GapnetError(f"gray image must be 2-D and non-empty, got shape {arr.shape}")
     return arr
 
 
@@ -122,7 +117,7 @@ def resize_bilinear(img, out_w, out_h):
     """Bilinear resample with half-pixel centers and clamped borders."""
     img = gray_image(img)
     if out_w < 1 or out_h < 1:
-        raise InvalidExtent(f"target extents must be >= 1, got {out_w}x{out_h}")
+        raise GapnetError(f"target extents must be >= 1, got {out_w}x{out_h}")
     in_h, in_w = img.shape
     if (out_h, out_w) == (in_h, in_w):
         return img.copy()
@@ -151,7 +146,7 @@ def normalize(img):
 
 def replicate_channels(t):
     if t.ndim != 3 or t.shape[2] != 1:
-        raise InvalidExtent(f"expected H x W x 1, got {t.shape}")
+        raise GapnetError(f"expected H x W x 1, got {t.shape}")
     return np.repeat(t, 3, axis=2)
 
 
@@ -159,7 +154,7 @@ def augment(img, transform):
     """Exact pixel permutations only; label-preserving by construction."""
     img = gray_image(img)
     if transform in ("rot90", "rot270") and img.shape[0] != img.shape[1]:
-        raise NonSquareRotation(f"{transform} needs a square image, got {img.shape}")
+        raise GapnetError(f"{transform} needs a square image, got {img.shape}")
     if transform == "hflip":
         return np.ascontiguousarray(img[:, ::-1])
     if transform == "vflip":
@@ -170,7 +165,7 @@ def augment(img, transform):
         return np.ascontiguousarray(np.rot90(img, 2))
     if transform == "rot270":
         return np.ascontiguousarray(np.rot90(img, 3))
-    raise ParseError(f"unknown transform {transform!r}")
+    raise GapnetError(f"unknown transform {transform!r}")
 
 
 # ------------------------------------------------------- balancing / splits
@@ -195,7 +190,7 @@ def balance_classes(manifest, target_per_class, seed):
                  for t in TRANSFORMS if f"{rec.sample_id}.{t}" not in taken]
         capacity = len(class_records) + len(pairs)
         if target_per_class > capacity:
-            raise TargetUnreachable(
+            raise GapnetError(
                 f"label {label}: target {target_per_class} exceeds capacity {capacity}"
             )
         order = rng.permutation(len(pairs))[:target_per_class - len(class_records)]
@@ -226,11 +221,11 @@ def _allocate(n, fractions):
 
 def _check_fractions(fractions):
     if len(fractions) not in (2, 3):
-        raise BadFractions(f"need 2 or 3 fractions, got {len(fractions)}")
+        raise GapnetError(f"need 2 or 3 fractions, got {len(fractions)}")
     if not all(f > 0 for f in fractions):  # NaN fails this too
-        raise BadFractions(f"fractions must be positive, got {fractions}")
+        raise GapnetError(f"fractions must be positive, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
-        raise BadFractions(f"fractions must sum to 1, got sum {sum(fractions)}")
+        raise GapnetError(f"fractions must sum to 1, got sum {sum(fractions)}")
     return SPLITS[:len(fractions)]
 
 
@@ -243,7 +238,7 @@ def split(manifest, fractions, seed, level="subject"):
     """
     names = _check_fractions(fractions)
     if level not in ("sample", "subject"):
-        raise BadFractions(f"level must be 'sample' or 'subject', got {level!r}")
+        raise GapnetError(f"level must be 'sample' or 'subject', got {level!r}")
     key = "sample_id" if level == "sample" else "subject_id"
     labels = {}
     for r in manifest:
@@ -272,7 +267,7 @@ def load_pgm(path):
     except FileNotFoundError:
         raise  # a missing resource, not a bad input
     except OSError as e:
-        raise IoFailure(f"cannot read image {path}: {e}") from e
+        raise GapnetError(f"cannot read image {path}: {e}") from e
     pos = 0
 
     def token():
@@ -291,17 +286,17 @@ def load_pgm(path):
         return data[start:pos]
 
     if token() != b"P5":
-        raise ParseError(f"{path}: not a binary PGM (P5) file")
+        raise GapnetError(f"{path}: not a binary PGM (P5) file")
     try:
         width, height, maxval = int(token()), int(token()), int(token())
     except ValueError as e:
-        raise ParseError(f"{path}: bad PGM header") from e
+        raise GapnetError(f"{path}: bad PGM header") from e
     if maxval != 255:
-        raise ParseError(f"{path}: only maxval 255 supported, got {maxval}")
+        raise GapnetError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval
     pixels = data[pos:pos + width * height]
     if len(pixels) != width * height:
-        raise ParseError(f"{path}: expected {width * height} pixels, got {len(pixels)}")
+        raise GapnetError(f"{path}: expected {width * height} pixels, got {len(pixels)}")
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width).copy()
 
 

@@ -8,7 +8,7 @@ ordered without NaNs.
 import json
 from dataclasses import dataclass, field
 
-from .errors import EmptyInput, EmptyMatrix, LengthMismatch
+from .errors import GapnetError
 
 
 @dataclass
@@ -25,9 +25,9 @@ class ConfusionMatrix:
 
 def confusion(predictions, labels):
     if len(predictions) != len(labels):
-        raise LengthMismatch(f"{len(predictions)} predictions vs {len(labels)} labels")
+        raise GapnetError(f"{len(predictions)} predictions vs {len(labels)} labels")
     if not len(predictions):
-        raise EmptyInput("no samples to score")
+        raise GapnetError("no samples to score")
     cm = ConfusionMatrix()
     for pred, label in zip(predictions, labels):
         if label == 1:
@@ -55,7 +55,7 @@ class MetricValues:
 def metrics(cm):
     """Accuracy, precision, recall, F1 from the confusion counts."""
     if cm.total == 0:
-        raise EmptyMatrix("confusion matrix has no samples")
+        raise GapnetError("confusion matrix has no samples")
     undefined = []
     accuracy = (cm.tp + cm.tn) / cm.total
     if cm.tp + cm.fp > 0:

@@ -15,13 +15,7 @@ gradient nobody reads. Parameter-free layers ignore the flag.
 import numpy as np
 
 from . import kernels
-from .errors import (
-    InvalidRate,
-    KernelTooLong,
-    NoCachedForward,
-    RankError,
-    ShapeMismatch,
-)
+from .errors import GapnetError
 from .tensor import DTYPE, ensure_finite, mean_over_spatial
 
 
@@ -56,7 +50,7 @@ class Layer:
 
     def _need_cache(self):
         if self._cache is None:
-            raise NoCachedForward(f"{type(self).__name__}.backward without a train-mode forward")
+            raise GapnetError(f"{type(self).__name__}.backward without a train-mode forward")
         cache, self._cache = self._cache, None
         return cache
 
@@ -72,7 +66,7 @@ class Dense(Layer):
 
     def forward(self, x, train=False):
         if x.ndim != 2 or x.shape[1] != self.din:
-            raise ShapeMismatch(f"dense expects (B, {self.din}), got {x.shape}")
+            raise GapnetError(f"dense expects (B, {self.din}), got {x.shape}")
         z = x @ self.params["w"].T + self.params["b"]
         if train:
             self._cache = x
@@ -126,7 +120,7 @@ class Dropout(Layer):
     def __init__(self, rate, seed=0):
         super().__init__()
         if not 0.0 <= rate < 1.0:
-            raise InvalidRate(f"dropout rate must be in [0, 1), got {rate}")
+            raise GapnetError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self._rng = np.random.default_rng(seed)
         self.fixed_mask = None
@@ -154,7 +148,7 @@ class GlobalAvgPool(Layer):
 
     def forward(self, x, train=False):
         if x.ndim != 4:
-            raise RankError(f"global average pooling expects (B, H, W, C), got rank {x.ndim}")
+            raise GapnetError(f"global average pooling expects (B, H, W, C), got rank {x.ndim}")
         out = mean_over_spatial(x)
         if train:
             self._cache = x.shape
@@ -163,7 +157,7 @@ class GlobalAvgPool(Layer):
     def backward(self, grad_out, input_grad=True):
         b, h, w, c = self._need_cache()
         if grad_out.shape != (b, c):
-            raise ShapeMismatch(f"expected grad of shape ({b}, {c}), got {grad_out.shape}")
+            raise GapnetError(f"expected grad of shape ({b}, {c}), got {grad_out.shape}")
         per_cell = grad_out / grad_out.dtype.type(h * w)
         return np.broadcast_to(per_cell[:, None, None, :], (b, h, w, c)).copy()
 
@@ -186,9 +180,9 @@ class Conv1D(Layer):
 
     def forward(self, x, train=False):
         if x.ndim != 2:
-            raise RankError(f"conv1d layer expects (B, n) input, got rank {x.ndim}")
+            raise GapnetError(f"conv1d layer expects (B, n) input, got rank {x.ndim}")
         if self.kernel_len > x.shape[1]:
-            raise KernelTooLong(f"kernel length {self.kernel_len} > signal length {x.shape[1]}")
+            raise GapnetError(f"kernel length {self.kernel_len} > signal length {x.shape[1]}")
         out = kernels.conv1d_forward(x, self.params["w"], self.params["b"])
         if train:
             self._cache = (x, out.shape)
@@ -222,11 +216,11 @@ class Conv2D(Layer):
 
     def forward(self, x, train=False):
         if x.ndim != 4:
-            raise RankError(f"conv2d layer expects (B, H, W, C) input, got rank {x.ndim}")
+            raise GapnetError(f"conv2d layer expects (B, H, W, C) input, got rank {x.ndim}")
         if x.shape[3] != self.cin:
-            raise ShapeMismatch(f"input has {x.shape[3]} channels, layer expects {self.cin}")
+            raise GapnetError(f"input has {x.shape[3]} channels, layer expects {self.cin}")
         if self.kh > x.shape[1] or self.kw > x.shape[2]:
-            raise ShapeMismatch(f"kernel {self.kh}x{self.kw} larger than input {x.shape[1:3]}")
+            raise GapnetError(f"kernel {self.kh}x{self.kw} larger than input {x.shape[1:3]}")
         out = kernels.conv2d_forward(x, self.params["w"], self.params["b"], self.stride)
         if train:
             self._cache = x

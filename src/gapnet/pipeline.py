@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import ToyBackbone, load_feature_map, save_tensor, write_atomic
-from .errors import CheckpointMismatch, ParseError, ShapeMismatch, SpecInvalid, require_counts
+from .errors import GapnetError, require_counts
 from .nn import Conv1D, Dense, Dropout, GlobalAvgPool, ReLU, Sequential, Sigmoid
 
 CLASSIFIERS = ("dfn", "fcnn", "cnn1d")
@@ -40,28 +40,28 @@ class ModelSpec:
 
     def validate(self):
         if self.backbone not in BACKBONES:
-            raise SpecInvalid(f"unknown backbone {self.backbone!r}")
+            raise GapnetError(f"unknown backbone {self.backbone!r}")
         if self.classifier not in CLASSIFIERS:
-            raise SpecInvalid(f"unknown classifier {self.classifier!r}")
-        require_counts(SpecInvalid, head_input_channels=self.head_input_channels,
+            raise GapnetError(f"unknown classifier {self.classifier!r}")
+        require_counts(head_input_channels=self.head_input_channels,
                        projection_dim=self.projection_dim, conv_filters=self.conv_filters,
                        conv_kernel=self.conv_kernel,
                        **{f"hidden_widths[{i}]": w for i, w in enumerate(self.hidden_widths)})
         if not isinstance(self.backbone_trainable, bool):
-            raise SpecInvalid(f"backbone_trainable is not a bool: {self.backbone_trainable!r}")
+            raise GapnetError(f"backbone_trainable is not a bool: {self.backbone_trainable!r}")
         if any(not 0.0 <= r < 1.0 for r in self.dropout_rates):
-            raise SpecInvalid(f"dropout rates must be in [0, 1), got {self.dropout_rates}")
+            raise GapnetError(f"dropout rates must be in [0, 1), got {self.dropout_rates}")
         if self.classifier == "dfn" and len(self.dropout_rates) != len(self.hidden_widths):
-            raise SpecInvalid("dfn needs one dropout rate per hidden width")
+            raise GapnetError("dfn needs one dropout rate per hidden width")
         if self.conv_kernel > self.projection_dim:
-            raise SpecInvalid("conv_kernel cannot exceed projection_dim")
+            raise GapnetError("conv_kernel cannot exceed projection_dim")
         if not 0.0 <= self.decision_threshold <= 1.0:
-            raise SpecInvalid("decision_threshold must be in [0, 1]")
+            raise GapnetError("decision_threshold must be in [0, 1]")
         if self.backbone_trainable and self.backbone == "imported_features":
-            raise SpecInvalid("backbone_trainable needs a backbone to train; "
+            raise GapnetError("backbone_trainable needs a backbone to train; "
                               "imported_features maps come from a frozen one")
         if self.backbone == "toy_cnn" and self.head_input_channels != ToyBackbone.output_channels:
-            raise SpecInvalid(
+            raise GapnetError(
                 f"toy_cnn emits {ToyBackbone.output_channels} channels, "
                 f"spec says {self.head_input_channels}"
             )
@@ -162,8 +162,8 @@ class Model:
         if not self.frozen.layers:
             return x
         if self.backbone is None and (x.ndim != 3 or x.shape[2] != self.spec.head_input_channels):
-            raise ShapeMismatch(f"input {x.shape} is not an HxWx"
-                                f"{self.spec.head_input_channels} feature map")
+            raise GapnetError(f"input {x.shape} is not an HxWx"
+                              f"{self.spec.head_input_channels} feature map")
         return self.frozen.forward(x[None])[0]
 
     def features(self, z, train=False):
@@ -210,8 +210,8 @@ class Model:
         for name, layer, pname in self.parameters(trainable_only=False):
             value = state[name]
             if value.shape != layer.params[pname].shape:
-                raise ShapeMismatch(f"{name}: checkpoint shape {value.shape} != "
-                                    f"model shape {layer.params[pname].shape}")
+                raise GapnetError(f"{name}: checkpoint shape {value.shape} != "
+                                  f"model shape {layer.params[pname].shape}")
             layer.params[pname] = value.astype(layer.params[pname].dtype).copy()
 
 
@@ -239,11 +239,11 @@ def load_checkpoint(directory, expected_spec=None):
         manifest = json.loads(path.read_text())
         spec = ModelSpec.from_dict(manifest["model_spec"])
     except KeyError as e:
-        raise ParseError(f"{path}: checkpoint manifest lacks {e}") from e
+        raise GapnetError(f"{path}: checkpoint manifest lacks {e}") from e
     except (ValueError, TypeError) as e:
-        raise ParseError(f"{path}: not a checkpoint manifest: {e}") from e
+        raise GapnetError(f"{path}: not a checkpoint manifest: {e}") from e
     if expected_spec is not None and expected_spec.fingerprint() != spec.fingerprint():
-        raise CheckpointMismatch(
+        raise GapnetError(
             f"checkpoint fingerprint {spec.fingerprint()[:12]} != "
             f"configured model fingerprint {expected_spec.fingerprint()[:12]}"
         )

@@ -6,7 +6,7 @@ float32 at runtime. The convolution kernels live in ``kernels``.
 
 import numpy as np
 
-from .errors import InvalidShape, NonFiniteTensor, RankError
+from .errors import GapnetError, NonFiniteTensor
 
 DTYPE = np.float32
 
@@ -21,9 +21,9 @@ def tensor(values, dtype=DTYPE):
 
 def check_shape(arr):
     if arr.ndim < 1:
-        raise InvalidShape(f"rank must be >= 1, got rank {arr.ndim}")
+        raise GapnetError(f"rank must be >= 1, got rank {arr.ndim}")
     if any(e < 1 for e in arr.shape):
-        raise InvalidShape(f"every extent must be >= 1, got shape {arr.shape}")
+        raise GapnetError(f"every extent must be >= 1, got shape {arr.shape}")
 
 
 def ensure_finite(arr, where):
@@ -35,5 +35,5 @@ def ensure_finite(arr, where):
 def mean_over_spatial(x):
     """Average (..., H, W, C) maps over their spatial positions, giving (..., C)."""
     if x.ndim < 3:
-        raise RankError(f"mean_over_spatial needs rank >= 3 input, got rank {x.ndim}")
+        raise GapnetError(f"mean_over_spatial needs rank >= 3 input, got rank {x.ndim}")
     return ensure_finite(x.mean(axis=(-3, -2)), "mean_over_spatial")

@@ -6,14 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backbone import write_atomic
-from .errors import (
-    ConfigInvalid,
-    DivergedLoss,
-    EmptySplit,
-    NonFiniteTensor,
-    ShapeMismatch,
-    require_counts,
-)
+from .errors import GapnetError, NonFiniteTensor, require_counts
 from .pipeline import decide
 
 IMPROVE_EPS = 1e-4  # absolute val-loss improvement that resets patience counters
@@ -31,14 +24,14 @@ class TrainConfig:
     min_lr: float = 1e-6
 
     def validate(self):
-        require_counts(ConfigInvalid, batch_size=self.batch_size, max_epochs=self.max_epochs,
+        require_counts(batch_size=self.batch_size, max_epochs=self.max_epochs,
                        early_stop_patience=self.early_stop_patience,
                        lr_plateau_patience=self.lr_plateau_patience)
         if not all(0 < lr < np.inf for lr in (self.learning_rate, self.min_lr)):  # NaN fails
-            raise ConfigInvalid(f"learning rates must be positive and finite, got learning_rate "
-                                f"{self.learning_rate!r}, min_lr {self.min_lr!r}")
+            raise GapnetError(f"learning rates must be positive and finite, got learning_rate "
+                              f"{self.learning_rate!r}, min_lr {self.min_lr!r}")
         if not 0.0 < self.lr_factor < 1.0:
-            raise ConfigInvalid(f"lr_factor must be in (0, 1), got {self.lr_factor}")
+            raise GapnetError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
         return self
 
 
@@ -78,7 +71,7 @@ class AdamState:
             p = layer.params[name]
             g = layer.grads[name]
             if g.shape != p.shape:
-                raise ShapeMismatch(f"{key}: grad shape {g.shape} != param shape {p.shape}")
+                raise GapnetError(f"{key}: grad shape {g.shape} != param shape {p.shape}")
             if key not in self.m:
                 self.m[key] = np.zeros_like(p)
                 self.v[key] = np.zeros_like(p)
@@ -205,9 +198,9 @@ def train_loop(model, dataset, config):
     """
     config.validate()
     if not dataset.train:
-        raise EmptySplit("train split is empty")
+        raise GapnetError("train split is empty")
     if not dataset.val:
-        raise EmptySplit("val split is empty")
+        raise GapnetError("val split is empty")
 
     rng = np.random.default_rng(config.seed)
     adam = AdamState()
@@ -235,13 +228,13 @@ def train_loop(model, dataset, config):
                     hits += int(np.sum(decide(p, model.spec.decision_threshold) == y))
                     model.backward(dldp / len(batch))
             except NonFiniteTensor as e:
-                raise DivergedLoss(f"epoch {epoch}: {e}") from e
+                raise GapnetError(f"epoch {epoch}: {e}") from e
             adam.step(params, lr)
         train_loss = float(np.mean(np.concatenate(losses)))
         train_acc = hits / len(dataset.train)
         val_loss, val_acc = _evaluate(model, dataset.val, config.batch_size)
         if not np.isfinite(train_loss) or not np.isfinite(val_loss):
-            raise DivergedLoss(f"non-finite loss at epoch {epoch}")
+            raise GapnetError(f"non-finite loss at epoch {epoch}")
         seconds = time.perf_counter() - t0
         logs.append(EpochLog(epoch, train_loss, train_acc, val_loss, val_acc, lr, seconds))
         val_history.append(val_loss)

@@ -617,6 +617,12 @@ def _fcnn_checkpoint(path):
     save_checkpoint(Model(spec, seed=21), path)
 
 
+def _escaping_sample_id(tmp_path):
+    save_manifest([ManifestRecord("../../escaped", "x.pgm", 1, "s")], tmp_path / "in.jsonl")
+    return ["prepare", str(tmp_path / "in.jsonl"), str(tmp_path / "out" / "sub" / "m.jsonl"),
+            "--seed", "1", "--level", "sample", "--image-size", "8"]
+
+
 def _report_to_a_directory(tmp_path):
     (tmp_path / "run").mkdir()
     (tmp_path / "run" / "metrics.json").write_text(
@@ -697,8 +703,27 @@ def _report_to_a_directory(tmp_path):
                  id="extract-checkpoint-of-another-spec"),
     pytest.param(_extract_checkpoint(lambda path: None), 2, "ckpt",
                  id="extract-checkpoint-missing"),
+    pytest.param(_escaping_sample_id, 1, "sample_id '../../escaped' is not a plain file name",
+                 id="sample-id-escapes-its-directory"),
+    pytest.param(_prepare_manifest(lambda t: [str(t / "m.jsonl")], seed="1.7"), 1,
+                 "gapnet prepare: argument --seed: invalid int value: '1.7'",
+                 id="prepare-seed-not-int"),
+    pytest.param(lambda t: ["fit"], 1, "gapnet: argument command: invalid choice: 'fit'",
+                 id="unknown-subcommand"),
+    pytest.param(_prepare_manifest(lambda t: [str(t / "m.jsonl"), "--balance-to", "-5"]), 1,
+                 "balance_to must be an integer >= 1, got -5", id="balance-to-negative"),
+    pytest.param(_prepare_manifest(lambda t: [str(t / "m.jsonl"), "--image-size", "0"]), 1,
+                 "image_size must be an integer >= 1, got 0", id="image-size-zero"),
 ])
 def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, setup, code, needle):
     assert main(setup(tmp_path)) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["prepare", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gapnet")

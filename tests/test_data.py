@@ -15,15 +15,7 @@ from gapnet.data import (
     save_manifest,
     split,
 )
-from gapnet.errors import (
-    BadFractions,
-    DuplicateId,
-    EmptyImage,
-    InvalidExtent,
-    NonSquareRotation,
-    ParseError,
-    TargetUnreachable,
-)
+from gapnet.errors import GapnetError
 from synth import save_pgm
 
 
@@ -49,17 +41,24 @@ def test_manifest_round_trip(tmp_path):
     assert load_manifest(tmp_path / "m.jsonl") == records
 
 
+@pytest.mark.parametrize("sample_id", ["", ".", "..", "a/b", "../../escaped"])
+def test_manifest_rejects_an_id_that_is_not_a_plain_file_name(tmp_path, sample_id):
+    save_manifest([ManifestRecord(sample_id, "a.pgm", 1, "s")], tmp_path / "m.jsonl")
+    with pytest.raises(GapnetError, match="is not a plain file name"):
+        load_manifest(tmp_path / "m.jsonl")
+
+
 def test_manifest_empty_and_duplicates(tmp_path):
     (tmp_path / "empty.jsonl").write_text("")
     assert load_manifest(tmp_path / "empty.jsonl") == []
 
     line = '{"sample_id": "s1", "path": "a.pgm", "label": 1, "subject_id": "x"}\n'
     (tmp_path / "dup.jsonl").write_text(line + line)
-    with pytest.raises(DuplicateId):
+    with pytest.raises(GapnetError, match="line 2: duplicate sample_id 's1'"):
         load_manifest(tmp_path / "dup.jsonl")
 
     (tmp_path / "bad.jsonl").write_text('{"sample_id": "s1"}\n')
-    with pytest.raises(ParseError, match="line 1"):
+    with pytest.raises(GapnetError, match="line 1: 'path'"):
         load_manifest(tmp_path / "bad.jsonl")
 
 
@@ -72,7 +71,7 @@ def test_histogram_equalize_examples():
                           img([[0, 0], [255, 255]]))
     assert np.array_equal(histogram_equalize(img([[10, 20, 30, 40]])),
                           img([[0, 85, 170, 255]]))
-    with pytest.raises(EmptyImage):
+    with pytest.raises(GapnetError, match="must be 2-D and non-empty"):
         histogram_equalize(np.zeros((0, 4), np.uint8))
 
 
@@ -97,7 +96,7 @@ def test_resize_bilinear():
     assert np.array_equal(out, img([[0, 64, 191, 255]]))
     assert np.array_equal(out, reference_bilinear(img([[0, 255]]), 4, 1))
 
-    with pytest.raises(InvalidExtent):
+    with pytest.raises(GapnetError, match="target extents must be >= 1"):
         resize_bilinear(x, 0, 4)
 
 
@@ -165,7 +164,7 @@ def test_augment_is_pixel_permutation():
 
 
 def test_augment_rejects_nonsquare_rotation():
-    with pytest.raises(NonSquareRotation):
+    with pytest.raises(GapnetError, match="rot90 needs a square image"):
         augment(rng_image(4, 6, seed=5), "rot90")
     augment(rng_image(4, 6, seed=5), "rot180")  # fine
 
@@ -201,7 +200,7 @@ def test_balance_determinism_and_noop():
     assert a[:len(manifest)] == manifest
     assert [r for r in a if r.label == 0] == [r for r in manifest if r.label == 0]
 
-    with pytest.raises(TargetUnreachable):
+    with pytest.raises(GapnetError, match="target 241 exceeds capacity 240"):
         balance_classes(manifest, 40 * 6 + 1, seed=5)
 
 
@@ -223,7 +222,7 @@ def test_rebalance_draws_only_free_ids():
     assert len({r.sample_id for r in out}) == len(out) == 22
     # capacity counts the free pairs: each original and its five transforms
     assert len(balance_classes(once, 240, seed=6)) == 2 * 240
-    with pytest.raises(TargetUnreachable, match="capacity 240"):
+    with pytest.raises(GapnetError, match="target 241 exceeds capacity 240"):
         balance_classes(once, 241, seed=6)
 
 
@@ -283,13 +282,13 @@ def test_split_assignment_is_pinned_at_both_levels():
 
 def test_split_rejects_bad_fractions():
     recs = mock_manifest(4, 4)
-    with pytest.raises(BadFractions):
+    with pytest.raises(GapnetError, match="fractions must sum to 1"):
         split(recs, (0.5, 0.6), seed=0)
-    with pytest.raises(BadFractions):
+    with pytest.raises(GapnetError, match="need 2 or 3 fractions"):
         split(recs, (1.0,), seed=0)
-    with pytest.raises(BadFractions):
+    with pytest.raises(GapnetError, match="fractions must be positive"):
         split(recs, (0.8, -0.2, 0.4), seed=0)
-    with pytest.raises(BadFractions):
+    with pytest.raises(GapnetError, match="fractions must be positive"):
         split(recs, (float("nan"), 1.0), seed=0)
 
 
@@ -300,7 +299,7 @@ def test_pgm_round_trip(tmp_path):
     save_pgm(x, tmp_path / "x.pgm")
     assert np.array_equal(load_pgm(tmp_path / "x.pgm"), x)
     (tmp_path / "bad.pgm").write_bytes(b"P2\n2 2\n255\n0 0 0 0")
-    with pytest.raises(ParseError):
+    with pytest.raises(GapnetError, match=r"not a binary PGM \(P5\) file"):
         load_pgm(tmp_path / "bad.pgm")
 
 
@@ -313,13 +312,15 @@ def test_pgm_header_comments_are_skipped(tmp_path):
     assert np.array_equal(load_pgm(tmp_path / "commented.pgm"), load_pgm(tmp_path / "plain.pgm"))
 
 
-@pytest.mark.parametrize("data", [
-    pytest.param(b"P5\n4 three\n255\n" + bytes(12), id="extent-not-a-number"),
-    pytest.param(b"P5\n4", id="header-cut-short"),
-    pytest.param(b"P5\n4 3\n65535\n" + bytes(24), id="maxval-not-255"),
-    pytest.param(b"P5\n4 3\n255\n" + bytes(11), id="payload-short"),
+@pytest.mark.parametrize("data, needle", [
+    pytest.param(b"P5\n4 three\n255\n" + bytes(12), "bad PGM header", id="extent-not-a-number"),
+    pytest.param(b"P5\n4", "bad PGM header", id="header-cut-short"),
+    pytest.param(b"P5\n4 3\n65535\n" + bytes(24), "only maxval 255 supported, got 65535",
+                 id="maxval-not-255"),
+    pytest.param(b"P5\n4 3\n255\n" + bytes(11), "expected 12 pixels, got 11",
+                 id="payload-short"),
 ])
-def test_pgm_bad_headers_raise_parse_error(tmp_path, data):
+def test_pgm_bad_headers_raise_parse_error(tmp_path, data, needle):
     (tmp_path / "bad.pgm").write_bytes(data)
-    with pytest.raises(ParseError):
+    with pytest.raises(GapnetError, match=needle):
         load_pgm(tmp_path / "bad.pgm")

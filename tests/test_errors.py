@@ -1,0 +1,61 @@
+"""The error design: a bad input raises ``GapnetError``, so the command line
+reports it in one line; any other exception type would reach the user as
+a traceback."""
+
+import ast
+import builtins
+from pathlib import Path
+
+import gapnet
+
+SOURCES = sorted(Path(gapnet.__file__).parent.glob("*.py"))
+RAISED = {"GapnetError", "NonFiniteTensor", "FileNotFoundError"}
+
+
+def _is_builtin_exception(name):
+    value = getattr(builtins, name, None)
+    return isinstance(value, type) and issubclass(value, BaseException)
+
+
+def _raises(tree):
+    """(enclosing class name or None, raise node) for every raise in ``tree``."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise):
+                found.append((cls, child))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_only_exception_classes_are_gapnet_error_and_non_finite_tensor():
+    classes = [node for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)]
+    exceptions = set()
+    grew = True
+    while grew:  # a class is an exception if one of its bases is
+        grew = False
+        for node in classes:
+            bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+            if node.name not in exceptions and any(
+                    b in exceptions or _is_builtin_exception(b) for b in bases):
+                exceptions.add(node.name)
+                grew = True
+    assert exceptions == {"GapnetError", "NonFiniteTensor"}
+
+
+def test_every_raise_names_a_type_the_command_line_reports():
+    wrong = []
+    for path in SOURCES:
+        for cls, node in _raises(ast.parse(path.read_text())):
+            if node.exc is None:  # a bare re-raise
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
+            stub = name == "NotImplementedError" and (path.name, cls) == ("nn.py", "Layer")
+            if name not in RAISED and not stub:
+                wrong.append(f"{path.name}:{node.lineno} raises {name}")
+    assert wrong == []

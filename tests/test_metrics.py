@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gapnet.errors import EmptyInput, EmptyMatrix, LengthMismatch
+from gapnet.errors import GapnetError
 from gapnet.metrics import (
     ConfusionMatrix,
     build_report,
@@ -32,9 +32,9 @@ def test_confusion_hand_counts():
     assert (cm.tp, cm.tn, cm.fp, cm.fn) == (3, 0, 0, 0)
     cm = confusion([1, 1, 0, 0, 1, 0], [1, 0, 0, 0, 1, 1])
     assert (cm.tp, cm.tn, cm.fp, cm.fn) == (2, 2, 1, 1)
-    with pytest.raises(EmptyInput):
+    with pytest.raises(GapnetError, match="no samples to score"):
         confusion([], [])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(GapnetError, match="1 predictions vs 2 labels"):
         confusion([1], [1, 0])
 
 
@@ -51,7 +51,7 @@ def test_degenerate_ratios_flagged():
     vals = metrics(ConfusionMatrix(tp=0, tn=5, fp=0, fn=0))
     assert vals.precision == 0.0 and "precision" in vals.undefined
     assert "recall" in vals.undefined and "f1" in vals.undefined
-    with pytest.raises(EmptyMatrix):
+    with pytest.raises(GapnetError, match="confusion matrix has no samples"):
         metrics(ConfusionMatrix())
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gapnet import kernels
-from gapnet.errors import InvalidRate, NoCachedForward, ShapeMismatch
+from gapnet.errors import GapnetError
 from gapnet.nn import (
     Conv1D,
     Conv2D,
@@ -36,9 +36,9 @@ def test_dense_projection_shape():
     layer = Dense(2048, 512, rng())
     out = layer.forward(np.ones((5, 2048), np.float32))
     assert out.shape == (5, 512)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(GapnetError, match=r"dense expects \(B, 2048\), got \(1, 2047\)"):
         layer.forward(np.ones((1, 2047), np.float32))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(GapnetError, match=r"dense expects \(B, 2048\), got \(2048,\)"):
         layer.forward(np.ones(2048, np.float32))  # one sample still needs its batch axis
 
 
@@ -71,10 +71,10 @@ def test_dense_backward_accumulates_and_returns_wt_grad():
 
 def test_backward_without_forward_raises():
     layer = Dense(2, 2, rng())
-    with pytest.raises(NoCachedForward):
+    with pytest.raises(GapnetError, match="Dense.backward without a train-mode forward"):
         layer.backward(np.ones((1, 2), np.float32))
     layer.forward(np.ones((1, 2), np.float32), train=False)  # eval forward does not cache
-    with pytest.raises(NoCachedForward):
+    with pytest.raises(GapnetError, match="Dense.backward without a train-mode forward"):
         layer.backward(np.ones((1, 2), np.float32))
 
 
@@ -96,9 +96,9 @@ def test_relu_subgradient():
 
 
 def test_dropout_contract():
-    with pytest.raises(InvalidRate):
+    with pytest.raises(GapnetError, match=r"dropout rate must be in \[0, 1\), got 1.0"):
         Dropout(1.0)
-    with pytest.raises(InvalidRate):
+    with pytest.raises(GapnetError, match=r"dropout rate must be in \[0, 1\), got -0.1"):
         Dropout(-0.1)
     x = np.random.default_rng(1).standard_normal(64).astype(np.float32)
     assert Dropout(0.7, seed=3).forward(x, train=False) is x  # eval identity, bitwise

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gapnet.errors import CheckpointMismatch, ShapeMismatch, SpecInvalid
+from gapnet.errors import GapnetError
 from gapnet.nn import Conv1D, Dense, Dropout, ReLU
 from gapnet.pipeline import (
     Model,
@@ -31,7 +31,7 @@ def test_feature_head_shapes():
     assert out.shape == (3, 512)
     head16 = build_feature_head(ModelSpec(backbone="toy_cnn", head_input_channels=16), rng)
     assert head16.forward(np.ones((1, 16), np.float32)).shape == (1, 512)
-    with pytest.raises(SpecInvalid):
+    with pytest.raises(GapnetError, match="projection_dim must be an integer >= 1, got 0"):
         build_feature_head(ModelSpec(projection_dim=0), rng)
 
 
@@ -64,21 +64,24 @@ def test_classifier_structures_and_param_counts():
 
 
 def test_spec_validation():
-    with pytest.raises(SpecInvalid):
+    with pytest.raises(GapnetError, match="unknown classifier 'nope'"):
         ModelSpec(classifier="nope").validate()
-    with pytest.raises(SpecInvalid):
+    with pytest.raises(GapnetError, match="dropout rates must be in"):
         ModelSpec(dropout_rates=(1.0, 0.3)).validate()
-    with pytest.raises(SpecInvalid):
+    with pytest.raises(GapnetError, match=r"hidden_widths\[0\] must be an integer >= 1"):
         ModelSpec(hidden_widths=(0, 128)).validate()
-    with pytest.raises(SpecInvalid):
+    with pytest.raises(GapnetError, match="toy_cnn emits 16 channels, spec says 99"):
         ModelSpec(backbone="toy_cnn", head_input_channels=99).validate()
-    with pytest.raises(SpecInvalid):  # no backbone to train
+    with pytest.raises(GapnetError, match="backbone_trainable needs a backbone to train"):
         ModelSpec(backbone="imported_features", backbone_trainable=True).validate()
-    for wrong_type in ({"head_input_channels": 2.5}, {"projection_dim": "512"},
-                       {"hidden_widths": (256, 128.0)}, {"conv_filters": True},
-                       {"conv_kernel": 3.0}, {"backbone_trainable": "no", **TOY},
-                       {"backbone_trainable": 0, **TOY}):
-        with pytest.raises(SpecInvalid):
+    for wrong_type, needle in (({"head_input_channels": 2.5}, "head_input_channels must be"),
+                               ({"projection_dim": "512"}, "projection_dim must be"),
+                               ({"hidden_widths": (256, 128.0)}, r"hidden_widths\[1\] must be"),
+                               ({"conv_filters": True}, "conv_filters must be"),
+                               ({"conv_kernel": 3.0}, "conv_kernel must be"),
+                               ({"backbone_trainable": "no", **TOY}, "not a bool: 'no'"),
+                               ({"backbone_trainable": 0, **TOY}, "not a bool: 0")):
+        with pytest.raises(GapnetError, match=needle):
             ModelSpec(**wrong_type).validate()
 
 
@@ -110,7 +113,8 @@ TOY = {"backbone": "toy_cnn", "head_input_channels": 16}
     (ModelSpec(**TOY), (1, 224, 224, 3)),  # frozen backbone: forward takes GAP vectors
 ])
 def test_forward_rejects_input_the_spec_does_not_describe(spec, shape):
-    with pytest.raises(ShapeMismatch):
+    needle = "toy backbone expects" if spec.backbone_trainable else r"dense expects \(B, 16\)"
+    with pytest.raises(GapnetError, match=needle):
         Model(spec, seed=0).forward(np.zeros(shape, np.float32))
 
 
@@ -158,7 +162,7 @@ def test_checkpoint_round_trip_and_mismatch(tmp_path):
     assert np.array_equal(restored.forward(restored.encode(x)[None]), p_before)
 
     other = ModelSpec(head_input_channels=16, backbone="toy_cnn", classifier="fcnn")
-    with pytest.raises(CheckpointMismatch):
+    with pytest.raises(GapnetError, match="checkpoint fingerprint"):
         load_checkpoint(tmp_path / "ckpt", expected_spec=other)
 
 
