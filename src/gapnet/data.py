@@ -61,7 +61,7 @@ def load_manifest(path):
                     split=obj.get("split", "unassigned"),
                     augmented_from=obj.get("augmented_from"),
                 ).validate()
-            except (ValueError, KeyError, TypeError) as e:
+            except (ValueError, KeyError, TypeError, GapnetError) as e:
                 raise GapnetError(f"{path}: line {lineno}: {e}") from e
             if rec.sample_id in seen:
                 raise GapnetError(f"{path}: line {lineno}: duplicate sample_id {rec.sample_id!r}")

@@ -359,7 +359,14 @@ def _extracted(out_dir):
     return [(p.name, p.read_bytes()) for p in sorted(out_dir.iterdir())]
 
 
-def test_second_head_trains_on_cached_gap_vectors(raw_dir, tmp_path, conv_calls):
+def _scored(run_dir):
+    """The bytes of what eval wrote, ``test_ms_per_image``'s line stripped."""
+    metrics = [line for line in (run_dir / "metrics.json").read_text().splitlines()
+               if '"test_ms_per_image"' not in line]
+    return metrics, [(run_dir / name).read_bytes() for name in ("confusion.csv", "confusion.svg")]
+
+
+def test_second_head_trains_on_cached_gap_vectors(raw_dir, tmp_path, capsys, conv_calls):
     manifest = _prepared(raw_dir, tmp_path)
     cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "dfn", "dfn")
     assert main(["train", str(cfg)]) == 0
@@ -376,9 +383,43 @@ def test_second_head_trains_on_cached_gap_vectors(raw_dir, tmp_path, conv_calls)
     assert len(conv_calls) == 2 * 30
     assert _run_bytes(tmp_path / "hit") == _run_bytes(tmp_path / "miss")
 
+    # eval scores the checkpoint's cached GAP vectors: its frozen backbone is the seed's
     conv_calls.clear()
-    assert main(["eval", str(cfg), str(tmp_path / "miss" / "checkpoint")]) == 0
-    assert len(conv_calls) == 2 * 6  # eval times the whole network, backbone included
+    capsys.readouterr()
+    evaluate = ["eval", str(cfg), str(tmp_path / "miss" / "checkpoint")]
+    assert main(evaluate) == 0
+    assert conv_calls == []
+    assert capsys.readouterr().out.endswith(", 6 of 6 inputs from the encode cache\n")
+    hit = _scored(tmp_path / "miss")
+
+    shutil.rmtree(manifest.parent / ".gapnet-cache")
+    assert main(evaluate) == 0
+    assert len(conv_calls) == 2 * 6
+    assert capsys.readouterr().out.endswith(", 0 of 6 inputs from the encode cache\n")
+    _one_segment(manifest, 6)
+    assert _scored(tmp_path / "miss") == hit
+
+
+def test_eval_of_a_split_train_never_read_caches_it(raw_dir, tmp_path, conv_calls):
+    manifest = tmp_path / "work" / "manifest.jsonl"
+    assert main(["prepare", str(raw_dir), str(manifest), "--seed", "3",
+                 "--split", "0.6,0.2,0.2", "--image-size", "224"]) == 0
+    tests = sum(rec.split == "test" for rec in load_manifest(manifest))
+    assert tests > 0
+    cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn", max_epochs=1)
+    assert main(["train", str(cfg)]) == 0
+    _one_segment(manifest, 30 - tests)
+
+    evaluate = ["eval", str(cfg), str(tmp_path / "run" / "checkpoint"), "--split", "test"]
+    conv_calls.clear()
+    assert main(evaluate) == 0
+    assert len(conv_calls) == 2 * tests
+    _one_segment(manifest, 30)
+    scored = _scored(tmp_path / "run")
+    conv_calls.clear()
+    assert main(evaluate) == 0
+    assert conv_calls == []
+    assert _scored(tmp_path / "run") == scored
 
 
 def test_extract_cache_hits_match_misses(raw_dir, tmp_path, conv_calls):
@@ -475,7 +516,27 @@ def test_unwritable_cache_runs_uncached_with_one_warning(raw_dir, tmp_path, caps
     assert _cache_files(manifest) == []
 
 
-def test_trainable_backbone_creates_no_cache(raw_dir, tmp_path):
+@pytest.mark.parametrize("block", [_cache_is_a_file, _cache_writes_denied])
+def test_unwritable_cache_evals_uncached_with_one_warning(raw_dir, tmp_path, capsys,
+                                                          monkeypatch, block):
+    scored = []
+    for name in ("cached", "blocked"):
+        manifest = _prepared(raw_dir, tmp_path / name)
+        cfg = write_config(tmp_path / name / "dfn.json", manifest, tmp_path / name / "run")
+        spec = ModelSpec.from_dict(json.loads(cfg.read_text())["model"])
+        save_checkpoint(Model(spec, seed=21), tmp_path / name / "ckpt")
+        if name == "blocked":
+            block(manifest, monkeypatch)
+        capsys.readouterr()
+        assert main(["eval", str(cfg), str(tmp_path / name / "ckpt")]) == 0
+        scored.append(_scored(tmp_path / name / "run"))
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and err.count("\n") == 1
+    assert _cache_files(manifest) == []
+    assert scored[0] == scored[1]
+
+
+def test_trainable_backbone_creates_no_cache(raw_dir, tmp_path, capsys, conv_calls):
     manifest = _prepared(raw_dir, tmp_path)
     cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn", max_epochs=1)
     obj = json.loads(cfg.read_text())
@@ -483,6 +544,11 @@ def test_trainable_backbone_creates_no_cache(raw_dir, tmp_path):
     cfg.write_text(json.dumps(obj))
     assert main(["train", str(cfg)]) == 0
     assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "vectors")]) == 0
+    conv_calls.clear()
+    capsys.readouterr()
+    assert main(["eval", str(cfg), str(tmp_path / "run" / "checkpoint")]) == 0
+    assert len(conv_calls) == 2 * 6  # the backbone runs on every scored image
+    assert capsys.readouterr().out.endswith(f"-> {tmp_path / 'run' / 'metrics.json'}\n")
     assert not (manifest.parent / ".gapnet-cache").exists()
 
 
@@ -623,6 +689,14 @@ def _escaping_sample_id(tmp_path):
             "--seed", "1", "--level", "sample", "--image-size", "8"]
 
 
+def _bad_record(line):
+    def setup(tmp_path):
+        cfg = _config(tmp_path)
+        (tmp_path / "m.jsonl").write_text(line + "\n")
+        return ["train", cfg]
+    return setup
+
+
 def _report_to_a_directory(tmp_path):
     (tmp_path / "run").mkdir()
     (tmp_path / "run" / "metrics.json").write_text(
@@ -705,6 +779,13 @@ def _report_to_a_directory(tmp_path):
                  id="extract-checkpoint-missing"),
     pytest.param(_escaping_sample_id, 1, "sample_id '../../escaped' is not a plain file name",
                  id="sample-id-escapes-its-directory"),
+    pytest.param(_bad_record('{"sample_id": "a", "path": "a.btft", "label": 2, '
+                             '"subject_id": "s"}'),
+                 1, "m.jsonl: line 1: a: label must be 0 or 1, got 2", id="record-label-2"),
+    pytest.param(_bad_record('{"sample_id": "..", "path": "a.btft", "label": 1, '
+                             '"subject_id": "s"}'),
+                 1, "m.jsonl: line 1: sample_id '..' is not a plain file name",
+                 id="record-sample-id-not-a-file-name"),
     pytest.param(_prepare_manifest(lambda t: [str(t / "m.jsonl")], seed="1.7"), 1,
                  "gapnet prepare: argument --seed: invalid int value: '1.7'",
                  id="prepare-seed-not-int"),
