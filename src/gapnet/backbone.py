@@ -95,19 +95,19 @@ def load_feature_map(path):
 
 
 class ToyBackbone(Sequential):
-    """Two strided conv+ReLU stages: (B, 224, 224, 3) -> (B, 53, 53, 16).
+    """Two strided conv+ReLU stages: (B, 224, 224, 1) -> (B, 53, 53, 16).
 
     A desk-scale stand-in for the frozen pretrained extractor; frozen by
     default, trainable on request (``ModelSpec.backbone_trainable``) for
     end-to-end gradient flow. A ``Sequential`` that checks its input shape.
     """
 
-    input_shape = (224, 224, 3)
+    input_shape = (224, 224, 1)
     output_channels = 16
 
     def __init__(self, rng):
         super().__init__([
-            Conv2D(3, 8, 5, 5, 2, rng),
+            Conv2D(1, 8, 5, 5, 2, rng),
             ReLU(),
             Conv2D(8, 16, 5, 5, 2, rng),
             ReLU(),

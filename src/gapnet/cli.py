@@ -143,7 +143,7 @@ def _scan_raw_dir(raw_dir):
 def _preprocess_image(img, size):
     img = datamod.histogram_equalize(img)
     img = datamod.resize_bilinear(img, size, size)
-    return datamod.replicate_channels(datamod.normalize(img))
+    return datamod.normalize(img)
 
 
 def cmd_prepare(args):

@@ -144,12 +144,6 @@ def normalize(img):
     return (img.astype(np.float32) / np.float32(255.0))[:, :, None]
 
 
-def replicate_channels(t):
-    if t.ndim != 3 or t.shape[2] != 1:
-        raise GapnetError(f"expected H x W x 1, got {t.shape}")
-    return np.repeat(t, 3, axis=2)
-
-
 def augment(img, transform):
     """Exact pixel permutations only; label-preserving by construction."""
     img = gray_image(img)
@@ -232,17 +226,18 @@ def _check_fractions(fractions):
 def split(manifest, fractions, seed, level="subject"):
     """Assign stratified train/val[/test] splits, deterministic under the seed.
 
-    The unit of assignment is a sample or, at SUBJECT level, a subject,
-    whose records all land in one split. A unit's stratum is its records'
-    majority label, ties -> tumor; a sample's is its own label.
+    The unit of assignment is a sample with its augmented twins or, at
+    SUBJECT level, a subject, whose records all land in one split. A unit's
+    stratum is its records' majority label, ties -> tumor.
     """
     names = _check_fractions(fractions)
     if level not in ("sample", "subject"):
         raise GapnetError(f"level must be 'sample' or 'subject', got {level!r}")
-    key = "sample_id" if level == "sample" else "subject_id"
+    units = [r.subject_id if level == "subject" else r.augmented_from or r.sample_id
+             for r in manifest]
     labels = {}
-    for r in manifest:
-        labels.setdefault(getattr(r, key), []).append(r.label)
+    for u, r in zip(units, manifest):
+        labels.setdefault(u, []).append(r.label)
     rng = np.random.default_rng(seed)
     assignment = {}
     for label in (0, 1):
@@ -255,7 +250,7 @@ def split(manifest, fractions, seed, level="subject"):
             for k in perm[cursor:cursor + count]:
                 assignment[group[k]] = name
             cursor += count
-    return [replace(r, split=assignment[getattr(r, key)]) for r in manifest]
+    return [replace(r, split=assignment[u]) for u, r in zip(units, manifest)]
 
 
 # ------------------------------------------------------- PGM (P5) raster i/o

@@ -41,31 +41,26 @@ def conv1d_backward(x, w, g):
     return dx, dw, db
 
 
+def _conv2d_windows(x, kh, kw, stride):
+    # x: (..., H, W, C) -> (..., H', W', kh*kw*C), each window ordered like w.reshape(-1, Cout)
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(-3, -2))
+    win = np.moveaxis(win[..., ::stride, ::stride, :, :, :], -3, -1)
+    return win.reshape(win.shape[:-3] + (-1,))
+
+
 def conv2d_forward(x, w, b, stride):
     # x: (..., H, W, Cin), w: (kh, kw, Cin, Cout), b: (Cout,) -> (..., H', W', Cout)
-    kh, kw = w.shape[0], w.shape[1]
-    h2 = (x.shape[-3] - kh) // stride + 1
-    w2 = (x.shape[-2] - kw) // stride + 1
-    out = np.zeros(x.shape[:-3] + (h2, w2, w.shape[3]), dtype=x.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            xs = x[..., u:u + h2 * stride:stride, v:v + w2 * stride:stride, :]
-            out += xs @ w[u, v]
-    out += b
-    return out
+    cols = _conv2d_windows(x, w.shape[0], w.shape[1], stride)
+    out = cols.reshape(-1, cols.shape[-1]) @ w.reshape(-1, w.shape[3]) + b
+    return out.reshape(cols.shape[:-1] + (w.shape[3],))
 
 
 def conv2d_weight_grads(x, w, g, stride):
     # g: (..., H', W', Cout) -> dw (kh, kw, Cin, Cout), db (Cout,)
-    kh, kw = w.shape[0], w.shape[1]
-    h2, w2 = g.shape[-3], g.shape[-2]
-    lead = tuple(range(g.ndim - 1))  # batch and spatial axes, summed over
-    dw = np.zeros_like(w)
-    for u in range(kh):
-        for v in range(kw):
-            xs = x[..., u:u + h2 * stride:stride, v:v + w2 * stride:stride, :]
-            dw[u, v] = np.tensordot(xs, g, axes=(lead, lead))
-    return dw, g.sum(axis=lead)
+    cols = _conv2d_windows(x, w.shape[0], w.shape[1], stride)
+    g_rows = g.reshape(-1, g.shape[-1])
+    dw = cols.reshape(-1, cols.shape[-1]).T @ g_rows
+    return dw.reshape(w.shape), g_rows.sum(axis=0)
 
 
 def conv2d_backward(x, w, g, stride):

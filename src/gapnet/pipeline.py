@@ -123,7 +123,7 @@ class Model:
     point, into two ``Sequential`` parts: ``frozen``, which training never
     changes (frozen backbone and GAP, or GAP alone for imported maps;
     nothing when the backbone trains), and ``trained``, the rest. A raw
-    input is a 224x224x3 image for toy_cnn, an HxWx``head_input_channels``
+    input is a 224x224x1 image for toy_cnn, an HxWx``head_input_channels``
     map for imported features. ``encode`` runs ``frozen`` on one raw input
     (or returns it when nothing is frozen); ``forward`` and ``backward``
     run ``trained``, the classifier and the sigmoid on a batch of encoded

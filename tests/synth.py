@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gapnet.data import ManifestRecord, gray_image, normalize, replicate_channels
+from gapnet.data import ManifestRecord, gray_image, normalize
 
 
 def blob_dataset(n_subjects=40, per_subject=10, size=224, seed=123):
@@ -37,7 +37,8 @@ def as_records(samples):
 
 
 def as_model_input(img):
-    return replicate_channels(normalize(img))
+    """A gray image as the toy backbone's (H, W, 1) input, as ``prepare`` writes it."""
+    return normalize(img)
 
 
 def save_pgm(img, path):

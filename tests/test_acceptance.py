@@ -108,6 +108,45 @@ def brute_conv1d(x, kern, b):
                      for t in range(n - k + 1)])
 
 
+def brute_conv2d(x, w, b, g, stride):
+    """Explicit window loops over one (N, H, W, C) stack: the output, dW and db."""
+    kh, kw = w.shape[:2]
+    h2, w2 = g.shape[1:3]
+    out = np.zeros(g.shape)
+    dw = np.zeros(w.shape)
+    for n in range(x.shape[0]):
+        for i in range(h2):
+            for j in range(w2):
+                window = x[n, i * stride:i * stride + kh, j * stride:j * stride + kw, :, None]
+                out[n, i, j] = (window * w).sum(axis=(0, 1, 2)) + b
+                dw += window * g[n, i, j]
+    return out, dw, g.sum(axis=(0, 1, 2))
+
+
+def test_conv2d_kernels_match_brute_force_windows():
+    rng = np.random.default_rng(2025)
+    for c in (1, 3, 8):
+        for stride in (1, 2, 3):
+            for lead in ((), (2,), (2, 3)):
+                kh, kw = (int(v) for v in rng.integers(1, 4, 2))
+                # extents that leave (H - k) % stride rows the stride never reaches
+                height = kh + stride * int(rng.integers(1, 4)) + stride - 1
+                width = kw + stride * int(rng.integers(1, 4)) + int(rng.integers(0, stride))
+                x = rng.standard_normal(lead + (height, width, c)).astype(np.float32)
+                w = rng.standard_normal((kh, kw, c, 3)).astype(np.float32)
+                b = rng.standard_normal(3).astype(np.float32)
+                out = kernels.conv2d_forward(x, w, b, stride)
+                g = rng.standard_normal(out.shape).astype(np.float32)
+                dw, db = kernels.conv2d_weight_grads(x, w, g, stride)
+                flat = (-1,) + x.shape[-3:]
+                want = brute_conv2d(x.reshape(flat).astype(np.float64), w.astype(np.float64),
+                                    b, g.reshape((-1,) + g.shape[-3:]).astype(np.float64),
+                                    stride)
+                assert out.shape == lead + want[0].shape[1:]
+                for got, ref in zip((out.reshape(want[0].shape), dw, db), want):
+                    assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
 def test_criterion_2_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)

@@ -115,13 +115,13 @@ def test_malformed_files(tmp_path):
 
 def test_toy_backbone_shapes_and_zero_propagation():
     bb = ToyBackbone(np.random.default_rng(2))
-    out = bb.forward(np.zeros((2, 224, 224, 3), np.float32))
+    out = bb.forward(np.zeros((2, 224, 224, 1), np.float32))
     assert out.shape == (2, 53, 53, 16)
     assert not np.any(out)
     with pytest.raises(GapnetError, match="toy backbone expects"):
-        bb.forward(np.zeros((1, 64, 64, 3), np.float32))
+        bb.forward(np.zeros((1, 64, 64, 1), np.float32))
     with pytest.raises(GapnetError, match="toy backbone expects"):
-        bb.forward(np.zeros((224, 224, 3), np.float32))  # no batch axis
+        bb.forward(np.zeros((224, 224, 1), np.float32))  # no batch axis
 
 
 def test_conv_shape_formula_property():
@@ -139,8 +139,8 @@ def test_conv_shape_formula_property():
 def test_gradient_flows_through_both_conv_layers():
     # same two-stage structure as the toy backbone, desk-sized extents
     bb = ToyBackbone(np.random.default_rng(4))
-    bb.input_shape = (13, 13, 3)
-    x = np.random.default_rng(5).standard_normal((2, 13, 13, 3)).astype(np.float32) * 0.5
+    bb.input_shape = (13, 13, 1)
+    x = np.random.default_rng(5).standard_normal((2, 13, 13, 1)).astype(np.float32) * 0.5
     report = gradient_check(bb, x, rng=np.random.default_rng(6))
     assert report.passed, report.per_param
     assert "input" in report.per_param

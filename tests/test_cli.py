@@ -622,7 +622,7 @@ def _bad_metrics(text):
 
 def _bad_timing(text):
     def setup(tmp_path):
-        save_tensor(np.zeros((224, 224, 3), np.float32), tmp_path / "x.btft")
+        save_tensor(np.zeros((224, 224, 1), np.float32), tmp_path / "x.btft")
         save_manifest([ManifestRecord("x", "x.btft", 1, "s", split="val")], tmp_path / "m.jsonl")
         cfg = write_config(tmp_path / "c.json", tmp_path / "m.jsonl", tmp_path / "run")
         spec = ModelSpec.from_dict(json.loads(cfg.read_text())["model"])
@@ -646,6 +646,12 @@ def _missing_record_tensor(tmp_path):
     save_manifest([ManifestRecord("x", "x.btft", 1, "s", split="train")], tmp_path / "m.jsonl")
     return ["train", str(write_config(tmp_path / "c.json", tmp_path / "m.jsonl",
                                       tmp_path / "run"))]
+
+
+def _three_channel_record_tensor(tmp_path):
+    args = _missing_record_tensor(tmp_path)
+    save_tensor(np.zeros((224, 224, 3), np.float32), tmp_path / "x.btft")
+    return args
 
 
 def _missing_checkpoint_param(tmp_path):
@@ -681,6 +687,13 @@ def _fcnn_checkpoint(path):
     spec = ModelSpec.from_dict({"backbone": "toy_cnn", "head_input_channels": 16,
                                 "classifier": "fcnn"})
     save_checkpoint(Model(spec, seed=21), path)
+
+
+def _three_channel_toy_checkpoint(path):
+    spec = ModelSpec.from_dict({"backbone": "toy_cnn", "head_input_channels": 16,
+                                "classifier": "dfn"})
+    save_checkpoint(Model(spec, seed=21), path)
+    save_tensor(np.zeros((5, 5, 3, 8), np.float32), path / "params" / "backbone.0.w.btft")
 
 
 def _escaping_sample_id(tmp_path):
@@ -773,6 +786,10 @@ def _report_to_a_directory(tmp_path):
                  id="augmented-id-names-no-transform"),
     pytest.param(_missing_record_tensor, 2, "x.btft", id="record-tensor-missing"),
     pytest.param(_missing_checkpoint_param, 2, "clf.0.w.btft", id="checkpoint-param-missing"),
+    pytest.param(_three_channel_record_tensor, 1, "toy backbone expects (B, *(224, 224, 1))",
+                 id="record-tensor-has-three-channels"),
+    pytest.param(_extract_checkpoint(_three_channel_toy_checkpoint), 1,
+                 "backbone.0.w: checkpoint shape (5, 5, 3, 8)", id="toy-checkpoint-three-channels"),
     pytest.param(_extract_checkpoint(_fcnn_checkpoint), 1, "fingerprint",
                  id="extract-checkpoint-of-another-spec"),
     pytest.param(_extract_checkpoint(lambda path: None), 2, "ckpt",

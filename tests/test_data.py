@@ -10,7 +10,6 @@ from gapnet.data import (
     load_manifest,
     load_pgm,
     normalize,
-    replicate_channels,
     resize_bilinear,
     save_manifest,
     split,
@@ -131,16 +130,13 @@ def test_resize_matches_reference_on_random_images():
             assert np.abs(got - want).max() <= 1
 
 
-def test_normalize_and_replicate():
+def test_normalize():
     x = img([[0, 51], [255, 102]])
     t = normalize(x)
     assert t.shape == (2, 2, 1) and t.dtype == np.float32
     assert t[0, 0, 0] == 0.0 and t[1, 0, 0] == 1.0
     assert abs(t[0, 1, 0] - 0.2) < 1e-7
     assert np.all(t >= 0.0) and np.all(t <= 1.0)
-    r = replicate_channels(t)
-    assert r.shape == (2, 2, 3)
-    assert np.array_equal(r[:, :, 0], r[:, :, 1]) and np.array_equal(r[:, :, 1], r[:, :, 2])
 
 
 # ------------------------------------------------------- augmentation
@@ -278,6 +274,17 @@ def test_split_assignment_is_pinned_at_both_levels():
     for level, splits in expected.items():
         out = split(recs, (0.5, 0.25, 0.25), seed=11, level=level)
         assert " ".join(r.split[:2] for r in out) == splits
+
+
+@pytest.mark.parametrize("level", ["sample", "subject"])
+def test_augmented_twins_share_their_source_split(level):
+    # every augmentation permutes pixels, so a twin across splits leaks its image
+    recs = balance_classes(mock_manifest(12, 40), 40, seed=4)
+    for seed in range(6):
+        out = split(recs, (0.6, 0.2, 0.2), seed=seed, level=level)
+        where = {r.sample_id: r.split for r in out}
+        assert [r.sample_id for r in out
+                if r.augmented_from and r.split != where[r.augmented_from]] == []
 
 
 def test_split_rejects_bad_fractions():

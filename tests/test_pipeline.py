@@ -110,7 +110,7 @@ TOY = {"backbone": "toy_cnn", "head_input_channels": 16}
 
 @pytest.mark.parametrize("spec, shape", [
     (ModelSpec(backbone_trainable=True, **TOY), (1, 53, 53, 16)),  # trainable backbone wants images
-    (ModelSpec(**TOY), (1, 224, 224, 3)),  # frozen backbone: forward takes GAP vectors
+    (ModelSpec(**TOY), (1, 224, 224, 1)),  # frozen backbone: forward takes GAP vectors
 ])
 def test_forward_rejects_input_the_spec_does_not_describe(spec, shape):
     needle = "toy backbone expects" if spec.backbone_trainable else r"dense expects \(B, 16\)"
@@ -122,7 +122,7 @@ def test_frozen_encode_then_forward_equals_full_pass_bitwise():
     frozen = Model(ModelSpec(**TOY), seed=3)
     # same seed, same weights; the trainable backbone runs inside forward
     full = Model(ModelSpec(backbone_trainable=True, **TOY), seed=3)
-    img = np.random.default_rng(4).standard_normal((224, 224, 3)).astype(np.float32)
+    img = np.random.default_rng(4).standard_normal((224, 224, 1)).astype(np.float32)
     z = frozen.encode(img)
     assert z.shape == (16,)  # the frozen prefix ends with GAP
     assert full.encode(img) is img
@@ -155,7 +155,7 @@ def test_decide_rule():
 def test_checkpoint_round_trip_and_mismatch(tmp_path):
     spec = ModelSpec(head_input_channels=16, backbone="toy_cnn")
     model = Model(spec, seed=8)
-    x = np.random.default_rng(9).standard_normal((224, 224, 3)).astype(np.float32)
+    x = np.random.default_rng(9).standard_normal((224, 224, 1)).astype(np.float32)
     p_before = model.forward(model.encode(x)[None])
     save_checkpoint(model, tmp_path / "ckpt")
     restored = load_checkpoint(tmp_path / "ckpt", expected_spec=spec)
@@ -207,8 +207,8 @@ def test_whole_trainable_model_gradients_on_a_batch():
     model = Model(ModelSpec(backbone_trainable=True, classifier="fcnn", projection_dim=4,
                             hidden_widths=(3,), **TOY), seed=2)
     # desk-sized images; the two conv stages take any extent from 13 up
-    model.backbone.input_shape = (13, 13, 3)
-    x = np.random.default_rng(22).standard_normal((2, 13, 13, 3)).astype(np.float32)
+    model.backbone.input_shape = (13, 13, 1)
+    x = np.random.default_rng(22).standard_normal((2, 13, 13, 1)).astype(np.float32)
     # a small step keeps the differences clear of the conv stages' ReLU kinks
     report = gradient_check(model, x, h=1e-5, rng=np.random.default_rng(23))
     assert report.passed, report.per_param
@@ -243,8 +243,8 @@ def test_model_backward_skips_input_grad_by_default_bitwise(trainable):
     if trainable:
         model = Model(ModelSpec(backbone_trainable=True, classifier="fcnn", projection_dim=6,
                                 hidden_widths=(5,), **TOY), seed=3)
-        model.backbone.input_shape = (13, 13, 3)  # desk-sized images
-        z = rng.standard_normal((2, 13, 13, 3)).astype(np.float32)
+        model.backbone.input_shape = (13, 13, 1)  # desk-sized images
+        z = rng.standard_normal((2, 13, 13, 1)).astype(np.float32)
     else:
         model = Model(ModelSpec(head_input_channels=8, classifier="fcnn", projection_dim=6,
                                 hidden_widths=(5,)), seed=3)

@@ -189,9 +189,9 @@ def test_rows_per_forward_pass(trainable, expected_rows):
     model = Model(ModelSpec(backbone="toy_cnn", head_input_channels=16,
                             backbone_trainable=trainable, projection_dim=8,
                             hidden_widths=(4,), dropout_rates=(0.0,)), seed=3)
-    model.backbone.input_shape = (13, 13, 3)  # desk-sized images
+    model.backbone.input_shape = (13, 13, 1)  # desk-sized images
     rng = np.random.default_rng(4)
-    imgs = [rng.standard_normal((13, 13, 3)).astype(np.float32) for _ in range(16)]
+    imgs = [rng.standard_normal((13, 13, 1)).astype(np.float32) for _ in range(16)]
     samples = [(model.encode(x), i % 2) for i, x in enumerate(imgs)]
     rows = []
     forward = model.forward
@@ -207,9 +207,9 @@ def test_trainable_backbone_never_computes_the_image_gradient(monkeypatch):
     model = Model(ModelSpec(backbone="toy_cnn", head_input_channels=16,
                             backbone_trainable=True, projection_dim=8,
                             hidden_widths=(4,), dropout_rates=(0.0,)), seed=3)
-    model.backbone.input_shape = (13, 13, 3)  # desk-sized images
+    model.backbone.input_shape = (13, 13, 1)  # desk-sized images
     rng = np.random.default_rng(6)
-    samples = [(rng.standard_normal((13, 13, 3)).astype(np.float32), i % 2) for i in range(6)]
+    samples = [(rng.standard_normal((13, 13, 1)).astype(np.float32), i % 2) for i in range(6)]
     cin = {}  # kernel name -> input channels of each call
 
     def spy(name):
@@ -226,4 +226,4 @@ def test_trainable_backbone_never_computes_the_image_gradient(monkeypatch):
                cfg(seed=7, max_epochs=1, batch_size=2))
     # stage 2 still passes dL/d(input) down to stage 1, which stops at its weights
     assert set(cin["conv2d_backward"]) == {8}
-    assert 3 in cin["conv2d_weight_grads"]
+    assert 1 in cin["conv2d_weight_grads"]
