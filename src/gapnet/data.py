@@ -4,6 +4,7 @@ Gray images are uint8 numpy arrays of shape (height, width). Manifests
 are newline-delimited JSON, one flat record per line, order preserving.
 """
 
+import functools
 import json
 import math
 import os
@@ -33,8 +34,8 @@ class ManifestRecord:
         name = str(self.sample_id)  # names the files prepare and extract write
         if name in ("", ".", "..") or "/" in name or os.sep in name:
             raise GapnetError(f"sample_id {self.sample_id!r} is not a plain file name")
-        if self.label not in (0, 1):
-            raise GapnetError(f"{self.sample_id}: label must be 0 or 1, got {self.label}")
+        if type(self.label) is not int or self.label not in (0, 1):  # not 0.9, "1" or true
+            raise GapnetError(f"{self.sample_id}: label must be 0 or 1, got {self.label!r}")
         if self.plane not in PLANES:
             raise GapnetError(f"{self.sample_id}: unknown plane {self.plane!r}")
         if self.split not in SPLITS:
@@ -55,7 +56,7 @@ def load_manifest(path):
                 rec = ManifestRecord(
                     sample_id=obj["sample_id"],
                     path=obj["path"],
-                    label=int(obj["label"]),
+                    label=obj["label"],
                     subject_id=obj["subject_id"],
                     plane=obj.get("plane", "unknown"),
                     split=obj.get("split", "unassigned"),
@@ -110,17 +111,12 @@ def histogram_equalize(img):
         return img.copy()
     lut = np.rint(255.0 * (cdf - cdf_min) / (1.0 - cdf_min))
     lut = np.clip(lut, 0, 255).astype(np.uint8)
-    return lut[img]
+    return np.take(lut, img)
 
 
-def resize_bilinear(img, out_w, out_h):
-    """Bilinear resample with half-pixel centers and clamped borders."""
-    img = gray_image(img)
-    if out_w < 1 or out_h < 1:
-        raise GapnetError(f"target extents must be >= 1, got {out_w}x{out_h}")
-    in_h, in_w = img.shape
-    if (out_h, out_w) == (in_h, in_w):
-        return img.copy()
+@functools.lru_cache(maxsize=8)
+def _resample_plan(in_h, in_w, out_h, out_w):
+    """Source indices, blend weights and scratch buffers of one resample shape."""
     sy = in_h / out_h
     sx = in_w / out_w
     src_y = np.clip((np.arange(out_h) + 0.5) * sy - 0.5, 0, in_h - 1)
@@ -130,12 +126,39 @@ def resize_bilinear(img, out_w, out_h):
     y1 = np.minimum(y0 + 1, in_h - 1)
     x1 = np.minimum(x0 + 1, in_w - 1)
     fy = (src_y - y0)[:, None]
-    fx = (src_x - x0)[None, :]
-    f = img.astype(np.float64)
-    top = f[y0][:, x0] * (1 - fx) + f[y0][:, x1] * fx
-    bot = f[y1][:, x0] * (1 - fx) + f[y1][:, x1] * fx
-    out = top * (1 - fy) + bot * fy
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    fx = src_x - x0
+    return ((y0, y1, 1 - fy, fy), (x0, x1, 1 - fx, fx),
+            np.empty((in_h, out_w), np.uint8),
+            (np.empty((in_h, out_w)), np.empty((in_h, out_w))),
+            (np.empty((out_h, out_w)), np.empty((out_h, out_w))))
+
+
+def resize_bilinear(img, out_w, out_h):
+    """Bilinear resample with half-pixel centers and clamped borders.
+
+    Each input row is blended along x once, then the blended rows along y,
+    in scratch buffers kept with the shape's cached plan; only the returned
+    array is new. Not reentrant: two concurrent calls of one shape would
+    share those buffers.
+    """
+    img = gray_image(img)
+    if out_w < 1 or out_h < 1:
+        raise GapnetError(f"target extents must be >= 1, got {out_w}x{out_h}")
+    in_h, in_w = img.shape
+    if (out_h, out_w) == (in_h, in_w):
+        return img.copy()
+    plan = _resample_plan(in_h, in_w, out_h, out_w)
+    (y0, y1, wy0, wy1), (x0, x1, wx0, wx1), taken, (rows, part), (out, tmp) = plan
+    # mode="clip" keeps np.take from buffering; every index is in range already
+    np.multiply(np.take(img, x0, axis=1, out=taken, mode="clip"), wx0, out=rows)
+    np.multiply(np.take(img, x1, axis=1, out=taken, mode="clip"), wx1, out=part)
+    np.add(rows, part, out=rows)
+    np.multiply(np.take(rows, y0, axis=0, out=out, mode="clip"), wy0, out=out)
+    np.multiply(np.take(rows, y1, axis=0, out=tmp, mode="clip"), wy1, out=tmp)
+    np.add(out, tmp, out=out)
+    np.rint(out, out=out)
+    np.clip(out, 0, 255, out=out)
+    return out.astype(np.uint8)
 
 
 def normalize(img):

@@ -799,6 +799,12 @@ def _report_to_a_directory(tmp_path):
     pytest.param(_bad_record('{"sample_id": "a", "path": "a.btft", "label": 2, '
                              '"subject_id": "s"}'),
                  1, "m.jsonl: line 1: a: label must be 0 or 1, got 2", id="record-label-2"),
+    pytest.param(_bad_record('{"sample_id": "a", "path": "a.btft", "label": 0.9, '
+                             '"subject_id": "s"}'),
+                 1, "m.jsonl: line 1: a: label must be 0 or 1, got 0.9", id="record-label-0.9"),
+    pytest.param(_bad_record('{"sample_id": "a", "path": "a.btft", "label": true, '
+                             '"subject_id": "s"}'),
+                 1, "m.jsonl: line 1: a: label must be 0 or 1, got True", id="record-label-true"),
     pytest.param(_bad_record('{"sample_id": "..", "path": "a.btft", "label": 1, '
                              '"subject_id": "s"}'),
                  1, "m.jsonl: line 1: sample_id '..' is not a plain file name",

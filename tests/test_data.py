@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gapnet.backbone import load_feature_map
+from gapnet.cli import main
 from gapnet.data import (
     ManifestRecord,
     TRANSFORMS,
@@ -15,7 +17,7 @@ from gapnet.data import (
     split,
 )
 from gapnet.errors import GapnetError
-from synth import save_pgm
+from synth import blob_dataset, save_pgm
 
 
 def img(values):
@@ -59,6 +61,14 @@ def test_manifest_empty_and_duplicates(tmp_path):
     (tmp_path / "bad.jsonl").write_text('{"sample_id": "s1"}\n')
     with pytest.raises(GapnetError, match="line 1: 'path'"):
         load_manifest(tmp_path / "bad.jsonl")
+
+
+@pytest.mark.parametrize("label", ["0.9", "1.7", "1.0", '"1"', "true", "null"])
+def test_manifest_label_must_be_a_json_integer_0_or_1(tmp_path, label):
+    (tmp_path / "m.jsonl").write_text(
+        f'{{"sample_id": "a", "path": "a.pgm", "label": {label}, "subject_id": "s"}}\n')
+    with pytest.raises(GapnetError, match="line 1: a: label must be 0 or 1, got "):
+        load_manifest(tmp_path / "m.jsonl")
 
 
 # ------------------------------------------------------- preprocessing
@@ -128,6 +138,111 @@ def test_resize_matches_reference_on_random_images():
             got = resize_bilinear(src, out_w, out_h).astype(int)
             want = reference_bilinear(src, out_w, out_h).astype(int)
             assert np.abs(got - want).max() <= 1
+
+
+def oracle_equalize(img):
+    """Histogram equalization by fancy-indexing the lookup table."""
+    counts = np.bincount(img.ravel(), minlength=256)
+    cdf = counts.cumsum() / img.size
+    cdf_min = cdf[np.nonzero(counts)[0][0]]
+    if cdf_min == 1.0:
+        return img.copy()
+    lut = np.clip(np.rint(255.0 * (cdf - cdf_min) / (1.0 - cdf_min)), 0, 255).astype(np.uint8)
+    return lut[img]
+
+
+def oracle_resize(img, out_w, out_h):
+    """Four-corner vectorised bilinear resample: the products and sums, in
+    their order, that ``resize_bilinear`` must reproduce bit for bit."""
+    in_h, in_w = img.shape
+    if (out_h, out_w) == (in_h, in_w):
+        return img.copy()
+    src_y = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0, in_h - 1)
+    src_x = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0, in_w - 1)
+    y0 = np.floor(src_y).astype(np.intp)
+    x0 = np.floor(src_x).astype(np.intp)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    fy = (src_y - y0)[:, None]
+    fx = (src_x - x0)[None, :]
+    f = img.astype(np.float64)
+    top = f[y0][:, x0] * (1 - fx) + f[y0][:, x1] * fx
+    bot = f[y1][:, x0] * (1 - fx) + f[y1][:, x1] * fx
+    return np.clip(np.rint(top * (1 - fy) + bot * fy), 0, 255).astype(np.uint8)
+
+
+# (in_h, in_w, out_h, out_w): down, up, non-square, 1 x N, N x 1 and identity extents
+RESAMPLE_SHAPES = [(256, 256, 224, 224), (64, 64, 224, 224), (37, 91, 64, 23), (91, 37, 12, 150),
+                   (1, 40, 1, 17), (1, 17, 5, 40), (40, 1, 13, 1), (17, 1, 40, 3), (1, 1, 7, 9),
+                   (5, 9, 1, 1), (12, 9, 12, 9), (30, 30, 29, 31), (7, 300, 300, 7)]
+
+
+def test_preprocessing_matches_the_oracles_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for in_h, in_w, out_h, out_w in RESAMPLE_SHAPES:
+        for _ in range(3):
+            x = rng.integers(0, 256, (in_h, in_w)).astype(np.uint8)
+            assert np.array_equal(resize_bilinear(x, out_w, out_h),
+                                  oracle_resize(x, out_w, out_h)), (in_h, in_w, out_h, out_w)
+            x = rng.integers(rng.integers(0, 200), 256, (in_h, in_w)).astype(np.uint8)
+            assert np.array_equal(histogram_equalize(x), oracle_equalize(x))
+    for _ in range(100):
+        in_h, in_w, out_h, out_w = (int(v) for v in rng.integers(1, 300, 4))
+        x = rng.integers(0, 256, (in_h, in_w)).astype(np.uint8)
+        assert np.array_equal(resize_bilinear(x, out_w, out_h), oracle_resize(x, out_w, out_h))
+
+
+def test_resize_reuses_plans_without_aliasing_its_results():
+    a = rng_image(256, 256, seed=20)
+    b = rng_image(31, 47, seed=21)
+    first = resize_bilinear(a, 224, 224)
+    kept = first.copy()
+    for x, out_w, out_h in ((b, 224, 224), (a, 224, 224), (b, 224, 224), (a, 13, 224)):
+        assert np.array_equal(resize_bilinear(x, out_w, out_h), oracle_resize(x, out_w, out_h))
+    assert np.array_equal(first, kept)  # later calls wrote no byte of an earlier result
+    assert not np.shares_memory(resize_bilinear(a, 224, 224), resize_bilinear(a, 224, 224))
+
+
+def test_resize_faults_in_no_fresh_pages_per_call():
+    resource = pytest.importorskip("resource")
+    x = rng_image(256, 256, seed=22)
+    for _ in range(5):
+        resize_bilinear(x, 224, 224)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        resize_bilinear(x, 224, 224)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 50 < 50, f"{faults / 50:.0f} minor page faults per call"
+
+
+@pytest.fixture(scope="module")
+def raw_images(tmp_path_factory):
+    root = tmp_path_factory.mktemp("raw")
+    images = {}
+    for subj, label, im in blob_dataset(n_subjects=4, per_subject=3, size=40, seed=14):
+        sub = root / ("tumor" if label else "non_tumor")
+        sub.mkdir(exist_ok=True)
+        stem = f"{subj}_axial_{len(list(sub.glob(f'{subj}_*')))}"
+        save_pgm(im, sub / f"{stem}.pgm")
+        images[stem] = im
+    return root, images
+
+
+@pytest.mark.parametrize("size", [24, 40, 57])
+def test_prepare_writes_the_oracle_tensor_of_every_record(raw_images, tmp_path, size):
+    root, images = raw_images
+    out = tmp_path / "m.jsonl"
+    assert main(["prepare", str(root), str(out), "--seed", "2", "--balance-to", "9",
+                 "--level", "sample", "--image-size", str(size)]) == 0
+    records = load_manifest(out)
+    assert sum(r.augmented_from is not None for r in records) == 6
+    for rec in records:
+        src = images[rec.augmented_from or rec.sample_id]
+        if rec.augmented_from is not None:
+            src = augment(src, rec.sample_id.removeprefix(f"{rec.augmented_from}."))
+        want = normalize(oracle_resize(oracle_equalize(src), size, size))
+        got = load_feature_map(out.parent / rec.path)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), rec.sample_id
 
 
 def test_normalize():
