@@ -4,7 +4,6 @@ Gray images are uint8 numpy arrays of shape (height, width). Manifests
 are newline-delimited JSON, one flat record per line, order preserving.
 """
 
-import functools
 import json
 import math
 import os
@@ -104,19 +103,32 @@ def histogram_equalize(img):
     images come back unchanged.
     """
     img = gray_image(img)
-    counts = np.bincount(img.ravel(), minlength=256)
+    flat = img.ravel()
+    step = 1 << 16  # bincount copies its input as intp; chunks bound that copy
+    counts = sum(np.bincount(flat[at:at + step], minlength=256)
+                 for at in range(0, flat.size, step))
     cdf = counts.cumsum() / img.size
     cdf_min = cdf[np.nonzero(counts)[0][0]]
     if cdf_min == 1.0:  # single intensity level
         return img.copy()
     lut = np.rint(255.0 * (cdf - cdf_min) / (1.0 - cdf_min))
     lut = np.clip(lut, 0, 255).astype(np.uint8)
-    return np.take(lut, img)
+    return lut[img]  # np.take would copy img as intp
 
 
-@functools.lru_cache(maxsize=8)
+_plans = {}  # the plan of the last shape resampled, by shape
+
+
 def _resample_plan(in_h, in_w, out_h, out_w):
-    """Source indices, blend weights and scratch buffers of one resample shape."""
+    """Source indices, blend weights and scratch buffers of one resample shape.
+
+    Only the input rows the output reads (at most 2 * out_h) are kept, so
+    the buffers grow with the output and the input width, not the input.
+    """
+    key = (in_h, in_w, out_h, out_w)
+    if key in _plans:
+        return _plans[key]
+    _plans.clear()  # free the last shape's buffers before taking new ones
     sy = in_h / out_h
     sx = in_w / out_w
     src_y = np.clip((np.arange(out_h) + 0.5) * sy - 0.5, 0, in_h - 1)
@@ -127,17 +139,21 @@ def _resample_plan(in_h, in_w, out_h, out_w):
     x1 = np.minimum(x0 + 1, in_w - 1)
     fy = (src_y - y0)[:, None]
     fx = src_x - x0
-    return ((y0, y1, 1 - fy, fy), (x0, x1, 1 - fx, fx),
-            np.empty((in_h, out_w), np.uint8),
-            (np.empty((in_h, out_w)), np.empty((in_h, out_w))),
-            (np.empty((out_h, out_w)), np.empty((out_h, out_w))))
+    read, at = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    n = len(read)
+    _plans[key] = ((read, at[:out_h], at[out_h:], 1 - fy, fy), (x0, x1, 1 - fx, fx),
+                   (np.empty((n, in_w), np.uint8), np.empty((n, out_w), np.uint8)),
+                   (np.empty((n, out_w)), np.empty((n, out_w))),
+                   (np.empty((out_h, out_w)), np.empty((out_h, out_w))))
+    return _plans[key]
 
 
 def resize_bilinear(img, out_w, out_h):
     """Bilinear resample with half-pixel centers and clamped borders.
 
-    Each input row is blended along x once, then the blended rows along y,
-    in scratch buffers kept with the shape's cached plan; only the returned
+    Each input row the output reads is blended along x once, then those
+    rows along y, in scratch buffers kept with the plan of the last shape
+    resampled (the slices of one series share a shape); only the returned
     array is new. Not reentrant: two concurrent calls of one shape would
     share those buffers.
     """
@@ -148,10 +164,11 @@ def resize_bilinear(img, out_w, out_h):
     if (out_h, out_w) == (in_h, in_w):
         return img.copy()
     plan = _resample_plan(in_h, in_w, out_h, out_w)
-    (y0, y1, wy0, wy1), (x0, x1, wx0, wx1), taken, (rows, part), (out, tmp) = plan
+    (read, y0, y1, wy0, wy1), (x0, x1, wx0, wx1), (picked, taken), (rows, part), (out, tmp) = plan
     # mode="clip" keeps np.take from buffering; every index is in range already
-    np.multiply(np.take(img, x0, axis=1, out=taken, mode="clip"), wx0, out=rows)
-    np.multiply(np.take(img, x1, axis=1, out=taken, mode="clip"), wx1, out=part)
+    np.take(img, read, axis=0, out=picked, mode="clip")
+    np.multiply(np.take(picked, x0, axis=1, out=taken, mode="clip"), wx0, out=rows)
+    np.multiply(np.take(picked, x1, axis=1, out=taken, mode="clip"), wx1, out=part)
     np.add(rows, part, out=rows)
     np.multiply(np.take(rows, y0, axis=0, out=out, mode="clip"), wy0, out=out)
     np.multiply(np.take(rows, y1, axis=0, out=tmp, mode="clip"), wy1, out=tmp)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,10 +173,12 @@ def oracle_resize(img, out_w, out_h):
     return np.clip(np.rint(top * (1 - fy) + bot * fy), 0, 255).astype(np.uint8)
 
 
-# (in_h, in_w, out_h, out_w): down, up, non-square, 1 x N, N x 1 and identity extents
+# (in_h, in_w, out_h, out_w): down, up, non-square, 1 x N, N x 1 and identity extents;
+# 300 x 400 also spans two of histogram_equalize's bincount chunks
 RESAMPLE_SHAPES = [(256, 256, 224, 224), (64, 64, 224, 224), (37, 91, 64, 23), (91, 37, 12, 150),
                    (1, 40, 1, 17), (1, 17, 5, 40), (40, 1, 13, 1), (17, 1, 40, 3), (1, 1, 7, 9),
-                   (5, 9, 1, 1), (12, 9, 12, 9), (30, 30, 29, 31), (7, 300, 300, 7)]
+                   (5, 9, 1, 1), (12, 9, 12, 9), (30, 30, 29, 31), (7, 300, 300, 7),
+                   (300, 400, 224, 224)]
 
 
 def test_preprocessing_matches_the_oracles_bit_for_bit():
@@ -192,7 +196,7 @@ def test_preprocessing_matches_the_oracles_bit_for_bit():
         assert np.array_equal(resize_bilinear(x, out_w, out_h), oracle_resize(x, out_w, out_h))
 
 
-def test_resize_reuses_plans_without_aliasing_its_results():
+def test_resize_switching_shapes_never_aliases_a_result():
     a = rng_image(256, 256, seed=20)
     b = rng_image(31, 47, seed=21)
     first = resize_bilinear(a, 224, 224)
@@ -213,6 +217,37 @@ def test_resize_faults_in_no_fresh_pages_per_call():
         resize_bilinear(x, 224, 224)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / 50 < 50, f"{faults / 50:.0f} minor page faults per call"
+
+
+@pytest.fixture
+def traced():
+    """traced(fn, *args) -> (bytes ``fn(*args)`` left allocated, its peak bytes)."""
+    def run(fn, *args):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        now, peak = tracemalloc.get_traced_memory()
+        return now - base, peak - base
+    tracemalloc.start()
+    yield run
+    tracemalloc.stop()
+
+
+def test_preprocessing_memory_follows_the_image_not_eight_bytes_a_pixel(traced):
+    big = rng_image(2048, 2048, seed=23)  # 4 MiB; an intp or float64 copy is 32 MiB
+    _, peak = traced(histogram_equalize, big)
+    assert peak < 2 * big.nbytes, f"equalize peaked at {peak / 2**20:.1f} MiB"
+    _, peak = traced(resize_bilinear, big, 224, 224)
+    assert peak < big.nbytes, f"resize peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_resize_keeps_one_plan_sized_by_its_output(traced):
+    held, _ = traced(resize_bilinear, rng_image(4096, 64, seed=24), 224, 224)
+    assert held < 4 * 2**20, f"a 4096-row input left {held / 2**20:.1f} MiB held"
+    freed, peak = traced(resize_bilinear, rng_image(16, 16, seed=25), 224, 224)
+    held += freed
+    assert held < 1.5 * 2**20, f"{held / 2**20:.1f} MiB held after a 16x16 input"
+    assert peak < 64 * 2**10, f"a new shape's call peaked {peak / 2**10:.0f} KiB above the last plan"
 
 
 @pytest.fixture(scope="module")
