@@ -20,14 +20,16 @@ import numpy as np
 from . import data as datamod
 from .backbone import load_feature_map, save_tensor, write_atomic
 from .errors import GapnetError, require_counts
-from .metrics import (
-    build_report,
-    confusion,
-    render_confusion_csv,
-    render_confusion_svg,
-)
+from .metrics import confusion, metrics, render_confusion_csv, render_confusion_svg
 from .pipeline import Model, ModelSpec, decide, load_checkpoint, save_checkpoint
-from .train import Dataset, TrainConfig, passes, predict, train_loop, write_epoch_csv
+from .train import (
+    TrainConfig,
+    mean_seconds_per_epoch,
+    passes,
+    predict,
+    train_loop,
+    write_epoch_csv,
+)
 
 
 @dataclass
@@ -295,13 +297,14 @@ def _encoded_inputs(manifest, model):
 
 
 def build_dataset(config, model, splits):
-    """(encoded input, label) pairs of ``splits``, only the encoded rows kept,
-    and how many inputs came from the encode cache (None when nothing is
-    frozen, so nothing is cached): the frozen prefix runs once per file."""
-    dataset = Dataset()
+    """{split: (encoded input, label) pairs} of ``splits``, only the encoded
+    rows kept, and how many inputs came from the encode cache (None when
+    nothing is frozen, so nothing is cached): the frozen prefix runs once
+    per file."""
+    dataset = {split: [] for split in splits}
     with _encoded_inputs(config.manifest, model) as load:
         for rec in _records(config.manifest, splits):
-            getattr(dataset, rec.split).append((load(rec), rec.label))
+            dataset[rec.split].append((load(rec), rec.label))
     return dataset, getattr(load, "hits", None)
 
 
@@ -323,13 +326,10 @@ def cmd_train(args):
     with OutputLock(config.output_dir):
         model = Model(config.model, seed=config.seed)
         dataset, _ = build_dataset(config, model, ("train", "val"))
-        result = train_loop(model, dataset, config.train)
-        write_epoch_csv(result.epochs, config.output_dir / "epochs.csv")
+        logs = train_loop(model, dataset["train"], dataset["val"], config.train)
+        write_epoch_csv(logs, config.output_dir / "epochs.csv")
         save_checkpoint(model, config.output_dir / "checkpoint")
-        timing = {"seconds_per_epoch": result.seconds_per_epoch}
-        write_atomic(config.output_dir / "timing.json",
-                     (json.dumps(timing, indent=2) + "\n").encode())
-    last = result.epochs[-1]
+    last = logs[-1]
     print(f"trained {config.model.classifier} for {last.epoch} epochs: "
           f"val_loss {last.val_loss:.4f}, val_acc {last.val_acc:.4f} "
           f"-> {config.output_dir}")
@@ -344,7 +344,7 @@ def cmd_eval(args):
     model = load_checkpoint(ckpt, expected_spec=config.model)
     t0 = time.perf_counter()  # the first record read: a cache hit skips the backbone
     dataset, hits = build_dataset(config, model, (args.split,))
-    samples = getattr(dataset, args.split)
+    samples = dataset[args.split]
     if not samples:
         raise GapnetError(f"split {args.split!r} is empty in {config.manifest}")
     probs = predict(model, [z for z, _ in samples], config.train.batch_size)
@@ -352,23 +352,22 @@ def cmd_eval(args):
     test_ms_per_image = (time.perf_counter() - t0) * 1000.0 / len(samples)
     cm = confusion(preds, [y for _, y in samples])
 
-    seconds_per_epoch = 0.0
-    timing_file = config.output_dir / "timing.json"
-    if timing_file.exists():
-        seconds_per_epoch = _read_json_object(timing_file).get("seconds_per_epoch", 0.0)
-    report = build_report(
-        cm, model_name=config.model.classifier,
-        fingerprint=config.model.fingerprint(), seed=config.seed,
-        seconds_per_epoch=seconds_per_epoch,
-        test_ms_per_image=test_ms_per_image,
-    )
+    epochs = config.output_dir / "epochs.csv"  # train's log, if it trained here
+    report = metrics(cm)
+    undefined = report.pop("undefined")
+    report.update(confusion={"TP": cm.tp, "TN": cm.tn, "FP": cm.fp, "FN": cm.fn},
+                  seconds_per_epoch=mean_seconds_per_epoch(epochs) if epochs.exists() else 0.0,
+                  test_ms_per_image=test_ms_per_image, model=config.model.classifier,
+                  config_fingerprint=config.model.fingerprint(), seed=config.seed,
+                  undefined_metrics=undefined)
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    write_atomic(config.output_dir / "metrics.json", report.to_json().encode())
+    write_atomic(config.output_dir / "metrics.json",
+                 (json.dumps(report, indent=2) + "\n").encode())
     write_atomic(config.output_dir / "confusion.csv", render_confusion_csv(cm).encode())
     write_atomic(config.output_dir / "confusion.svg", render_confusion_svg(cm).encode())
-    print(f"{config.model.classifier}: accuracy {report.accuracy:.4f}, "
-          f"precision {report.precision:.4f}, recall {report.recall:.4f}, "
-          f"f1 {report.f1:.4f} -> {config.output_dir / 'metrics.json'}"
+    print(f"{config.model.classifier}: accuracy {report['accuracy']:.4f}, "
+          f"precision {report['precision']:.4f}, recall {report['recall']:.4f}, "
+          f"f1 {report['f1']:.4f} -> {config.output_dir / 'metrics.json'}"
           + ("" if hits is None else f", {hits} of {len(samples)} inputs from the encode cache"))
     return 0
 

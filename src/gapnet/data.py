@@ -30,7 +30,11 @@ class ManifestRecord:
     augmented_from: str | None = None
 
     def validate(self):
-        name = str(self.sample_id)  # names the files prepare and extract write
+        for field in ("sample_id", "path", "subject_id", "augmented_from"):
+            value = getattr(self, field)
+            if not isinstance(value, str) and (value is not None or field != "augmented_from"):
+                raise GapnetError(f"{field} must be a string, got {value!r}")
+        name = self.sample_id  # names the files prepare and extract write
         if name in ("", ".", "..") or "/" in name or os.sep in name:
             raise GapnetError(f"sample_id {self.sample_id!r} is not a plain file name")
         if type(self.label) is not int or self.label not in (0, 1):  # not 0.9, "1" or true
@@ -326,6 +330,8 @@ def load_pgm(path):
         width, height, maxval = int(token()), int(token()), int(token())
     except ValueError as e:
         raise GapnetError(f"{path}: bad PGM header") from e
+    if width < 1 or height < 1:
+        raise GapnetError(f"{path}: bad PGM header: {width}x{height} pixels")
     if maxval != 255:
         raise GapnetError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval

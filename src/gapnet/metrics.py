@@ -1,12 +1,11 @@
-"""Confusion counts, the accuracy/precision/recall/F1 suite, and report artifacts.
+"""Confusion counts, the accuracy/precision/recall/F1 suite, and confusion artifacts.
 
 The positive class is tumor (label 1). Ratios with a zero denominator
 are reported as 0 and flagged in ``undefined`` so reports stay totally
 ordered without NaNs.
 """
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GapnetError
 
@@ -43,17 +42,9 @@ def confusion(predictions, labels):
     return cm
 
 
-@dataclass
-class MetricValues:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    undefined: list = field(default_factory=list)
-
-
 def metrics(cm):
-    """Accuracy, precision, recall, F1 from the confusion counts."""
+    """{accuracy, precision, recall, f1, undefined} from the confusion counts;
+    ``undefined`` lists the ratios whose denominator is zero."""
     if cm.total == 0:
         raise GapnetError("confusion matrix has no samples")
     undefined = []
@@ -73,50 +64,8 @@ def metrics(cm):
     else:
         f1 = 0.0
         undefined.append("f1")
-    return MetricValues(accuracy, precision, recall, f1, undefined)
-
-
-@dataclass
-class MetricsReport:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    confusion: ConfusionMatrix
-    seconds_per_epoch: float
-    test_ms_per_image: float
-    model: str
-    config_fingerprint: str
-    seed: int
-    undefined_metrics: list = field(default_factory=list)
-
-    def to_json(self):
-        obj = {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "confusion": {"TP": self.confusion.tp, "TN": self.confusion.tn,
-                          "FP": self.confusion.fp, "FN": self.confusion.fn},
-            "seconds_per_epoch": self.seconds_per_epoch,
-            "test_ms_per_image": self.test_ms_per_image,
-            "model": self.model,
-            "config_fingerprint": self.config_fingerprint,
-            "seed": self.seed,
-            "undefined_metrics": self.undefined_metrics,
-        }
-        return json.dumps(obj, indent=2) + "\n"
-
-
-def build_report(cm, model_name, fingerprint, seed, seconds_per_epoch=0.0,
-                 test_ms_per_image=0.0):
-    vals = metrics(cm)
-    return MetricsReport(
-        accuracy=vals.accuracy, precision=vals.precision, recall=vals.recall,
-        f1=vals.f1, confusion=cm, seconds_per_epoch=seconds_per_epoch,
-        test_ms_per_image=test_ms_per_image, model=model_name,
-        config_fingerprint=fingerprint, seed=seed, undefined_metrics=vals.undefined,
-    )
+    return {"accuracy": accuracy, "precision": precision, "recall": recall, "f1": f1,
+            "undefined": undefined}
 
 
 # ------------------------------------------------------- artifacts

@@ -1,7 +1,7 @@
 """BCE loss, Adam, plateau scheduling, early stopping, and the epoch loop."""
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,9 @@ class TrainConfig:
                               f"{self.learning_rate!r}, min_lr {self.min_lr!r}")
         if not 0.0 < self.lr_factor < 1.0:
             raise GapnetError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
+        if self.min_lr > self.learning_rate:  # a plateau would raise the lr to min_lr
+            raise GapnetError(f"min_lr {self.min_lr!r} exceeds learning_rate "
+                              f"{self.learning_rate!r}")
         return self
 
 
@@ -152,20 +155,6 @@ class EpochLog:
     seconds_per_epoch: float
 
 
-@dataclass
-class TrainResult:
-    epochs: list
-    seconds_per_epoch: float
-
-
-@dataclass
-class Dataset:
-    """In-memory (input tensor, label) pairs per split."""
-    train: list = field(default_factory=list)
-    val: list = field(default_factory=list)
-    test: list = field(default_factory=list)
-
-
 def passes(model, rows, batch_size):
     """Split ``rows`` into the chunks one forward pass takes."""
     step = model.rows_per_pass(batch_size)
@@ -185,21 +174,22 @@ def _evaluate(model, samples, batch_size):
     return float(np.mean(bce_loss(p, y)[0])), hits / len(samples)
 
 
-def train_loop(model, dataset, config):
+def train_loop(model, train, val, config):
     """Seeded epoch loop: shuffle, mini-batch Adam/BCE, scheduler, early stop.
 
-    The samples are encoded inputs (``Model.encode``): the caller runs the
-    frozen prefix once per sample (the extract-once protocol), so every
-    epoch runs only the part of the network that training changes, one
-    forward, BCE and backward per mini-batch. A model with a trainable
-    backbone accumulates each mini-batch one image at a time
-    (``Model.rows_per_pass``); either way one Adam step follows each
-    mini-batch.
+    ``train`` and ``val`` are lists of (encoded input, label) pairs; the
+    result is one ``EpochLog`` per epoch run. The inputs are encoded
+    (``Model.encode``): the caller runs the frozen prefix once per sample
+    (the extract-once protocol), so every epoch runs only the part of the
+    network that training changes, one forward, BCE and backward per
+    mini-batch. A model with a trainable backbone accumulates each
+    mini-batch one image at a time (``Model.rows_per_pass``); either way
+    one Adam step follows each mini-batch.
     """
     config.validate()
-    if not dataset.train:
+    if not train:
         raise GapnetError("train split is empty")
-    if not dataset.val:
+    if not val:
         raise GapnetError("val split is empty")
 
     rng = np.random.default_rng(config.seed)
@@ -212,7 +202,7 @@ def train_loop(model, dataset, config):
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
         lr = lr_on_plateau(val_history, config)
-        order = rng.permutation(len(dataset.train))
+        order = rng.permutation(len(train))
         losses = []
         hits = 0
         for start in range(0, len(order), config.batch_size):
@@ -220,8 +210,8 @@ def train_loop(model, dataset, config):
             model.zero_grad()
             try:
                 for rows in passes(model, batch, config.batch_size):
-                    x = np.stack([dataset.train[i][0] for i in rows])
-                    y = np.array([dataset.train[i][1] for i in rows])
+                    x = np.stack([train[i][0] for i in rows])
+                    y = np.array([train[i][1] for i in rows])
                     p = model.forward(x, train=True)
                     loss, dldp = bce_loss(p, y)
                     losses.append(loss)
@@ -231,8 +221,8 @@ def train_loop(model, dataset, config):
                 raise GapnetError(f"epoch {epoch}: {e}") from e
             adam.step(params, lr)
         train_loss = float(np.mean(np.concatenate(losses)))
-        train_acc = hits / len(dataset.train)
-        val_loss, val_acc = _evaluate(model, dataset.val, config.batch_size)
+        train_acc = hits / len(train)
+        val_loss, val_acc = _evaluate(model, val, config.batch_size)
         if not np.isfinite(train_loss) or not np.isfinite(val_loss):
             raise GapnetError(f"non-finite loss at epoch {epoch}")
         seconds = time.perf_counter() - t0
@@ -243,24 +233,27 @@ def train_loop(model, dataset, config):
 
     if stopper.snapshot is not None:  # however the loop ended, keep the best epoch's weights
         model.load_state_dict(stopper.snapshot)
-
-    seconds_per_epoch = float(np.mean([log.seconds_per_epoch for log in logs]))
-    return TrainResult(epochs=logs, seconds_per_epoch=seconds_per_epoch)
-
-
-EPOCH_CSV_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc,lr,seconds_per_epoch"
+    return logs
 
 
 def write_epoch_csv(logs, path):
-    lines = [EPOCH_CSV_HEADER]
-    for log in logs:
-        lines.append(",".join([
-            str(log.epoch),
-            repr(log.train_loss),
-            repr(log.train_acc),
-            repr(log.val_loss),
-            repr(log.val_acc),
-            repr(log.lr),
-            repr(log.seconds_per_epoch),
-        ]))
+    """One header line of ``EpochLog``'s field names, then one line of each
+    log's fields, each as its ``repr`` (which reads back as the same float)."""
+    lines = [",".join(f.name for f in fields(EpochLog))]
+    lines += [",".join(map(repr, astuple(log))) for log in logs]
     write_atomic(path, ("\n".join(lines) + "\n").encode())
+
+
+def mean_seconds_per_epoch(path):
+    """The mean of the last column, seconds_per_epoch, of an epoch log
+    ``write_epoch_csv`` wrote."""
+    width = len(fields(EpochLog))
+    try:
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        seconds = [float(row[-1]) for row in rows if len(row) == width]
+    except ValueError as e:  # a field that is not a number, or not UTF-8
+        raise GapnetError(f"{path}: not an epoch log: {e}") from e
+    if not rows or len(seconds) < len(rows) or not np.all(np.isfinite(seconds)):
+        raise GapnetError(f"{path}: not an epoch log: expected rows of {width} fields, "
+                          "the last a finite number")
+    return float(np.mean(seconds))

@@ -25,7 +25,6 @@ from gapnet.nn import (
 from gapnet.pipeline import Model, ModelSpec, decide
 from gapnet.tensor import mean_over_spatial
 from gapnet.train import (
-    Dataset,
     EarlyStopState,
     TrainConfig,
     early_stop_update,
@@ -173,11 +172,11 @@ def test_criterion_2_oracle_equivalence():
         fn = sum(p == 0 and y == 1 for p, y in zip(preds, labels))
         assert (cm.tp, cm.tn, cm.fp, cm.fn) == (tp, tn, fp, fn)
         vals = metrics(cm)
-        assert vals.accuracy == (tp + tn) / n  # bitwise: same int operands
-        assert vals.precision == (tp / (tp + fp) if tp + fp else 0.0)
-        assert vals.recall == (tp / (tp + fn) if tp + fn else 0.0)
-        pr = vals.precision + vals.recall
-        assert vals.f1 == (2 * vals.precision * vals.recall / pr if pr else 0.0)
+        assert vals["accuracy"] == (tp + tn) / n  # bitwise: same int operands
+        assert vals["precision"] == (tp / (tp + fp) if tp + fp else 0.0)
+        assert vals["recall"] == (tp / (tp + fn) if tp + fn else 0.0)
+        pr = vals["precision"] + vals["recall"]
+        assert vals["f1"] == (2 * vals["precision"] * vals["recall"] / pr if pr else 0.0)
     elapsed = time.perf_counter() - t0
     report("criterion 2 (oracle equivalence)", elapsed < 10.0,
            f"GAP/conv1d within 1e-6 and metrics bitwise over 1000 instances each, "
@@ -191,11 +190,10 @@ def test_criterion_3_overfit_single_sample():
     model = Model(ModelSpec(head_input_channels=64), seed=5)
     x = np.random.default_rng(6).standard_normal((7, 7, 64)).astype(np.float32)
     z = model.encode(x)  # the GAP vector every epoch trains on
-    ds = Dataset(train=[(z, 1)] * 32, val=[(z, 1)])
     config = TrainConfig(seed=7, learning_rate=1e-4, max_epochs=200,
                          early_stop_patience=200)
-    result = train_loop(model, ds, config)
-    hit = next((e.epoch for e in result.epochs if e.train_acc == 1.0), None)
+    logs = train_loop(model, [(z, 1)] * 32, [(z, 1)], config)
+    hit = next((e.epoch for e in logs if e.train_acc == 1.0), None)
     elapsed = time.perf_counter() - t0
     report("criterion 3 (overfit check)", hit is not None and elapsed < 60.0,
            f"train accuracy 1.0 at epoch {hit} (<= 200), lr 1e-4, {elapsed:.1f}s (< 60s)")
@@ -212,18 +210,17 @@ def run_synthetic_end_to_end(tmp_path, tag):
     models = {h: Model(specs[h], seed=5) for h in HEADS}
     # all models share seed 5, so one frozen prefix (backbone + GAP) serves them all
     encode = models["dfn"].encode
-    ds = Dataset()
+    ds = {"train": [], "val": []}
     for rec, (_, label, img) in zip(records, samples):
-        getattr(ds, rec.split).append((encode(as_model_input(img)), label))
+        ds[rec.split].append((encode(as_model_input(img)), label))
 
     out = {}
     for head in HEADS:
         config = TrainConfig(seed=5, learning_rate=3e-3, batch_size=32, max_epochs=30)
-        result = train_loop(models[head], ds, config)
+        logs = train_loop(models[head], ds["train"], ds["val"], config)
         csv_path = tmp_path / f"{tag}_{head}.csv"
-        write_epoch_csv(result.epochs, csv_path)
-        out[head] = (max(e.val_acc for e in result.epochs), len(result.epochs),
-                     csv_path.read_text())
+        write_epoch_csv(logs, csv_path)
+        out[head] = (max(e.val_acc for e in logs), len(logs), csv_path.read_text())
     return out
 
 

@@ -171,16 +171,34 @@ def test_train_eval_report_cycle(raw_dir, tmp_path):
                            classifier=clf, learning_rate=3e-3)
         assert main(["train", str(cfg)]) == 0
         run_dir = tmp_path / "runs" / clf
-        assert (run_dir / "epochs.csv").exists()
         assert (run_dir / "checkpoint" / "model.json").exists()
+        # no timing.json: eval takes seconds_per_epoch from epochs.csv
+        assert sorted(p.name for p in run_dir.iterdir()) == ["checkpoint", "epochs.csv"]
         assert main(["eval", str(cfg), str(run_dir / "checkpoint")]) == 0
         obj = json.loads((run_dir / "metrics.json").read_text())
-        assert set(obj) >= {"accuracy", "precision", "recall", "f1", "confusion",
-                            "seconds_per_epoch", "test_ms_per_image", "model",
-                            "config_fingerprint", "seed"}
+        assert list(obj) == ["accuracy", "precision", "recall", "f1", "confusion",
+                             "seconds_per_epoch", "test_ms_per_image", "model",
+                             "config_fingerprint", "seed", "undefined_metrics"]
+        epochs = (run_dir / "epochs.csv").read_text().splitlines()[1:]
+        assert obj["seconds_per_epoch"] == float(np.mean([float(line.split(",")[6])
+                                                          for line in epochs]))
+        cm = obj["confusion"]
+        assert list(cm) == ["TP", "TN", "FP", "FN"]
+        assert obj["accuracy"] == (cm["TP"] + cm["TN"]) / sum(cm.values())
+        assert obj["precision"] == (cm["TP"] / (cm["TP"] + cm["FP"]) if cm["TP"] + cm["FP"]
+                                    else 0.0)
+        assert obj["recall"] == cm["TP"] / (cm["TP"] + cm["FN"])
+        spec = ModelSpec.from_dict(json.loads(cfg.read_text())["model"])
+        assert (obj["model"], obj["config_fingerprint"], obj["seed"]) == (
+            clf, spec.fingerprint(), 21)
         assert (run_dir / "confusion.csv").exists()
         assert (run_dir / "confusion.svg").exists()
         runs.append(run_dir)
+
+    # an output directory train never wrote has no epochs.csv, so no time per epoch
+    cfg = write_config(tmp_path / "fresh.json", manifest, tmp_path / "fresh")
+    assert main(["eval", str(cfg), str(runs[0] / "checkpoint")]) == 0
+    assert json.loads((tmp_path / "fresh" / "metrics.json").read_text())["seconds_per_epoch"] == 0
 
     table = tmp_path / "comparison.csv"
     assert main(["report"] + [str(r) for r in runs] + ["--out", str(table)]) == 0
@@ -620,7 +638,7 @@ def _bad_metrics(text):
     return setup
 
 
-def _bad_timing(text):
+def _bad_epochs(rows):
     def setup(tmp_path):
         save_tensor(np.zeros((224, 224, 1), np.float32), tmp_path / "x.btft")
         save_manifest([ManifestRecord("x", "x.btft", 1, "s", split="val")], tmp_path / "m.jsonl")
@@ -628,7 +646,9 @@ def _bad_timing(text):
         spec = ModelSpec.from_dict(json.loads(cfg.read_text())["model"])
         save_checkpoint(Model(spec, seed=21), tmp_path / "ckpt")
         (tmp_path / "run").mkdir()
-        (tmp_path / "run" / "timing.json").write_text(text)
+        (tmp_path / "run" / "epochs.csv").write_text(
+            "epoch,train_loss,train_acc,val_loss,val_acc,lr,seconds_per_epoch\n"
+            "1,0.5,0.75,0.6,0.7,0.0001,0.01\n" + rows)
         return ["eval", str(cfg), str(tmp_path / "ckpt")]
     return setup
 
@@ -702,6 +722,15 @@ def _escaping_sample_id(tmp_path):
             "--seed", "1", "--level", "sample", "--image-size", "8"]
 
 
+def _bad_record_to_prepare(*args, **fields):
+    def setup(tmp_path):
+        record = {"sample_id": "a", "path": "a.pgm", "label": 1, "subject_id": "s", **fields}
+        (tmp_path / "in.jsonl").write_text(json.dumps(record) + "\n")
+        return ["prepare", str(tmp_path / "in.jsonl"), str(tmp_path / "m.jsonl"), "--seed", "1",
+                "--manifest-only", *args]
+    return setup
+
+
 def _bad_record(line):
     def setup(tmp_path):
         cfg = _config(tmp_path)
@@ -734,6 +763,8 @@ def _report_to_a_directory(tmp_path):
     pytest.param(_bad_checkpoint('{"seed": 1}'), 1, "model_spec", id="model-json-without-spec"),
     pytest.param(_pgm_path(lambda p: p.mkdir()), 1, "t0_axial_0.pgm", id="pgm-is-directory"),
     pytest.param(_pgm_path(_dangling_symlink), 2, "missing.pgm", id="pgm-missing"),
+    pytest.param(_pgm_path(lambda p: p.write_bytes(b"P5\n-5 -5\n255\n" + bytes(25))), 1,
+                 "bad PGM header", id="pgm-negative-extents"),
     pytest.param(_config_text("{not json"), 1, "not valid JSON", id="config-not-json"),
     pytest.param(_config_text("5"), 1, "expected a JSON object", id="config-not-object"),
     pytest.param(_bad_metrics("{not json"), 1, "metrics.json", id="metrics-json-not-json"),
@@ -743,8 +774,9 @@ def _report_to_a_directory(tmp_path):
     pytest.param(_bad_metrics('{"model": "dfn", "accuracy": "high", "precision": 1,'
                               ' "recall": 1, "f1": 1}'), 1, "not a number",
                  id="metrics-json-accuracy-not-number"),
-    pytest.param(_bad_timing("{not json"), 1, "timing.json", id="timing-json-not-json"),
-    pytest.param(_bad_timing("[]"), 1, "timing.json", id="timing-json-is-list"),
+    pytest.param(_bad_epochs("2,0.4,0.8,0.55,0.75,0.0001,fast\n"), 1, "epochs.csv",
+                 id="epochs-csv-seconds-not-a-number"),
+    pytest.param(_bad_epochs("2,0.4,0.8\n"), 1, "epochs.csv", id="epochs-csv-short-row"),
     pytest.param(lambda t: ["train", _config(t, output_dir=_a_file(t))], 1, "afile",
                  id="output-dir-is-a-file"),
     pytest.param(_prepare_manifest(lambda t: [_a_file(t) + "/m.jsonl"]), 1, "afile",
@@ -780,6 +812,8 @@ def _report_to_a_directory(tmp_path):
     pytest.param(_bad_config(train={"learning_rate": float("inf")}), 1, "learning_rate inf",
                  id="learning-rate-infinite"),
     pytest.param(_bad_config(train={"min_lr": float("nan")}), 1, "min_lr nan", id="min-lr-nan"),
+    pytest.param(_bad_config(train={"learning_rate": 1e-4, "min_lr": 1e-2}), 1,
+                 "min_lr 0.01 exceeds learning_rate 0.0001", id="min-lr-above-learning-rate"),
     pytest.param(_prepare_manifest(lambda t: [str(t / "m.jsonl"), "--split", "a,b"]), 1,
                  "'a,b'", id="split-not-numbers"),
     pytest.param(_unknown_transform, 1, "unknown transform 'blur'",
@@ -809,6 +843,17 @@ def _report_to_a_directory(tmp_path):
                              '"subject_id": "s"}'),
                  1, "m.jsonl: line 1: sample_id '..' is not a plain file name",
                  id="record-sample-id-not-a-file-name"),
+    pytest.param(_bad_record_to_prepare(subject_id=["s"]), 1,
+                 "in.jsonl: line 1: subject_id must be a string, got ['s']",
+                 id="record-subject-id-not-string"),
+    pytest.param(_bad_record_to_prepare(sample_id=["a"]), 1,
+                 "in.jsonl: line 1: sample_id must be a string, got ['a']",
+                 id="record-sample-id-not-string"),
+    pytest.param(_bad_record_to_prepare(path=5), 1,
+                 "in.jsonl: line 1: path must be a string, got 5", id="record-path-not-string"),
+    pytest.param(_bad_record_to_prepare("--level", "sample", augmented_from=["b"]), 1,
+                 "in.jsonl: line 1: augmented_from must be a string, got ['b']",
+                 id="record-augmented-from-not-string"),
     pytest.param(_prepare_manifest(lambda t: [str(t / "m.jsonl")], seed="1.7"), 1,
                  "gapnet prepare: argument --seed: invalid int value: '1.7'",
                  id="prepare-seed-not-int"),

@@ -5,13 +5,13 @@ from gapnet.errors import GapnetError
 from gapnet.pipeline import Model, ModelSpec
 from gapnet.train import (
     AdamState,
-    Dataset,
     EarlyStopState,
     EpochLog,
     TrainConfig,
     bce_loss,
     early_stop_update,
     lr_on_plateau,
+    mean_seconds_per_epoch,
     train_loop,
     write_epoch_csv,
 )
@@ -105,24 +105,25 @@ def small_model(seed=2):
 
 
 def small_dataset(seed=3, n=24):
-    """GAP vectors (``Model.encode``) of seeded 3x3x8 maps, 6 of them for val."""
+    """(train, val) lists of the GAP vectors (``Model.encode``) of seeded
+    3x3x8 maps, with their labels; 6 of them for val."""
     rng = np.random.default_rng(seed)
     encode = small_model().encode  # an imported model's encode is GAP alone
-    ds = Dataset()
+    samples = []
     for i in range(n):
         y = i % 2
         x = (rng.standard_normal((3, 3, 8)) + (2.0 if y else -2.0)).astype(np.float32)
-        (ds.train if i < n - 6 else ds.val).append((encode(x), y))
-    return ds
+        samples.append((encode(x), y))
+    return samples[:n - 6], samples[n - 6:]
 
 
 def test_early_stop_restores_best_parameters():
     model = small_model()
-    ds = small_dataset()
-    result = train_loop(model, ds, cfg(seed=4, max_epochs=40, batch_size=6,
-                                       learning_rate=5e-3, early_stop_patience=3))
-    best = min(e.val_loss for e in result.epochs)
-    val_loss = np.mean([bce_loss(model.forward(z[None])[0], y)[0] for z, y in ds.val])
+    train, val = small_dataset()
+    logs = train_loop(model, train, val, cfg(seed=4, max_epochs=40, batch_size=6,
+                                             learning_rate=5e-3, early_stop_patience=3))
+    best = min(e.val_loss for e in logs)
+    val_loss = np.mean([bce_loss(model.forward(z[None])[0], y)[0] for z, y in val])
     assert abs(val_loss - best) < 1e-6
 
 
@@ -131,9 +132,8 @@ def test_single_sample_loss_decreases_over_random_inits():
         model = small_model(seed=100 + seed)
         rng = np.random.default_rng(seed)
         z = model.encode(rng.standard_normal((3, 3, 8)).astype(np.float32))
-        ds = Dataset(train=[(z, 1)], val=[(z, 1)])
         before = bce_loss(model.forward(z[None]), 1)[0]
-        train_loop(model, ds, cfg(seed=seed, max_epochs=1, learning_rate=1e-4))
+        train_loop(model, [(z, 1)], [(z, 1)], cfg(seed=seed, max_epochs=1, learning_rate=1e-4))
         after = bce_loss(model.forward(z[None]), 1)[0]
         assert after < before
 
@@ -141,34 +141,34 @@ def test_single_sample_loss_decreases_over_random_inits():
 def test_overfit_single_sample_batch():
     model = Model(ModelSpec(head_input_channels=64), seed=5)
     z = model.encode(np.random.default_rng(6).standard_normal((7, 7, 64)).astype(np.float32))
-    ds = Dataset(train=[(z, 1)] * 32, val=[(z, 1)])
-    result = train_loop(model, ds, cfg(seed=7, max_epochs=200, learning_rate=1e-4,
-                                       early_stop_patience=200))
-    assert any(e.train_acc == 1.0 for e in result.epochs)
+    logs = train_loop(model, [(z, 1)] * 32, [(z, 1)], cfg(seed=7, max_epochs=200,
+                                                          learning_rate=1e-4,
+                                                          early_stop_patience=200))
+    assert any(e.train_acc == 1.0 for e in logs)
 
 
 def test_determinism_bitwise():
     logs = []
     for _ in range(2):
         model = small_model(seed=8)
-        result = train_loop(model, small_dataset(seed=9), cfg(seed=10, max_epochs=6))
+        epochs = train_loop(model, *small_dataset(seed=9), cfg(seed=10, max_epochs=6))
         logs.append([(e.epoch, e.train_loss, e.train_acc, e.val_loss, e.val_acc, e.lr)
-                     for e in result.epochs])
+                     for e in epochs])
     assert logs[0] == logs[1]
 
 
 def test_empty_split_and_diverged_loss():
     with pytest.raises(GapnetError, match="train split is empty"):
-        train_loop(small_model(), Dataset(train=[], val=[]), cfg())
-    ds = small_dataset()
+        train_loop(small_model(), [], [], cfg())
+    train, val = small_dataset()
     with pytest.raises(GapnetError, match="val split is empty"):
-        train_loop(small_model(), Dataset(train=ds.train, val=[]), cfg())
+        train_loop(small_model(), train, [], cfg())
 
     model = small_model(seed=11)
     # blow up the projection so the forward pass overflows float32
     model.head.layers[0].params["w"][...] = 1e38
     with np.errstate(over="ignore"), pytest.raises(GapnetError, match=r"^epoch \d+: non-finite values"):
-        train_loop(model, ds, cfg(seed=12, max_epochs=2))
+        train_loop(model, train, val, cfg(seed=12, max_epochs=2))
 
 
 def test_epoch_csv_format(tmp_path):
@@ -178,8 +178,9 @@ def test_epoch_csv_format(tmp_path):
     write_epoch_csv(logs, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,train_loss,train_acc,val_loss,val_acc,lr,seconds_per_epoch"
-    assert lines[1].startswith("1,0.5,0.75,0.6,0.7,0.0001,")
+    assert lines[1] == "1,0.5,0.75,0.6,0.7,0.0001,0.01"
     assert len(lines) == 3
+    assert mean_seconds_per_epoch(path) == float(np.mean([0.01, 0.012]))
 
 
 @pytest.mark.parametrize("trainable, expected_rows", [(False, [4, 4, 2, 4, 2]), (True, [1] * 16)])
@@ -196,8 +197,7 @@ def test_rows_per_forward_pass(trainable, expected_rows):
     rows = []
     forward = model.forward
     model.forward = lambda z, train=False: rows.append(len(z)) or forward(z, train)
-    train_loop(model, Dataset(train=samples[:10], val=samples[10:]),
-               cfg(seed=5, max_epochs=1, batch_size=4))
+    train_loop(model, samples[:10], samples[10:], cfg(seed=5, max_epochs=1, batch_size=4))
     assert rows == expected_rows
 
 
@@ -222,8 +222,7 @@ def test_trainable_backbone_never_computes_the_image_gradient(monkeypatch):
 
     spy("conv2d_backward")
     spy("conv2d_weight_grads")
-    train_loop(model, Dataset(train=samples[:4], val=samples[4:]),
-               cfg(seed=7, max_epochs=1, batch_size=2))
+    train_loop(model, samples[:4], samples[4:], cfg(seed=7, max_epochs=1, batch_size=2))
     # stage 2 still passes dL/d(input) down to stage 1, which stops at its weights
     assert set(cin["conv2d_backward"]) == {8}
     assert 1 in cin["conv2d_weight_grads"]
