@@ -21,7 +21,7 @@ from . import data as datamod
 from .backbone import load_feature_map, save_tensor, write_atomic
 from .errors import GapnetError, require_counts
 from .metrics import confusion, metrics, render_confusion_csv, render_confusion_svg
-from .pipeline import Model, ModelSpec, decide, load_checkpoint, save_checkpoint
+from .pipeline import Model, ModelSpec, decide, load_checkpoint, save_checkpoint, sigmoid
 from .train import (
     TrainConfig,
     mean_seconds_per_epoch,
@@ -57,6 +57,8 @@ class ExperimentConfig:
         for name, value in (("dataset.manifest", dataset["manifest"]), ("output_dir", output_dir)):
             if not isinstance(value, str):
                 raise GapnetError(f"{path}: {name} must be a path string, got {value!r}")
+            if "\0" in value:
+                raise GapnetError(f"{path}: {name} {value!r} contains a NUL byte")
         manifest = (path.parent / dataset["manifest"]).resolve()
         if not manifest.exists():
             raise FileNotFoundError(f"manifest not found: {manifest}")
@@ -347,7 +349,7 @@ def cmd_eval(args):
     samples = dataset[args.split]
     if not samples:
         raise GapnetError(f"split {args.split!r} is empty in {config.manifest}")
-    probs = predict(model, [z for z, _ in samples], config.train.batch_size)
+    probs = sigmoid(predict(model, [z for z, _ in samples], config.train.batch_size))
     preds = decide(probs, model.spec.decision_threshold)
     test_ms_per_image = (time.perf_counter() - t0) * 1000.0 / len(samples)
     cm = confusion(preds, [y for _, y in samples])

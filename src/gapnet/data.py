@@ -34,6 +34,8 @@ class ManifestRecord:
             value = getattr(self, field)
             if not isinstance(value, str) and (value is not None or field != "augmented_from"):
                 raise GapnetError(f"{field} must be a string, got {value!r}")
+            if field in ("sample_id", "path") and "\0" in value:  # no OS call takes one
+                raise GapnetError(f"{field} {value!r} contains a NUL byte")
         name = self.sample_id  # names the files prepare and extract write
         if name in ("", ".", "..") or "/" in name or os.sep in name:
             raise GapnetError(f"sample_id {self.sample_id!r} is not a plain file name")

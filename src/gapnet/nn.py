@@ -9,7 +9,8 @@ accumulate until zero_grad(); the training loop zeroes once per batch.
 ``backward(grad_out, input_grad=True)`` returns dL/d(input); with
 ``input_grad=False`` a layer with parameters fills its gradients only and
 returns None, so the first trainable layer of a model skips the input
-gradient nobody reads. Parameter-free layers ignore the flag.
+gradient nobody reads. Parameter-free layers ignore the flag. A model
+ends at a Dense logit; ``pipeline.sigmoid`` makes it a probability.
 """
 
 import numpy as np
@@ -89,24 +90,6 @@ class ReLU(Layer):
         x = self._need_cache()
         # subgradient 0 at x == 0
         return grad_out * (x > 0)
-
-
-class Sigmoid(Layer):
-    """Numerically stable elementwise sigmoid, clamped strictly inside (0, 1)."""
-
-    def forward(self, x, train=False):
-        info = np.finfo(x.dtype)
-        pos = x >= 0
-        e = np.exp(np.where(pos, -x, x))
-        s = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
-        s = np.clip(s, info.tiny, 1.0 - info.eps / 2).astype(x.dtype)
-        if train:
-            self._cache = s
-        return s
-
-    def backward(self, grad_out, input_grad=True):
-        s = self._need_cache()
-        return grad_out * s * (1.0 - s)
 
 
 class Dropout(Layer):

@@ -1,9 +1,9 @@
 """Model assembly: feature head, classifier heads, inference, and checkpoints.
 
 A model is GAP -> Dense(projection_dim) followed by one of three
-classifier heads ending in a single unit, with a sigmoid squashing the
-final pre-activation into a tumor probability. The decision rule is a
-strict threshold comparison on that probability.
+classifier heads ending in a single unit, the logit. ``sigmoid`` turns
+logits into tumor probabilities, and the decision rule is a strict
+threshold comparison on a probability.
 
 Unless the backbone trains, everything up to and including GAP is
 frozen, so a sample is encoded once into its GAP vector and every
@@ -19,7 +19,7 @@ import numpy as np
 
 from .backbone import ToyBackbone, load_feature_map, save_tensor, write_atomic
 from .errors import GapnetError, require_counts
-from .nn import Conv1D, Dense, Dropout, GlobalAvgPool, ReLU, Sequential, Sigmoid
+from .nn import Conv1D, Dense, Dropout, GlobalAvgPool, ReLU, Sequential
 
 CLASSIFIERS = ("dfn", "fcnn", "cnn1d")
 BACKBONES = ("imported_features", "toy_cnn")
@@ -110,6 +110,15 @@ def build_classifier(spec, rng):
     return Sequential(layers)
 
 
+def sigmoid(z):
+    """Numerically stable elementwise sigmoid of logits, clamped strictly inside (0, 1)."""
+    info = np.finfo(z.dtype)
+    pos = z >= 0
+    e = np.exp(np.where(pos, -z, z))
+    s = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.clip(s, info.tiny, 1.0 - info.eps / 2).astype(z.dtype)
+
+
 def decide(p, threshold=0.5):
     """Strict threshold rule: tumor (1) iff p > threshold; elementwise on arrays."""
     out = (np.asarray(p) > threshold).astype(np.int64)
@@ -117,7 +126,7 @@ def decide(p, threshold=0.5):
 
 
 class Model:
-    """Optional toy backbone + GAP + feature head + classifier + sigmoid.
+    """Optional toy backbone + GAP + feature head + classifier, ending at a logit.
 
     The chain [toy backbone, GAP, feature head] is cut once, at the freeze
     point, into two ``Sequential`` parts: ``frozen``, which training never
@@ -126,8 +135,8 @@ class Model:
     input is a 224x224x1 image for toy_cnn, an HxWx``head_input_channels``
     map for imported features. ``encode`` runs ``frozen`` on one raw input
     (or returns it when nothing is frozen); ``forward`` and ``backward``
-    run ``trained``, the classifier and the sigmoid on a batch of encoded
-    inputs, so raw inputs score as ``forward(np.stack([encode(x) for x in xs]))``.
+    run ``trained`` and the classifier on a batch of encoded inputs, so raw
+    inputs score as ``sigmoid(forward(np.stack([encode(x) for x in xs])))``.
     """
 
     def __init__(self, spec, seed):
@@ -138,7 +147,6 @@ class Model:
         self.backbone = ToyBackbone(rng) if spec.backbone == "toy_cnn" else None
         self.head = build_feature_head(spec, rng)
         self.classifier = build_classifier(spec, rng)
-        self.sigmoid = Sigmoid()
         chain = [part for part in (self.backbone, GlobalAvgPool(), self.head) if part is not None]
         cut = 0 if spec.backbone_trainable else len(chain) - 1
         self.frozen, self.trained = Sequential(chain[:cut]), Sequential(chain[cut:])
@@ -172,19 +180,17 @@ class Model:
         return self.trained.forward(z, train=train)
 
     def forward(self, z, train=False):
-        """(B,) tumor probabilities of a batch of encoded inputs."""
-        z = self.classifier.forward(self.features(z, train), train=train)
-        return self.sigmoid.forward(z, train=train)[:, 0]
+        """(B,) logits of a batch of encoded inputs."""
+        return self.classifier.forward(self.features(z, train), train=train)[:, 0]
 
-    def backward(self, dloss_dp, input_grad=False):
-        """(B,) dLoss/dp -> parameter gradients, accumulated.
+    def backward(self, dloss_dz, input_grad=False):
+        """(B,) dLoss/dlogit -> parameter gradients, accumulated.
 
         Returns the gradient with respect to the encoded inputs if
         ``input_grad``, else None: by default the first trainable layer
         (the backbone's first conv, or the projection) skips it.
         """
-        g = np.asarray(dloss_dp, dtype=self.dtype).reshape(-1, 1)
-        g = self.classifier.backward(self.sigmoid.backward(g))
+        g = self.classifier.backward(np.asarray(dloss_dz, dtype=self.dtype).reshape(-1, 1))
         return self.trained.backward(g, input_grad=input_grad)
 
     # -- parameter plumbing -------------------------------------------

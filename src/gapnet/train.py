@@ -7,7 +7,7 @@ import numpy as np
 
 from .backbone import write_atomic
 from .errors import GapnetError, NonFiniteTensor, require_counts
-from .pipeline import decide
+from .pipeline import decide, sigmoid
 
 IMPROVE_EPS = 1e-4  # absolute val-loss improvement that resets patience counters
 
@@ -38,17 +38,22 @@ class TrainConfig:
         return self
 
 
-def bce_loss(p, y):
-    """Elementwise binary cross-entropy and dL/dp, with p clamped into [1e-7, 1-1e-7].
+def bce_loss(z, y):
+    """Elementwise binary cross-entropy of logits z against labels y, and dL/dz.
 
-    Computed in float64; a scalar p gives scalars, an array of
-    probabilities one loss and one gradient per element.
+    In float64 with no clamp: softplus form for the loss, sigmoid(z) - y for
+    dL/dz, whose entries below float32's smallest normal number are flushed
+    to 0 so that a saturated head sends no subnormals into the backward pass.
     """
-    pc = np.clip(np.asarray(p, dtype=np.float64), 1e-7, 1.0 - 1e-7)
+    z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    loss = -(y * np.log(pc) + (1 - y) * np.log(1.0 - pc))
-    grad = -(y / pc - (1 - y) / (1.0 - pc))
-    return loss, grad
+    e = np.exp(-np.abs(z))  # in (0, 1], so nothing here overflows
+    small, large = e / (1.0 + e), 1.0 / (1.0 + e)  # sigmoid(-|z|), sigmoid(|z|)
+    pos = z >= 0
+    loss = np.maximum(z, 0.0) - y * z + np.log1p(e)
+    # sigmoid(z) - y, taking 1 - sigmoid(z) as sigmoid(-z) so that no digits cancel
+    grad = (1 - y) * np.where(pos, large, small) - y * np.where(pos, small, large)
+    return loss, np.where(np.abs(grad) < np.finfo(np.float32).tiny, 0.0, grad)
 
 
 class AdamState:
@@ -162,16 +167,16 @@ def passes(model, rows, batch_size):
 
 
 def predict(model, inputs, batch_size):
-    """(N,) eval-mode probabilities of a list of N encoded inputs."""
+    """(N,) eval-mode logits of a list of N encoded inputs."""
     return np.concatenate([model.forward(np.stack([inputs[i] for i in rows]))
                            for rows in passes(model, range(len(inputs)), batch_size)])
 
 
 def _evaluate(model, samples, batch_size):
-    p = predict(model, [x for x, _ in samples], batch_size)
+    z = predict(model, [x for x, _ in samples], batch_size)
     y = np.array([y for _, y in samples])
-    hits = int(np.sum(decide(p, model.spec.decision_threshold) == y))
-    return float(np.mean(bce_loss(p, y)[0])), hits / len(samples)
+    hits = int(np.sum(decide(sigmoid(z), model.spec.decision_threshold) == y))
+    return float(np.mean(bce_loss(z, y)[0])), hits / len(samples)
 
 
 def train_loop(model, train, val, config):
@@ -212,11 +217,11 @@ def train_loop(model, train, val, config):
                 for rows in passes(model, batch, config.batch_size):
                     x = np.stack([train[i][0] for i in rows])
                     y = np.array([train[i][1] for i in rows])
-                    p = model.forward(x, train=True)
-                    loss, dldp = bce_loss(p, y)
+                    z = model.forward(x, train=True)
+                    loss, dldz = bce_loss(z, y)
                     losses.append(loss)
-                    hits += int(np.sum(decide(p, model.spec.decision_threshold) == y))
-                    model.backward(dldp / len(batch))
+                    hits += int(np.sum(decide(sigmoid(z), model.spec.decision_threshold) == y))
+                    model.backward(dldz / len(batch))
             except NonFiniteTensor as e:
                 raise GapnetError(f"epoch {epoch}: {e}") from e
             adam.step(params, lr)

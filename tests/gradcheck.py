@@ -41,7 +41,7 @@ def gradient_check(model, x, loss="proj", y=1, tolerance=1e-3, abs_tol=1e-4, h=1
     objective is sum(output * R) for a fixed random projection R, which
     seeds the backward pass with R and exercises every output component;
     loss="bce" instead sums binary cross-entropy of every output (one
-    probability per batch row) against label(s) ``y``. ``model`` is any
+    logit per batch row) against label(s) ``y``. ``model`` is any
     fragment with the layer protocol: a Sequential or a whole Model.
     Parameter gradients and the input gradient are both checked. Passes
     iff |analytic - numeric| <= max(tolerance * |numeric|, abs_tol)

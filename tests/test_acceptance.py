@@ -20,7 +20,6 @@ from gapnet.nn import (
     GlobalAvgPool,
     ReLU,
     Sequential,
-    Sigmoid,
 )
 from gapnet.pipeline import Model, ModelSpec, decide
 from gapnet.tensor import mean_over_spatial
@@ -56,8 +55,9 @@ LAYER_TABLE = {
                lambda r: r.standard_normal((B, 4, 4, 2))),
     "gap": (lambda r: Sequential([GlobalAvgPool()]),
             lambda r: r.standard_normal((B, 3, 3, 2))),
-    "sigmoid": (lambda r: Sequential([Sigmoid()]),
-                lambda r: r.standard_normal((B, 5))),
+    # the model's last layer, checked through the BCE-on-logits objective
+    "logit_bce": (lambda r: Sequential([Dense(4, 1, r)]),
+                  lambda r: r.standard_normal((B, 4))),
     # keep relu inputs clear of the kink so h=1e-3 differences stay one-sided
     "relu": (lambda r: Sequential([ReLU()]),
              lambda r: r.uniform(0.1, 1.0, (B, 6)) * r.choice([-1.0, 1.0], (B, 6))),
@@ -78,8 +78,9 @@ def test_criterion_1_gradient_fidelity():
             else:
                 frag = build(r)
             x = make_x(r).astype(np.float32)
-            rep = gradient_check(frag, x, tolerance=1e-3, abs_tol=1e-4, h=1e-3,
-                                 rng=np.random.default_rng(i))
+            loss = "bce" if name == "logit_bce" else "proj"
+            rep = gradient_check(frag, x, loss=loss, y=r.integers(0, 2, B), tolerance=1e-3,
+                                 abs_tol=1e-4, h=1e-3, rng=np.random.default_rng(i))
             assert rep.passed, (name, i, rep.per_param)
             assert "input" in rep.per_param, (name, i)
             worst = max(worst, rep.max_mixed_error)

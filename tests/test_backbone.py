@@ -148,7 +148,7 @@ def test_gradient_flows_through_both_conv_layers():
 
 
 def test_imported_features_contract(tmp_path):
-    from gapnet.pipeline import Model, ModelSpec
+    from gapnet.pipeline import Model, ModelSpec, sigmoid
 
     rng = np.random.default_rng(7)
     model = Model(ModelSpec(head_input_channels=8), seed=0)
@@ -162,7 +162,7 @@ def test_imported_features_contract(tmp_path):
         vectors.append(model.encode(fmap))
         assert vectors[-1].shape == (8,)
         assert np.allclose(vectors[-1], fmap.mean(axis=(0, 1)), atol=1e-6)
-    p = model.forward(np.stack(vectors))
+    p = sigmoid(model.forward(np.stack(vectors)))
     assert p.shape == (3,) and np.all((0.0 < p) & (p < 1.0))
     save_tensor(rng.standard_normal((4, 4, 3)).astype(np.float32), tmp_path / "d.btft")
     with pytest.raises(GapnetError, match=r"is not an HxWx8 feature map"):

@@ -788,6 +788,16 @@ def _report_to_a_directory(tmp_path):
     pytest.param(_bad_config(output_dir=5), 1, "output_dir", id="output-dir-not-string"),
     pytest.param(_bad_config(dataset={"manifest": 5}), 1, "dataset.manifest",
                  id="manifest-not-string"),
+    pytest.param(_bad_config(dataset={"manifest": "m\0.jsonl"}), 1,
+                 "dataset.manifest 'm\\x00.jsonl' contains a NUL byte", id="manifest-has-nul"),
+    pytest.param(_bad_config(output_dir="run\0"), 1,
+                 "output_dir 'run\\x00' contains a NUL byte", id="output-dir-has-nul"),
+    pytest.param(_bad_record_to_prepare(sample_id="a\0b"), 1,
+                 "in.jsonl: line 1: sample_id 'a\\x00b' contains a NUL byte",
+                 id="record-sample-id-has-nul"),
+    pytest.param(_bad_record_to_prepare(path="a\0.pgm"), 1,
+                 "in.jsonl: line 1: path 'a\\x00.pgm' contains a NUL byte",
+                 id="record-path-has-nul"),
     pytest.param(_bad_config(model={"head_input_channels": 2.5}), 1, "head_input_channels",
                  id="head-input-channels-not-int"),
     pytest.param(_bad_config(model={"hidden_widths": [256, 1.5]}), 1, "hidden_widths",

@@ -11,8 +11,8 @@ from gapnet.nn import (
     GlobalAvgPool,
     ReLU,
     Sequential,
-    Sigmoid,
 )
+from gapnet.pipeline import sigmoid
 from gradcheck import NonDeterministicFragment, gradient_check
 
 
@@ -79,12 +79,12 @@ def test_backward_without_forward_raises():
 
 
 def test_sigmoid_values_and_bounds():
-    s = Sigmoid()
-    assert s.forward(np.array([0.0], np.float32))[0] == 0.5
-    assert abs(s.forward(np.array([np.log(3.0)], np.float32))[0] - 0.75) < 1e-6
-    extreme = s.forward(np.array([-1e30, -200.0, 0.0, 200.0, 1e30], np.float32))
+    assert sigmoid(np.array([0.0], np.float32))[0] == 0.5
+    assert abs(sigmoid(np.array([np.log(3.0)], np.float32))[0] - 0.75) < 1e-6
+    extreme = sigmoid(np.array([-1e30, -200.0, 0.0, 200.0, 1e30], np.float32))
+    assert extreme.dtype == np.float32
     assert np.all(extreme > 0.0) and np.all(extreme < 1.0)
-    extreme64 = s.forward(np.array([-1e300, 1e300]))
+    extreme64 = sigmoid(np.array([-1e300, 1e300]))
     assert np.all(extreme64 > 0.0) and np.all(extreme64 < 1.0)
 
 
@@ -152,7 +152,7 @@ LAYER_CASES = [
     ("conv1d", lambda r: Sequential([Conv1D(3, 3, r)]), (3, 9)),
     ("conv2d", lambda r: Sequential([Conv2D(2, 3, 2, 2, 1, r)]), (3, 5, 4, 2)),
     ("gap", lambda r: Sequential([GlobalAvgPool()]), (3, 3, 4, 2)),
-    ("sigmoid", lambda r: Sequential([Sigmoid()]), (3, 6)),
+    ("logit", lambda r: Sequential([Dense(6, 1, r)]), (3, 6)),  # a model's last layer
 ]
 
 
@@ -180,8 +180,8 @@ def test_relu_and_fixed_dropout_gradients():
 
 def test_gradient_check_bce_and_corruption():
     r = np.random.default_rng(12)
-    # dense + sigmoid checked against the BCE objective at tolerance 1e-3
-    assert gradient_check(Sequential([Dense(3, 1, r), Sigmoid()]),
+    # a dense logit checked against the BCE-on-logits objective at tolerance 1e-3
+    assert gradient_check(Sequential([Dense(3, 1, r)]),
                           r.standard_normal((3, 3)).astype(np.float32),
                           loss="bce", y=np.array([1, 0, 1]), tolerance=1e-3).passed
 
@@ -213,7 +213,7 @@ def rel_close(a, b, rel=1e-6):
 
 @pytest.mark.parametrize("name,build,shape", LAYER_CASES + [
     ("relu", lambda r: Sequential([ReLU()]), (3, 7)),
-    ("stack", lambda r: Sequential([Dense(6, 5, r), ReLU(), Dense(5, 1, r), Sigmoid()]), (4, 6)),
+    ("stack", lambda r: Sequential([Dense(6, 5, r), ReLU(), Dense(5, 1, r)]), (4, 6)),
 ])
 def test_batch_rows_match_one_row_passes(name, build, shape):
     r = np.random.default_rng(3000)

@@ -11,6 +11,7 @@ from gapnet.pipeline import (
     decide,
     load_checkpoint,
     save_checkpoint,
+    sigmoid,
 )
 from gradcheck import gradient_check
 from synth import count_parameters
@@ -101,8 +102,9 @@ def test_forward_determinism_and_zero_model():
 
     for _, layer, name in model.parameters(trainable_only=False):
         layer.params[name][...] = 0
-    assert model.forward(z)[0] == 0.5
-    assert decide(model.forward(z)[0], model.spec.decision_threshold) == 0
+    assert model.forward(z)[0] == 0.0  # a zero logit
+    assert sigmoid(model.forward(z))[0] == 0.5
+    assert decide(sigmoid(model.forward(z))[0], model.spec.decision_threshold) == 0
 
 
 TOY = {"backbone": "toy_cnn", "head_input_channels": 16}
@@ -136,8 +138,9 @@ def test_hand_built_head_hits_sigmoid_arithmetic():
     for _, layer, name in model.parameters(trainable_only=False):
         layer.params[name][...] = 0
     model.classifier.layers[-1].params["b"][...] = np.log(3.0)
-    p = model.forward(model.encode(np.ones((2, 2, 8), np.float32))[None])
-    assert p.shape == (1,) and abs(p[0] - 0.75) < 1e-6
+    z = model.forward(model.encode(np.ones((2, 2, 8), np.float32))[None])
+    assert z.shape == (1,) and z.dtype == np.float32 and z[0] == np.float32(np.log(3.0))
+    assert abs(sigmoid(z)[0] - 0.75) < 1e-6
 
 
 def test_decide_rule():
@@ -164,6 +167,30 @@ def test_checkpoint_round_trip_and_mismatch(tmp_path):
     other = ModelSpec(head_input_channels=16, backbone="toy_cnn", classifier="fcnn")
     with pytest.raises(GapnetError, match="checkpoint fingerprint"):
         load_checkpoint(tmp_path / "ckpt", expected_spec=other)
+
+
+def sigmoid_layer_forward(x):
+    """The forward pass of the sigmoid layer models used to end in, verbatim."""
+    info = np.finfo(x.dtype)
+    pos = x >= 0
+    e = np.exp(np.where(pos, -x, x))
+    s = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = np.clip(s, info.tiny, 1.0 - info.eps / 2).astype(x.dtype)
+    return s
+
+
+@pytest.mark.parametrize("classifier", ["dfn", "fcnn", "cnn1d"])
+def test_sigmoid_of_logits_matches_the_old_sigmoid_layer_bitwise(tmp_path, classifier):
+    spec = ModelSpec(head_input_channels=8, classifier=classifier)
+    save_checkpoint(Model(spec, seed=30), tmp_path / "ckpt")
+    model = load_checkpoint(tmp_path / "ckpt", expected_spec=spec)
+    rng = np.random.default_rng(31)
+    # rows scaled from 1e-4 to 1e4 take the logits from near 0 into both clamps
+    z = (rng.standard_normal((9, 8)) * np.logspace(-4, 4, 9)[:, None]).astype(np.float32)
+    before = sigmoid_layer_forward(model.classifier.forward(model.features(z)))[:, 0]
+    after = sigmoid(model.forward(z))
+    assert after.dtype == np.float32 and after.tobytes() == before.tobytes()
+    assert np.array_equal(decide(after, 0.5), decide(before, 0.5))
 
 
 BACKBONE_ENTRIES = ["backbone.0.w", "backbone.0.b", "backbone.2.w", "backbone.2.b"]
@@ -221,17 +248,18 @@ def test_batch_step_matches_rows_accumulated_one_at_a_time():
     rng = np.random.default_rng(24)
     z = np.stack([model.encode(rng.standard_normal((7, 7, 64)).astype(np.float32))
                   for _ in range(8)])
-    dldp = rng.standard_normal(8)
-    p = model.forward(z, train=True)
+    dldz = rng.standard_normal(8)
+    logits = model.forward(z, train=True)
     model.zero_grad()
-    model.backward(dldp / 8)
+    model.backward(dldz / 8)
     batch = {name: layer.grads[pn].copy() for name, layer, pn in model.parameters()}
 
     model.zero_grad()
     for i in range(8):
-        p_i = model.forward(z[i:i + 1], train=True)
-        assert abs(p_i[0] - p[i]) <= 1e-6 * abs(p[i])
-        model.backward(dldp[i:i + 1] / 8)
+        logit_i = model.forward(z[i:i + 1], train=True)
+        # on a logit near 0 this is stricter than the 1e-6 relative bound on p it replaces
+        assert abs(logit_i[0] - logits[i]) <= 1e-6 * max(abs(logits[i]), 1.0)
+        model.backward(dldz[i:i + 1] / 8)
     for name, layer, pn in model.parameters():
         diff = np.max(np.abs(layer.grads[pn] - batch[name]))
         assert diff <= 1e-5 * np.max(np.abs(batch[name])), name
@@ -249,16 +277,16 @@ def test_model_backward_skips_input_grad_by_default_bitwise(trainable):
         model = Model(ModelSpec(head_input_channels=8, classifier="fcnn", projection_dim=6,
                                 hidden_widths=(5,)), seed=3)
         z = rng.standard_normal((3, 8)).astype(np.float32)
-    dldp = rng.standard_normal(len(z))
+    dldz = rng.standard_normal(len(z))
     model.zero_grad()
     model.forward(z, train=True)
-    dz = model.backward(dldp, input_grad=True)
+    dz = model.backward(dldz, input_grad=True)
     assert dz.shape == z.shape
     with_dz = {name: layer.grads[pn].copy() for name, layer, pn in model.parameters()}
 
     model.zero_grad()
     model.forward(z, train=True)
-    assert model.backward(dldp) is None
+    assert model.backward(dldz) is None
     for name, layer, pn in model.parameters():
         assert np.array_equal(layer.grads[pn], with_dz[name]), name
 

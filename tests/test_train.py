@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gapnet.errors import GapnetError
+from gapnet.nn import Dense
 from gapnet.pipeline import Model, ModelSpec
 from gapnet.train import (
     AdamState,
@@ -18,25 +19,46 @@ from gapnet.train import (
 
 
 def test_bce_values():
-    loss, _ = bce_loss(1.0, 1)  # clamped to 1 - 1e-7
-    assert 0.0 <= loss <= 1e-6
-    assert abs(bce_loss(0.5, 1)[0] - np.log(2)) < 1e-12
-    assert abs(bce_loss(0.5, 0)[0] - np.log(2)) < 1e-12
+    for y in (0, 1):
+        assert bce_loss(0, y)[0] == np.log(2.0)
+        assert bce_loss(0.0, y)[1] == 0.5 - y
+    # the textbook form on moderate logits, where it is accurate in float64
     rng = np.random.default_rng(0)
-    ps = rng.random(200)
-    for p in ps:
-        for y in (0, 1):
-            assert bce_loss(float(p), y)[0] >= 0.0
-    # elementwise on a batch, equal to the scalar losses
+    zs = rng.uniform(-8.0, 8.0, 200)
     ys = rng.integers(0, 2, 200)
-    loss, grad = bce_loss(ps, ys)
-    assert np.array_equal(loss, [bce_loss(float(p), y)[0] for p, y in zip(ps, ys)])
-    assert np.array_equal(grad, [bce_loss(float(p), y)[1] for p, y in zip(ps, ys)])
+    s = 1.0 / (1.0 + np.exp(-zs))
+    loss, grad = bce_loss(zs, ys)
+    assert np.allclose(loss, -(ys * np.log(s) + (1 - ys) * np.log(1.0 - s)), rtol=1e-12, atol=0)
+    assert np.allclose(grad, s - ys, rtol=1e-12, atol=1e-16)
+    assert np.all(loss > 0.0)
+    # elementwise on a batch, equal to the scalar calls
+    assert np.array_equal(loss, [bce_loss(float(z), y)[0] for z, y in zip(zs, ys)])
+    assert np.array_equal(grad, [bce_loss(float(z), y)[1] for z, y in zip(zs, ys)])
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float32, 1e30), (np.float64, 1e300)])
+def test_bce_is_finite_on_extreme_logits(dtype, big):
+    # a RuntimeWarning (overflow, invalid) fails the test: pyproject makes warnings errors
+    z = np.array([-big, -big, big, big], dtype)
+    loss, grad = bce_loss(z, np.array([0, 1, 0, 1]))
+    assert np.all(np.isfinite(loss)) and np.all(np.isfinite(grad))
+    assert np.array_equal(loss, [0.0, z[2], z[2], 0.0])  # no clamp caps the loss
+    assert np.array_equal(grad, [0.0, -1.0, 1.0, 0.0])
 
 
 def test_bce_gradient_sign():
-    assert bce_loss(0.3, 1)[1] < 0  # pushing p up lowers the loss
-    assert bce_loss(0.3, 0)[1] > 0
+    for z in (-30.0, -0.3, 0.0, 0.3, 30.0):
+        assert bce_loss(z, 1)[1] < 0  # pushing the logit up lowers the loss
+        assert bce_loss(z, 0)[1] > 0
+
+
+def test_bce_flushes_gradients_below_float32_tiny():
+    tiny = np.finfo(np.float32).tiny
+    # sigmoid(-100) = 3.7e-44 and 1 - sigmoid(100) = 3.7e-44: both below tiny
+    _, grad = bce_loss(np.array([-100.0, 100.0, -80.0, 80.0]), np.array([0, 1, 0, 1]))
+    assert grad[0] == 0.0 and grad[1] == 0.0
+    assert np.abs(grad[2:]).min() >= tiny  # sigmoid(-80) = 1.8e-35 stays
+    assert not np.any((grad != 0) & (np.abs(grad.astype(np.float32)) < tiny))
 
 
 class Param:
@@ -169,6 +191,37 @@ def test_empty_split_and_diverged_loss():
     model.head.layers[0].params["w"][...] = 1e38
     with np.errstate(over="ignore"), pytest.raises(GapnetError, match=r"^epoch \d+: non-finite values"):
         train_loop(model, train, val, cfg(seed=12, max_epochs=2))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_saturated_head_sends_no_subnormal_into_dense_backward(monkeypatch, sign):
+    model = Model(ModelSpec(head_input_channels=8, projection_dim=16, classifier="fcnn",
+                            hidden_widths=(8,)), seed=13)
+    model.classifier.layers[-1].params["b"][...] = sign * 500.0
+    train, val = small_dataset(seed=14, n=14)  # 8 train rows, 4 of each label
+    logits = model.forward(np.stack([z for z, _ in train]))
+    assert np.all(np.abs(logits) >= 200.0) and np.all(np.sign(logits) == sign)
+
+    grads_in = []
+    backward = Dense.backward
+
+    def recording_backward(self, grad_out, input_grad=True):
+        grads_in.append((self.dout, grad_out.copy()))
+        return backward(self, grad_out, input_grad)
+
+    monkeypatch.setattr(Dense, "backward", recording_backward)
+    batch = len(train)
+    train_loop(model, train, val, cfg(seed=15, max_epochs=1, batch_size=batch))  # one step
+    tiny = np.finfo(np.float32).tiny
+    assert len(grads_in) == 3  # output, hidden and projection Dense
+    assert sum(int(np.sum((g != 0) & (np.abs(g) < tiny))) for _, g in grads_in) == 0
+    # the output layer's dL/dz, in shuffled row order: 0 on each rightly saturated
+    # row, sign/B on each wrongly saturated one
+    dout, g = grads_in[0]
+    wrong = np.array([label for _, label in train]) != (sign > 0)
+    assert dout == 1 and 0 < wrong.sum() < batch
+    want = np.where(wrong, sign / batch, 0.0).astype(np.float32)
+    assert np.array_equal(np.sort(g[:, 0]), np.sort(want))
 
 
 def test_epoch_csv_format(tmp_path):
