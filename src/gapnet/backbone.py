@@ -1,7 +1,8 @@
 """The BTFT tensor container and the toy backbone.
 
 Pre-extracted feature maps, preprocessed images, checkpoint parameters
-and extracted vectors all travel through the BTFT container; a small
+and extracted vectors all travel through the BTFT container, and
+``load_feature_map`` is the one check of a tensor file; a small
 two-layer convolutional backbone stands in for the frozen pretrained
 extractor when running desk-scale end-to-end experiments.
 
@@ -11,6 +12,7 @@ payload. Header for a rank-1 tensor is exactly 14 bytes.
 """
 
 import contextlib
+import math
 import os
 import struct
 from pathlib import Path
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import GapnetError
 from .nn import Conv2D, ReLU, Sequential
-from .tensor import tensor
+from .tensor import DTYPE, ensure_finite
 
 MAGIC = b"BTFT"
 VERSION = 1
@@ -61,6 +63,7 @@ def save_tensor(t, path):
 def load_feature_map(path):
     """Read one BTFT tensor; bit-exact round trip with save_tensor.
 
+    An empty shape or a non-finite payload is refused, naming the file.
     The payload is read straight into the array the tensor owns: no copy
     of the file bytes is made and freed on the way.
     """
@@ -80,7 +83,9 @@ def load_feature_map(path):
             if size < offset:
                 raise GapnetError(f"{path}: header truncated")
             extents = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-            count = int(np.prod(extents)) if rank else 0
+            if rank == 0 or 0 in extents:
+                raise GapnetError(f"{path}: shape {extents} is empty (rank 0 or an extent of 0)")
+            count = math.prod(extents)
             if size - offset != 4 * count:
                 raise GapnetError(f"{path}: payload {size - offset} bytes, "
                                   f"header implies {4 * count}")
@@ -91,30 +96,23 @@ def load_feature_map(path):
         raise  # a missing resource, not a bad input
     except OSError as e:
         raise GapnetError(f"cannot read tensor from {path}: {e}") from e
-    return tensor(arr.astype(np.float32, copy=False))
+    return ensure_finite(arr.astype(DTYPE, copy=False), path)
 
 
-class ToyBackbone(Sequential):
+TOY_INPUT_SHAPE = (224, 224, 1)  # the one image shape the toy backbone takes
+TOY_CHANNELS = 16  # channels of its output maps
+
+
+def toy_backbone(rng):
     """Two strided conv+ReLU stages: (B, 224, 224, 1) -> (B, 53, 53, 16).
 
     A desk-scale stand-in for the frozen pretrained extractor; frozen by
     default, trainable on request (``ModelSpec.backbone_trainable``) for
-    end-to-end gradient flow. A ``Sequential`` that checks its input shape.
+    end-to-end gradient flow. ``Model.encode`` checks its input's shape.
     """
-
-    input_shape = (224, 224, 1)
-    output_channels = 16
-
-    def __init__(self, rng):
-        super().__init__([
-            Conv2D(1, 8, 5, 5, 2, rng),
-            ReLU(),
-            Conv2D(8, 16, 5, 5, 2, rng),
-            ReLU(),
-        ])
-
-    def forward(self, imgs, train=False):
-        if imgs.shape[1:] != self.input_shape:
-            raise GapnetError(f"toy backbone expects (B, *{self.input_shape}), "
-                              f"got {imgs.shape}")
-        return super().forward(imgs, train=train)
+    return Sequential([
+        Conv2D(1, 8, 5, 5, 2, rng),
+        ReLU(),
+        Conv2D(8, TOY_CHANNELS, 5, 5, 2, rng),
+        ReLU(),
+    ])

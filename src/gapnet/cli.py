@@ -144,12 +144,6 @@ def _scan_raw_dir(raw_dir):
     return records
 
 
-def _preprocess_image(img, size):
-    img = datamod.histogram_equalize(img)
-    img = datamod.resize_bilinear(img, size, size)
-    return datamod.normalize(img)
-
-
 def cmd_prepare(args):
     require_counts(least=0, seed=args.seed)
     balance = {} if args.balance_to is None else {"balance_to": args.balance_to}
@@ -176,8 +170,9 @@ def cmd_prepare(args):
         tensor_dir.mkdir(parents=True, exist_ok=True)
         prepared = []
         for rec in records:
-            save_tensor(_preprocess_image(datamod.load_image(rec), args.image_size),
-                        tensor_dir / f"{rec.sample_id}.btft")
+            img = datamod.histogram_equalize(datamod.load_image(rec))
+            img = datamod.resize_bilinear(img, args.image_size, args.image_size)
+            save_tensor(datamod.normalize(img), tensor_dir / f"{rec.sample_id}.btft")
             prepared.append(replace(rec, path=f"tensors/{rec.sample_id}.btft"))
         records = prepared
 
@@ -412,7 +407,9 @@ def cmd_report(args):
     for name, acc, prec, rec, f1 in rows:
         lines.append(f"{name},{100 * acc:.2f},{100 * prec:.2f},{100 * rec:.2f},{100 * f1:.2f}")
     text = "\n".join(lines) + "\n"
-    write_atomic(args.out, text.encode())
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(out, text.encode())
     print(text, end="")
     return 0
 

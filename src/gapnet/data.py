@@ -51,13 +51,13 @@ class ManifestRecord:
 def load_manifest(path):
     records = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # each line decoded in the try: a bad byte names its line
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
                 rec = ManifestRecord(
                     sample_id=obj["sample_id"],
                     path=obj["path"],

@@ -3,9 +3,8 @@
 Every contract violation is a ``GapnetError`` whose message says what was
 wrong; the command line prints that one line and exits 1, as it does for
 any other ``OSError`` (a path of the wrong kind). A missing resource is
-Python's own ``FileNotFoundError`` and exits 2.
-``NonFiniteTensor`` is the one subclass, kept because training catches
-it by type to name the epoch that diverged.
+Python's own ``FileNotFoundError`` and exits 2. Training prefixes the
+message of an error raised inside an epoch with that epoch's number.
 """
 
 import numbers
@@ -13,10 +12,6 @@ import numbers
 
 class GapnetError(Exception):
     """A contract violation in gapnet's inputs; its message is the one line shown."""
-
-
-class NonFiniteTensor(GapnetError):
-    """A NaN or infinity in a tensor."""
 
 
 def require_counts(least=1, **values):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .errors import GapnetError
-from .tensor import DTYPE, ensure_finite, mean_over_spatial
+from .tensor import DTYPE, ensure_finite
 
 
 def he_uniform(rng, shape, fan_in):
@@ -109,7 +109,7 @@ class Dropout(Layer):
         self.fixed_mask = None
 
     def forward(self, x, train=False):
-        if not train or self.rate == 0.0:
+        if not train:
             return x
         if self.fixed_mask is not None:
             keep = self.fixed_mask
@@ -120,8 +120,6 @@ class Dropout(Layer):
         return x * scale
 
     def backward(self, grad_out, input_grad=True):
-        if self.rate == 0.0:
-            return grad_out
         scale = self._need_cache()
         return grad_out * scale
 
@@ -132,7 +130,7 @@ class GlobalAvgPool(Layer):
     def forward(self, x, train=False):
         if x.ndim != 4:
             raise GapnetError(f"global average pooling expects (B, H, W, C), got rank {x.ndim}")
-        out = mean_over_spatial(x)
+        out = ensure_finite(x.mean(axis=(1, 2)), "global_avg_pool")
         if train:
             self._cache = x.shape
         return out

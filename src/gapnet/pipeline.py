@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import ToyBackbone, load_feature_map, save_tensor, write_atomic
+from .backbone import (TOY_CHANNELS, TOY_INPUT_SHAPE, load_feature_map, save_tensor,
+                       toy_backbone, write_atomic)
 from .errors import GapnetError, require_counts
 from .nn import Conv1D, Dense, Dropout, GlobalAvgPool, ReLU, Sequential
 
@@ -60,26 +61,16 @@ class ModelSpec:
         if self.backbone_trainable and self.backbone == "imported_features":
             raise GapnetError("backbone_trainable needs a backbone to train; "
                               "imported_features maps come from a frozen one")
-        if self.backbone == "toy_cnn" and self.head_input_channels != ToyBackbone.output_channels:
-            raise GapnetError(
-                f"toy_cnn emits {ToyBackbone.output_channels} channels, "
-                f"spec says {self.head_input_channels}"
-            )
+        if self.backbone == "toy_cnn" and self.head_input_channels != TOY_CHANNELS:
+            raise GapnetError(f"toy_cnn emits {TOY_CHANNELS} channels, "
+                              f"spec says {self.head_input_channels}")
         return self
 
-    def to_dict(self):
-        d = asdict(self)
-        d["hidden_widths"] = list(self.hidden_widths)
-        d["dropout_rates"] = list(self.dropout_rates)
-        return d
+    def to_dict(self):  # json writes a tuple and a list alike: fingerprints ignore which
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        if "hidden_widths" in d:
-            d["hidden_widths"] = tuple(d["hidden_widths"])
-        if "dropout_rates" in d:
-            d["dropout_rates"] = tuple(d["dropout_rates"])
         return cls(**d).validate()
 
     def fingerprint(self):
@@ -132,9 +123,10 @@ class Model:
     point, into two ``Sequential`` parts: ``frozen``, which training never
     changes (frozen backbone and GAP, or GAP alone for imported maps;
     nothing when the backbone trains), and ``trained``, the rest. A raw
-    input is a 224x224x1 image for toy_cnn, an HxWx``head_input_channels``
-    map for imported features. ``encode`` runs ``frozen`` on one raw input
-    (or returns it when nothing is frozen); ``forward`` and ``backward``
+    input is an ``input_shape`` (224x224x1) image for toy_cnn, an
+    HxWx``head_input_channels`` map for imported features. ``encode``, the
+    one check of a raw input's shape, runs ``frozen`` on one raw input (or
+    returns it when nothing is frozen); ``forward`` and ``backward``
     run ``trained`` and the classifier on a batch of encoded inputs, so raw
     inputs score as ``sigmoid(forward(np.stack([encode(x) for x in xs])))``.
     """
@@ -144,7 +136,8 @@ class Model:
         self.seed = seed
         self.dtype = np.float32
         rng = np.random.default_rng(seed)
-        self.backbone = ToyBackbone(rng) if spec.backbone == "toy_cnn" else None
+        self.backbone = toy_backbone(rng) if spec.backbone == "toy_cnn" else None
+        self.input_shape = TOY_INPUT_SHAPE if self.backbone else None  # tests shrink it
         self.head = build_feature_head(spec, rng)
         self.classifier = build_classifier(spec, rng)
         chain = [part for part in (self.backbone, GlobalAvgPool(), self.head) if part is not None]
@@ -155,24 +148,16 @@ class Model:
                        (("backbone.", self.backbone), ("head.", self.head),
                         ("clf.", self.classifier)) if part is not None]
 
-    def rows_per_pass(self, batch_size):
-        """Rows one forward/backward pass takes out of a ``batch_size`` batch.
-
-        A trainable backbone runs one image at a time, so the conv
-        activations in memory stay those of one image; every other model
-        runs the whole batch on its cached GAP vectors.
-        """
-        return batch_size if self.frozen.layers else 1
-
     # -- inference ----------------------------------------------------
     def encode(self, x):
         """One raw input -> the row ``forward`` takes for it, through ``frozen``."""
-        if not self.frozen.layers:
-            return x
-        if self.backbone is None and (x.ndim != 3 or x.shape[2] != self.spec.head_input_channels):
+        if self.backbone is not None:
+            if x.shape != self.input_shape:
+                raise GapnetError(f"toy backbone expects {self.input_shape}, got {x.shape}")
+        elif x.ndim != 3 or x.shape[2] != self.spec.head_input_channels:
             raise GapnetError(f"input {x.shape} is not an HxWx"
                               f"{self.spec.head_input_channels} feature map")
-        return self.frozen.forward(x[None])[0]
+        return self.frozen.forward(x[None])[0] if self.frozen.layers else x
 
     def features(self, z, train=False):
         """Batch of encoded inputs -> (B, projection_dim) projected feature vectors."""
@@ -244,16 +229,18 @@ def load_checkpoint(directory, expected_spec=None):
     try:
         manifest = json.loads(path.read_text())
         spec = ModelSpec.from_dict(manifest["model_spec"])
+        seed = manifest.get("seed", 0)
+        require_counts(least=0, seed=seed)  # the seeds numpy accepts
     except KeyError as e:
         raise GapnetError(f"{path}: checkpoint manifest lacks {e}") from e
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, GapnetError) as e:
         raise GapnetError(f"{path}: not a checkpoint manifest: {e}") from e
     if expected_spec is not None and expected_spec.fingerprint() != spec.fingerprint():
         raise GapnetError(
             f"checkpoint fingerprint {spec.fingerprint()[:12]} != "
             f"configured model fingerprint {expected_spec.fingerprint()[:12]}"
         )
-    model = Model(spec, seed=manifest.get("seed", 0))
+    model = Model(spec, seed=seed)
     state = {}
     for name, layer, pname in model.parameters(trainable_only=False):
         state[name] = load_feature_map(directory / "params" / f"{name}.btft")

@@ -6,7 +6,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .backbone import write_atomic
-from .errors import GapnetError, NonFiniteTensor, require_counts
+from .errors import GapnetError, require_counts
 from .pipeline import decide, sigmoid
 
 IMPROVE_EPS = 1e-4  # absolute val-loss improvement that resets patience counters
@@ -161,8 +161,10 @@ class EpochLog:
 
 
 def passes(model, rows, batch_size):
-    """Split ``rows`` into the chunks one forward pass takes."""
-    step = model.rows_per_pass(batch_size)
+    """Split ``rows`` into the chunks one forward/backward pass takes: one image
+    at a time for a trainable backbone, which keeps one image's conv
+    activations in memory, else whole batches of cached GAP vectors."""
+    step = batch_size if model.frozen.layers else 1
     return [rows[i:i + step] for i in range(0, len(rows), step)]
 
 
@@ -188,8 +190,8 @@ def train_loop(model, train, val, config):
     (the extract-once protocol), so every epoch runs only the part of the
     network that training changes, one forward, BCE and backward per
     mini-batch. A model with a trainable backbone accumulates each
-    mini-batch one image at a time (``Model.rows_per_pass``); either way
-    one Adam step follows each mini-batch.
+    mini-batch one image at a time (``passes``); either way one Adam step
+    follows each mini-batch. An error raised in a pass names its epoch.
     """
     config.validate()
     if not train:
@@ -222,7 +224,7 @@ def train_loop(model, train, val, config):
                     losses.append(loss)
                     hits += int(np.sum(decide(sigmoid(z), model.spec.decision_threshold) == y))
                     model.backward(dldz / len(batch))
-            except NonFiniteTensor as e:
+            except GapnetError as e:
                 raise GapnetError(f"epoch {epoch}: {e}") from e
             adam.step(params, lr)
         train_loss = float(np.mean(np.concatenate(losses)))

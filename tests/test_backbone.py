@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gapnet import backbone
-from gapnet.backbone import ToyBackbone, load_feature_map, save_tensor
+from gapnet.backbone import load_feature_map, save_tensor, toy_backbone
 from gapnet.errors import GapnetError
 from gradcheck import gradient_check
 
@@ -113,15 +113,38 @@ def test_malformed_files(tmp_path):
         load_feature_map(tmp_path)  # a directory
 
 
+def _btft(extents, payload):
+    """A hand-built BTFT file's bytes: header for ``extents``, then ``payload``."""
+    return (struct.pack(f"<4sIBB{len(extents)}I", b"BTFT", 1, 1, len(extents), *extents)
+            + np.asarray(payload, "<f4").tobytes())
+
+
+def test_load_feature_map_rejects_empty_shapes_and_non_finite_payloads(tmp_path):
+    path = tmp_path / "t.btft"
+    for extents, payload, needle in (((), [], r"shape \(\) is empty"),  # rank 0
+                                     ((2, 0), [], r"shape \(2, 0\) is empty"),
+                                     ((2,), [np.nan, 1.0], "non-finite values"),
+                                     ((1, 2), [1.0, -np.inf], "non-finite values")):
+        path.write_bytes(_btft(extents, payload))
+        with pytest.raises(GapnetError, match=needle) as info:
+            load_feature_map(path)
+        assert str(path) in str(info.value) and "\n" not in str(info.value)
+
+
 def test_toy_backbone_shapes_and_zero_propagation():
-    bb = ToyBackbone(np.random.default_rng(2))
+    from gapnet.pipeline import Model, ModelSpec
+
+    bb = toy_backbone(np.random.default_rng(2))
     out = bb.forward(np.zeros((2, 224, 224, 1), np.float32))
     assert out.shape == (2, 53, 53, 16)
     assert not np.any(out)
-    with pytest.raises(GapnetError, match="toy backbone expects"):
-        bb.forward(np.zeros((1, 64, 64, 1), np.float32))
-    with pytest.raises(GapnetError, match="toy backbone expects"):
-        bb.forward(np.zeros((224, 224, 1), np.float32))  # no batch axis
+    # a model checks each raw image as it encodes it, frozen or trainable
+    for trainable in (False, True):
+        model = Model(ModelSpec(backbone="toy_cnn", head_input_channels=16,
+                                backbone_trainable=trainable), seed=0)
+        for shape in ((64, 64, 1), (1, 224, 224, 1), (224, 224, 3)):
+            with pytest.raises(GapnetError, match=r"toy backbone expects \(224, 224, 1\)"):
+                model.encode(np.zeros(shape, np.float32))
 
 
 def test_conv_shape_formula_property():
@@ -138,8 +161,7 @@ def test_conv_shape_formula_property():
 
 def test_gradient_flows_through_both_conv_layers():
     # same two-stage structure as the toy backbone, desk-sized extents
-    bb = ToyBackbone(np.random.default_rng(4))
-    bb.input_shape = (13, 13, 1)
+    bb = toy_backbone(np.random.default_rng(4))
     x = np.random.default_rng(5).standard_normal((2, 13, 13, 1)).astype(np.float32) * 0.5
     report = gradient_check(bb, x, rng=np.random.default_rng(6))
     assert report.passed, report.per_param

@@ -674,6 +674,39 @@ def _three_channel_record_tensor(tmp_path):
     return args
 
 
+def _nan_record_tensor(tmp_path):
+    save_tensor(np.full((224, 224, 1), np.nan, np.float32), tmp_path / "nan.btft")
+    save_manifest([ManifestRecord("nan", "nan.btft", 1, "s", split="train")],
+                  tmp_path / "m.jsonl")
+    return ["train", str(write_config(tmp_path / "c.json", tmp_path / "m.jsonl",
+                                      tmp_path / "run"))]
+
+
+def _checkpoint_seed(seed):
+    def setup(tmp_path):
+        args = _missing_record_tensor(tmp_path)
+        spec = ModelSpec.from_dict(json.loads((tmp_path / "c.json").read_text())["model"])
+        save_checkpoint(Model(spec, seed=21), tmp_path / "ckpt")
+        model_json = tmp_path / "ckpt" / "model.json"
+        model_json.write_text(json.dumps({**json.loads(model_json.read_text()), "seed": seed}))
+        return ["eval", args[1], str(tmp_path / "ckpt")]
+    return setup
+
+
+def _non_utf8_manifest(command):
+    def setup(tmp_path):
+        if command == "train":
+            args = ["train", _config(tmp_path)]
+            manifest = tmp_path / "m.jsonl"
+        else:
+            manifest = tmp_path / "in.jsonl"
+            args = ["prepare", str(manifest), str(tmp_path / "m.jsonl"), "--seed", "1",
+                    "--manifest-only"]
+        manifest.write_bytes(b'{"sample_id": "a\xff"}\n')
+        return args
+    return setup
+
+
 def _missing_checkpoint_param(tmp_path):
     args = _missing_record_tensor(tmp_path)
     spec = ModelSpec.from_dict(json.loads((tmp_path / "c.json").read_text())["model"])
@@ -830,7 +863,19 @@ def _report_to_a_directory(tmp_path):
                  id="augmented-id-names-no-transform"),
     pytest.param(_missing_record_tensor, 2, "x.btft", id="record-tensor-missing"),
     pytest.param(_missing_checkpoint_param, 2, "clf.0.w.btft", id="checkpoint-param-missing"),
-    pytest.param(_three_channel_record_tensor, 1, "toy backbone expects (B, *(224, 224, 1))",
+    pytest.param(_checkpoint_seed("x"), 1, "model.json: not a checkpoint manifest: seed must be "
+                 "an integer >= 0, got 'x'", id="checkpoint-seed-not-int"),
+    pytest.param(_checkpoint_seed(-1), 1, "model.json: not a checkpoint manifest: seed must be "
+                 "an integer >= 0, got -1", id="checkpoint-seed-negative"),
+    pytest.param(_checkpoint_seed(1.5), 1, "model.json: not a checkpoint manifest: seed must be "
+                 "an integer >= 0, got 1.5", id="checkpoint-seed-not-whole"),
+    pytest.param(_non_utf8_manifest("prepare"), 1, "in.jsonl: line 1: 'utf-8' codec can't decode",
+                 id="prepare-manifest-not-utf8"),
+    pytest.param(_non_utf8_manifest("train"), 1, "m.jsonl: line 1: 'utf-8' codec can't decode",
+                 id="train-manifest-not-utf8"),
+    pytest.param(_nan_record_tensor, 1, "non-finite values produced by ", id="record-tensor-has-nan"),
+    pytest.param(_three_channel_record_tensor, 1,
+                 "toy backbone expects (224, 224, 1), got (224, 224, 3)",
                  id="record-tensor-has-three-channels"),
     pytest.param(_extract_checkpoint(_three_channel_toy_checkpoint), 1,
                  "backbone.0.w: checkpoint shape (5, 5, 3, 8)", id="toy-checkpoint-three-channels"),
@@ -878,6 +923,19 @@ def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, setup, code, need
     assert main(setup(tmp_path)) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+    if needle.startswith("non-finite"):  # the message names the file that holds the NaN
+        assert err.endswith(f"{tmp_path / 'nan.btft'}\n")
+
+
+def test_report_creates_the_directory_of_its_table(tmp_path):
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "metrics.json").write_text(
+        '{"model": "dfn", "accuracy": 1, "precision": 0.5, "recall": 1, "f1": 0.75}')
+    table = tmp_path / "nodir" / "sub" / "table.csv"
+    assert main(["report", str(tmp_path / "run"), "--out", str(table)]) == 0
+    assert table.read_text().splitlines() == ["Model,Accuracy,Precision,Recall,F1",
+                                              "dfn,100.00,50.00,100.00,75.00"]
+    assert [p.name for p in table.parent.iterdir()] == ["table.csv"]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["prepare", "--help"]])

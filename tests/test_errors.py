@@ -9,7 +9,7 @@ from pathlib import Path
 import gapnet
 
 SOURCES = sorted(Path(gapnet.__file__).parent.glob("*.py"))
-RAISED = {"GapnetError", "NonFiniteTensor", "FileNotFoundError"}
+RAISED = {"GapnetError", "FileNotFoundError"}
 
 
 def _is_builtin_exception(name):
@@ -31,7 +31,7 @@ def _raises(tree):
     return found
 
 
-def test_the_only_exception_classes_are_gapnet_error_and_non_finite_tensor():
+def test_the_only_exception_class_is_gapnet_error():
     classes = [node for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.ClassDef)]
     exceptions = set()
@@ -44,7 +44,7 @@ def test_the_only_exception_classes_are_gapnet_error_and_non_finite_tensor():
                     b in exceptions or _is_builtin_exception(b) for b in bases):
                 exceptions.add(node.name)
                 grew = True
-    assert exceptions == {"GapnetError", "NonFiniteTensor"}
+    assert exceptions == {"GapnetError"}
 
 
 def test_every_raise_names_a_type_the_command_line_reports():

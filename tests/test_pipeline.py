@@ -115,7 +115,10 @@ TOY = {"backbone": "toy_cnn", "head_input_channels": 16}
     (ModelSpec(**TOY), (1, 224, 224, 1)),  # frozen backbone: forward takes GAP vectors
 ])
 def test_forward_rejects_input_the_spec_does_not_describe(spec, shape):
-    needle = "toy backbone expects" if spec.backbone_trainable else r"dense expects \(B, 16\)"
+    # forward takes encoded rows: images for a trainable backbone, whose first conv
+    # refuses 16 channels, else GAP vectors, which the projection checks
+    needle = ("input has 16 channels, layer expects 1" if spec.backbone_trainable
+              else r"dense expects \(B, 16\)")
     with pytest.raises(GapnetError, match=needle):
         Model(spec, seed=0).forward(np.zeros(shape, np.float32))
 
@@ -233,8 +236,8 @@ def test_whole_frozen_model_gradients_on_a_batch(classifier):
 def test_whole_trainable_model_gradients_on_a_batch():
     model = Model(ModelSpec(backbone_trainable=True, classifier="fcnn", projection_dim=4,
                             hidden_widths=(3,), **TOY), seed=2)
-    # desk-sized images; the two conv stages take any extent from 13 up
-    model.backbone.input_shape = (13, 13, 1)
+    # desk-sized images (forward takes them unchecked; only encode checks a raw
+    # input's shape); the two conv stages take any extent from 13 up
     x = np.random.default_rng(22).standard_normal((2, 13, 13, 1)).astype(np.float32)
     # a small step keeps the differences clear of the conv stages' ReLU kinks
     report = gradient_check(model, x, h=1e-5, rng=np.random.default_rng(23))
@@ -271,7 +274,6 @@ def test_model_backward_skips_input_grad_by_default_bitwise(trainable):
     if trainable:
         model = Model(ModelSpec(backbone_trainable=True, classifier="fcnn", projection_dim=6,
                                 hidden_widths=(5,), **TOY), seed=3)
-        model.backbone.input_shape = (13, 13, 1)  # desk-sized images
         z = rng.standard_normal((2, 13, 13, 1)).astype(np.float32)
     else:
         model = Model(ModelSpec(head_input_channels=8, classifier="fcnn", projection_dim=6,

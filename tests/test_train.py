@@ -243,7 +243,7 @@ def test_rows_per_forward_pass(trainable, expected_rows):
     model = Model(ModelSpec(backbone="toy_cnn", head_input_channels=16,
                             backbone_trainable=trainable, projection_dim=8,
                             hidden_widths=(4,), dropout_rates=(0.0,)), seed=3)
-    model.backbone.input_shape = (13, 13, 1)  # desk-sized images
+    model.input_shape = (13, 13, 1)  # desk-sized images
     rng = np.random.default_rng(4)
     imgs = [rng.standard_normal((13, 13, 1)).astype(np.float32) for _ in range(16)]
     samples = [(model.encode(x), i % 2) for i, x in enumerate(imgs)]
@@ -260,8 +260,7 @@ def test_trainable_backbone_never_computes_the_image_gradient(monkeypatch):
     model = Model(ModelSpec(backbone="toy_cnn", head_input_channels=16,
                             backbone_trainable=True, projection_dim=8,
                             hidden_widths=(4,), dropout_rates=(0.0,)), seed=3)
-    model.backbone.input_shape = (13, 13, 1)  # desk-sized images
-    rng = np.random.default_rng(6)
+    rng = np.random.default_rng(6)  # desk-sized images, which train_loop takes unchecked
     samples = [(rng.standard_normal((13, 13, 1)).astype(np.float32), i % 2) for i in range(6)]
     cin = {}  # kernel name -> input channels of each call
 
