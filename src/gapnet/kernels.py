@@ -7,6 +7,11 @@ kernels give those two alone, for a layer whose input gradient nobody
 reads; ``*_backward`` adds the input gradient to them. All kernels
 preserve the input dtype (float32 at runtime, float64 when the
 gradient-check oracle re-runs a model in double precision).
+
+The conv2d kernels work on x's window matrix, one kh*kw*Cin row per
+output position. Given ``cols=``, ``conv2d_forward`` builds it in that
+caller-kept buffer, and the gradient kernels read it from there instead
+of copying the windows out of x again. Every result is a new array.
 """
 
 import numpy as np
@@ -41,31 +46,38 @@ def conv1d_backward(x, w, g):
     return dx, dw, db
 
 
-def _conv2d_windows(x, kh, kw, stride):
-    # x: (..., H, W, C) -> (..., H', W', kh*kw*C), each window ordered like w.reshape(-1, Cout)
+def _conv2d_windows(x, kh, kw, stride, out=None):
+    # x: (..., H, W, C) -> (..., H', W', kh*kw*C), each window ordered like w.reshape(-1, Cout);
+    # copied into ``out`` if given, which must have that shape and x's dtype
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(-3, -2))
     win = np.moveaxis(win[..., ::stride, ::stride, :, :, :], -3, -1)
-    return win.reshape(win.shape[:-3] + (-1,))
+    if out is None:
+        return win.reshape(win.shape[:-3] + (-1,))
+    np.copyto(out.reshape(win.shape), win)
+    return out
 
 
-def conv2d_forward(x, w, b, stride):
-    # x: (..., H, W, Cin), w: (kh, kw, Cin, Cout), b: (Cout,) -> (..., H', W', Cout)
-    cols = _conv2d_windows(x, w.shape[0], w.shape[1], stride)
+def conv2d_forward(x, w, b, stride, cols=None):
+    # x: (..., H, W, Cin), w: (kh, kw, Cin, Cout), b: (Cout,) -> (..., H', W', Cout);
+    # x's window matrix is built in ``cols`` if given
+    cols = _conv2d_windows(x, w.shape[0], w.shape[1], stride, out=cols)
     out = cols.reshape(-1, cols.shape[-1]) @ w.reshape(-1, w.shape[3]) + b
     return out.reshape(cols.shape[:-1] + (w.shape[3],))
 
 
-def conv2d_weight_grads(x, w, g, stride):
-    # g: (..., H', W', Cout) -> dw (kh, kw, Cin, Cout), db (Cout,)
-    cols = _conv2d_windows(x, w.shape[0], w.shape[1], stride)
+def conv2d_weight_grads(x, w, g, stride, cols=None):
+    # g: (..., H', W', Cout) -> dw (kh, kw, Cin, Cout), db (Cout,);
+    # ``cols``, if given, is x's window matrix as conv2d_forward built it
+    if cols is None:
+        cols = _conv2d_windows(x, w.shape[0], w.shape[1], stride)
     g_rows = g.reshape(-1, g.shape[-1])
     dw = cols.reshape(-1, cols.shape[-1]).T @ g_rows
     return dw.reshape(w.shape), g_rows.sum(axis=0)
 
 
-def conv2d_backward(x, w, g, stride):
+def conv2d_backward(x, w, g, stride, cols=None):
     # g: (..., H', W', Cout) -> dx like x, dw, db
-    dw, db = conv2d_weight_grads(x, w, g, stride)
+    dw, db = conv2d_weight_grads(x, w, g, stride, cols=cols)
     kh, kw = w.shape[0], w.shape[1]
     h2, w2 = g.shape[-3], g.shape[-2]
     dx = np.zeros_like(x)

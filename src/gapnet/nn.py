@@ -4,7 +4,9 @@ Every layer takes a batch: axis 0 of its input indexes the samples,
 so a mini-batch costs one GEMM per layer. Each layer keeps its
 parameters and gradient accumulators in ``params`` / ``grads`` dicts and
 caches whatever its backward pass needs when the forward pass runs in
-train mode. Parameter gradients are summed over the batch rows and
+train mode. Conv2D alone keeps something between passes: a buffer for
+its input's window matrix, replaced when the input's shape or dtype
+changes. Parameter gradients are summed over the batch rows and
 accumulate until zero_grad(); the training loop zeroes once per batch.
 ``backward(grad_out, input_grad=True)`` returns dL/d(input); with
 ``input_grad=False`` a layer with parameters fills its gradients only and
@@ -183,7 +185,16 @@ class Conv1D(Layer):
 
 
 class Conv2D(Layer):
-    """Valid cross-correlation over a (B, H, W, Cin) batch of maps, strided."""
+    """Valid cross-correlation over a (B, H, W, Cin) batch of maps, strided.
+
+    The layer keeps one buffer between calls: the window matrix of its
+    last input, (B, H', W', kh*kw*Cin), which the forward kernel fills.
+    It is reused while the input's shape and dtype repeat and replaced
+    when either changes. A train-mode forward hands the buffer to its
+    cache, so backward's dW is one GEMM on it without a second copy of
+    the windows, and backward hands it back; a forward run in between
+    builds its windows in a buffer of its own.
+    """
 
     def __init__(self, cin, cout, kh, kw, stride, rng):
         super().__init__()
@@ -194,6 +205,17 @@ class Conv2D(Layer):
             "b": np.zeros(cout, dtype=DTYPE),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self._cols = None
+
+    def _windows(self, x):
+        """x's window-matrix buffer: the kept one if it fits x's shape and dtype, else a new
+        one, which is kept instead."""
+        shape = (x.shape[0], (x.shape[1] - self.kh) // self.stride + 1,
+                 (x.shape[2] - self.kw) // self.stride + 1, self.kh * self.kw * self.cin)
+        cols = self._cols
+        if cols is None or cols.shape != shape or cols.dtype != x.dtype:
+            cols = self._cols = np.empty(shape, x.dtype)
+        return cols
 
     def forward(self, x, train=False):
         if x.ndim != 4:
@@ -202,18 +224,23 @@ class Conv2D(Layer):
             raise GapnetError(f"input has {x.shape[3]} channels, layer expects {self.cin}")
         if self.kh > x.shape[1] or self.kw > x.shape[2]:
             raise GapnetError(f"kernel {self.kh}x{self.kw} larger than input {x.shape[1:3]}")
-        out = kernels.conv2d_forward(x, self.params["w"], self.params["b"], self.stride)
+        cols = self._windows(x)
+        out = kernels.conv2d_forward(x, self.params["w"], self.params["b"], self.stride,
+                                     cols=cols)
         if train:
-            self._cache = x
+            self._cache, self._cols = (x, cols), None
         return ensure_finite(out, "conv2d_layer_forward")
 
     def backward(self, grad_out, input_grad=True):
-        x = self._need_cache()
+        x, cols = self._need_cache()
         if input_grad:
-            dx, dw, db = kernels.conv2d_backward(x, self.params["w"], grad_out, self.stride)
+            dx, dw, db = kernels.conv2d_backward(x, self.params["w"], grad_out, self.stride,
+                                                 cols=cols)
         else:
             dx = None
-            dw, db = kernels.conv2d_weight_grads(x, self.params["w"], grad_out, self.stride)
+            dw, db = kernels.conv2d_weight_grads(x, self.params["w"], grad_out, self.stride,
+                                                 cols=cols)
+        self._cols = cols
         self.grads["w"] += dw
         self.grads["b"] += db
         return dx

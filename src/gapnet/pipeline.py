@@ -79,13 +79,14 @@ class ModelSpec:
 
 
 def build_feature_head(spec, rng):
-    """The linear projection of GAP vectors (no activation): (B, C) -> (B, projection_dim)."""
-    spec.validate()
+    """The linear projection of GAP vectors (no activation): (B, C) -> (B, projection_dim).
+
+    ``spec`` is taken as valid; ``Model`` checks it once, as it enters.
+    """
     return Sequential([Dense(spec.head_input_channels, spec.projection_dim, rng)])
 
 
 def build_classifier(spec, rng):
-    spec.validate()
     if spec.classifier == "cnn1d":  # treat the projected vector as a length-512 signal
         flat = spec.conv_filters * (spec.projection_dim - spec.conv_kernel + 1)
         return Sequential([Conv1D(spec.conv_filters, spec.conv_kernel, rng), ReLU(),
@@ -228,19 +229,19 @@ def load_checkpoint(directory, expected_spec=None):
     path = directory / "model.json"
     try:
         manifest = json.loads(path.read_text())
-        spec = ModelSpec.from_dict(manifest["model_spec"])
         seed = manifest.get("seed", 0)
         require_counts(least=0, seed=seed)  # the seeds numpy accepts
+        model = Model(ModelSpec(**manifest["model_spec"]), seed=seed)  # checks the spec
     except KeyError as e:
         raise GapnetError(f"{path}: checkpoint manifest lacks {e}") from e
     except (ValueError, TypeError, GapnetError) as e:
         raise GapnetError(f"{path}: not a checkpoint manifest: {e}") from e
+    spec = model.spec
     if expected_spec is not None and expected_spec.fingerprint() != spec.fingerprint():
         raise GapnetError(
             f"checkpoint fingerprint {spec.fingerprint()[:12]} != "
             f"configured model fingerprint {expected_spec.fingerprint()[:12]}"
         )
-    model = Model(spec, seed=seed)
     state = {}
     for name, layer, pname in model.parameters(trainable_only=False):
         state[name] = load_feature_map(directory / "params" / f"{name}.btft")

@@ -108,21 +108,26 @@ def brute_conv1d(x, kern, b):
 
 
 def brute_conv2d(x, w, b, g, stride):
-    """Explicit window loops over one (N, H, W, C) stack: the output, dW and db."""
+    """Explicit window loops over one (N, H, W, C) stack: the output, dL/dx, dW and db."""
     kh, kw = w.shape[:2]
     h2, w2 = g.shape[1:3]
     out = np.zeros(g.shape)
+    dx = np.zeros(x.shape)
     dw = np.zeros(w.shape)
     for n in range(x.shape[0]):
         for i in range(h2):
             for j in range(w2):
-                window = x[n, i * stride:i * stride + kh, j * stride:j * stride + kw, :, None]
+                rows, cols = slice(i * stride, i * stride + kh), slice(j * stride, j * stride + kw)
+                window = x[n, rows, cols, :, None]
                 out[n, i, j] = (window * w).sum(axis=(0, 1, 2)) + b
+                dx[n, rows, cols] += (w * g[n, i, j]).sum(axis=3)
                 dw += window * g[n, i, j]
-    return out, dw, g.sum(axis=(0, 1, 2))
+    return out, dx, dw, g.sum(axis=(0, 1, 2))
 
 
-def test_conv2d_kernels_match_brute_force_windows():
+def conv2d_oracle_cases():
+    """(x, w, b, g, stride) over channels x strides x leading axes, with the oracle's
+    (out, dx, dw, db) for the stack of x's leading axes."""
     rng = np.random.default_rng(2025)
     for c in (1, 3, 8):
         for stride in (1, 2, 3):
@@ -136,14 +141,38 @@ def test_conv2d_kernels_match_brute_force_windows():
                 b = rng.standard_normal(3).astype(np.float32)
                 out = kernels.conv2d_forward(x, w, b, stride)
                 g = rng.standard_normal(out.shape).astype(np.float32)
-                dw, db = kernels.conv2d_weight_grads(x, w, g, stride)
-                flat = (-1,) + x.shape[-3:]
-                want = brute_conv2d(x.reshape(flat).astype(np.float64), w.astype(np.float64),
-                                    b, g.reshape((-1,) + g.shape[-3:]).astype(np.float64),
-                                    stride)
-                assert out.shape == lead + want[0].shape[1:]
-                for got, ref in zip((out.reshape(want[0].shape), dw, db), want):
-                    assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+                want = brute_conv2d(x.reshape((-1,) + x.shape[-3:]).astype(np.float64),
+                                    w.astype(np.float64), b,
+                                    g.reshape((-1,) + g.shape[-3:]).astype(np.float64), stride)
+                yield x, w, b, g, stride, want
+
+
+def assert_matches_oracle(got, want):
+    for got_one, ref in zip(got, want):
+        assert got_one.shape == ref.shape
+        assert np.abs(got_one - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+def test_conv2d_kernels_match_brute_force_windows():
+    for x, w, b, g, stride, want in conv2d_oracle_cases():
+        out = kernels.conv2d_forward(x, w, b, stride)
+        assert out.shape == x.shape[:-3] + want[0].shape[1:]
+        dx, dw, db = kernels.conv2d_backward(x, w, g, stride)
+        assert dx.shape == x.shape
+        assert_matches_oracle((out.reshape(want[0].shape), dx.reshape(want[1].shape), dw, db),
+                              want)
+        assert_matches_oracle(kernels.conv2d_weight_grads(x, w, g, stride), want[2:])
+
+
+def test_conv2d_layer_matches_brute_force_windows():
+    # the layer path: dW from the window matrix its train-mode forward kept
+    for x, w, b, g, stride, want in conv2d_oracle_cases():
+        x, g = x.reshape((-1,) + x.shape[-3:]), g.reshape((-1,) + g.shape[-3:])
+        layer = Conv2D(w.shape[2], 3, w.shape[0], w.shape[1], stride, np.random.default_rng(0))
+        layer.params["w"], layer.params["b"] = w, b
+        out = layer.forward(x, train=True)
+        dx = layer.backward(g, input_grad=True)
+        assert_matches_oracle((out, dx, layer.grads["w"], layer.grads["b"]), want)
 
 
 def test_criterion_2_oracle_equivalence():

@@ -1,7 +1,13 @@
+import copy
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from gapnet import kernels
+from gapnet.backbone import toy_backbone
 from gapnet.errors import GapnetError
 from gapnet.nn import (
     Conv1D,
@@ -286,3 +292,94 @@ def test_weight_grad_kernels_match_backward_bitwise():
     _, dw, db = kernels.conv1d_backward(x, w, g)
     dw2, db2 = kernels.conv1d_weight_grads(x, w, g)
     assert np.array_equal(dw, dw2) and np.array_equal(db, db2)
+
+
+def test_conv2d_results_share_no_memory_with_each_other_or_the_kept_windows():
+    r = np.random.default_rng(4002)
+    layer = Conv2D(3, 4, 3, 3, 2, r)
+    x = r.standard_normal((2, 9, 8, 3)).astype(np.float32)
+    first, second = layer.forward(x), layer.forward(x)
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+    layer.forward(x, train=True)
+    dx = layer.backward(np.ones_like(first))
+    layer.forward(x, train=True)
+    dx2 = layer.backward(np.ones_like(first))
+    assert np.array_equal(dx, dx2) and not np.shares_memory(dx, dx2)
+    for out in (first, second, dx, dx2):
+        assert not np.shares_memory(out, layer._cols)
+
+
+def test_conv2d_forward_between_train_forward_and_backward_leaves_dw_as_it_was():
+    r = np.random.default_rng(4003)
+    layer = Conv2D(3, 4, 3, 3, 2, r)
+    x, other = r.standard_normal((2, 2, 9, 8, 3)).astype(np.float32)
+    g = r.standard_normal(layer.forward(x).shape).astype(np.float32)
+    layer.forward(x, train=True)
+    want = layer.backward(g)
+    want_grads = {k: v.copy() for k, v in layer.grads.items()}
+    layer.zero_grad()
+    layer.forward(x, train=True)
+    layer.forward(other)  # eval mode, another image, before the backward
+    assert np.array_equal(layer.backward(g), want)
+    assert all(np.array_equal(layer.grads[k], want_grads[k]) for k in want_grads)
+
+
+def test_conv2d_windows_follow_a_change_of_shape_or_dtype():
+    # the kept buffer fits the last input; each result matches kernel calls with no buffer
+    r = np.random.default_rng(4004)
+
+    def check(net, x):
+        conv1, conv2 = net.layers[0], net.layers[2]
+        h = np.maximum(kernels.conv2d_forward(x, conv1.params["w"], conv1.params["b"], 2), 0)
+        want = np.maximum(kernels.conv2d_forward(h, conv2.params["w"], conv2.params["b"], 2), 0)
+        assert np.array_equal(net.forward(x, train=True), want)
+        g = r.standard_normal(want.shape).astype(x.dtype)
+        net.zero_grad()
+        net.backward(g, input_grad=False)
+        dw, db = kernels.conv2d_weight_grads(h, conv2.params["w"], g * (want > 0), 2)
+        assert np.array_equal(conv2.grads["w"], dw) and np.array_equal(conv2.grads["b"], db)
+
+    bb = toy_backbone(r)
+    for size in (13, 224, 13):
+        check(bb, r.random((1, size, size, 1), np.float32))
+    # a float64 copy, as the gradient check makes, builds float64 windows
+    wide = copy.deepcopy(bb)
+    wide.astype(np.float64)
+    check(wide, r.random((1, 13, 13, 1)))  # the shape of the kept float32 windows
+    assert wide.layers[0]._cols.dtype == np.float64
+    x = np.random.default_rng(5).standard_normal((2, 13, 13, 1)) * 0.5
+    report = gradient_check(wide, x, rng=np.random.default_rng(6))
+    assert report.passed, report.per_param
+
+
+FAULTS_PER_PASS = """
+import resource
+import numpy as np
+from gapnet.pipeline import Model, ModelSpec
+from gapnet.train import TrainConfig, train_loop
+
+model = Model(ModelSpec(backbone="toy_cnn", head_input_channels=16, backbone_trainable=True),
+              seed=3)
+rng = np.random.default_rng(0)
+images = [(rng.random((224, 224, 1)).astype(np.float32), i % 2) for i in range(12)]
+model.forward(images[0][0][None], train=True)  # warm-up pass
+model.backward(np.ones(1, np.float32))
+config = TrainConfig(seed=7, batch_size=4, max_epochs=3, early_stop_patience=3).validate()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train_loop(model, images[:8], images[8:], config)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (3 * 12))
+"""
+
+
+def test_training_a_toy_backbone_faults_in_few_fresh_pages_per_pass():
+    # A fresh process, as a `train` command is: how many pages a pass faults in
+    # depends on what the heap went through before it. Building each image's
+    # 1.2 MB and 2.2 MB window matrices afresh costs about 320 faults a pass;
+    # reusing kept ones, about 20.
+    pytest.importorskip("resource")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.run([sys.executable, "-c", FAULTS_PER_PASS], env=env, check=True,
+                           capture_output=True, text=True)
+    faults = float(child.stdout)
+    assert faults < 100, f"{faults:.0f} minor page faults per image pass"

@@ -33,7 +33,27 @@ def test_feature_head_shapes():
     head16 = build_feature_head(ModelSpec(backbone="toy_cnn", head_input_channels=16), rng)
     assert head16.forward(np.ones((1, 16), np.float32)).shape == (1, 512)
     with pytest.raises(GapnetError, match="projection_dim must be an integer >= 1, got 0"):
-        build_feature_head(ModelSpec(projection_dim=0), rng)
+        Model(ModelSpec(projection_dim=0), seed=0)
+
+
+def test_a_spec_is_validated_once_per_model_and_per_checkpoint_load(tmp_path, monkeypatch):
+    calls = []
+    validate = ModelSpec.validate
+
+    def counted(spec):
+        calls.append(spec)
+        return validate(spec)
+    monkeypatch.setattr(ModelSpec, "validate", counted)
+    specs = (ModelSpec(), ModelSpec(classifier="cnn1d"),
+             ModelSpec(backbone="toy_cnn", head_input_channels=16, backbone_trainable=True))
+    for i, spec in enumerate(specs):
+        calls.clear()
+        model = Model(spec, seed=1)
+        assert len(calls) == 1
+        save_checkpoint(model, tmp_path / str(i))
+        calls.clear()
+        load_checkpoint(tmp_path / str(i), expected_spec=spec)
+        assert len(calls) == 1
 
 
 def test_feature_head_dim_independent_of_spatial_extent():

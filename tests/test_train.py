@@ -267,14 +267,18 @@ def test_trainable_backbone_never_computes_the_image_gradient(monkeypatch):
     def spy(name):
         kernel = getattr(kernels, name)
 
-        def wrapper(x, w, g, stride):
+        def wrapper(x, w, *args, **kwargs):
             cin.setdefault(name, []).append(w.shape[2])
-            return kernel(x, w, g, stride)
+            return kernel(x, w, *args, **kwargs)
         monkeypatch.setattr(kernels, name, wrapper)
 
+    spy("conv2d_forward")
     spy("conv2d_backward")
     spy("conv2d_weight_grads")
     train_loop(model, samples[:4], samples[4:], cfg(seed=7, max_epochs=1, batch_size=2))
     # stage 2 still passes dL/d(input) down to stage 1, which stops at its weights
     assert set(cin["conv2d_backward"]) == {8}
     assert 1 in cin["conv2d_weight_grads"]
+    # each image pass (4 train, 2 val) runs both stages through the forward kernel by
+    # name, which the benchmark's per-layer conv metrics read
+    assert cin["conv2d_forward"] == [1, 8] * 6
