@@ -1,4 +1,4 @@
-"""The one error type gapnet raises for a bad input, and its check for counts.
+"""The one error type gapnet raises for a bad input, and its checks for counts and numbers.
 
 Every contract violation is a ``GapnetError`` whose message says what was
 wrong; the command line prints that one line and exits 1, as it does for
@@ -20,3 +20,10 @@ def require_counts(least=1, **values):
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise GapnetError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def require_numbers(**values):
+    """Raise ``GapnetError`` naming the first value that is not a real number (a bool is not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise GapnetError(f"{name} must be a number, got {value!r}")

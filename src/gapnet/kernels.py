@@ -12,6 +12,12 @@ The conv2d kernels work on x's window matrix, one kh*kw*Cin row per
 output position. Given ``cols=``, ``conv2d_forward`` builds it in that
 caller-kept buffer, and the gradient kernels read it from there instead
 of copying the windows out of x again. Every result is a new array.
+
+conv2d's dx is built one stride phase at a time: the taps (u, v) with
+u = a, v = b (mod stride) all land on dx[a::s, b::s], so each adds its
+``g @ w[u, v].T`` into one contiguous buffer, in u-then-v order, which
+is then copied into dx once: the same sums, in the same order, as a
+scatter of every tap straight into dx.
 """
 
 import numpy as np
@@ -61,7 +67,8 @@ def conv2d_forward(x, w, b, stride, cols=None):
     # x: (..., H, W, Cin), w: (kh, kw, Cin, Cout), b: (Cout,) -> (..., H', W', Cout);
     # x's window matrix is built in ``cols`` if given
     cols = _conv2d_windows(x, w.shape[0], w.shape[1], stride, out=cols)
-    out = cols.reshape(-1, cols.shape[-1]) @ w.reshape(-1, w.shape[3]) + b
+    out = cols.reshape(-1, cols.shape[-1]) @ w.reshape(-1, w.shape[3])
+    out += b
     return out.reshape(cols.shape[:-1] + (w.shape[3],))
 
 
@@ -72,18 +79,27 @@ def conv2d_weight_grads(x, w, g, stride, cols=None):
         cols = _conv2d_windows(x, w.shape[0], w.shape[1], stride)
     g_rows = g.reshape(-1, g.shape[-1])
     dw = cols.reshape(-1, cols.shape[-1]).T @ g_rows
-    return dw.reshape(w.shape), g_rows.sum(axis=0)
+    # einsum adds the rows in order, as .sum(axis=0) does when Cout > 1 (numpy sums a
+    # lone column pairwise), so the bits match there; it is about 4x faster
+    return dw.reshape(w.shape), np.einsum("ij->j", g_rows)
 
 
 def conv2d_backward(x, w, g, stride, cols=None):
     # g: (..., H', W', Cout) -> dx like x, dw, db
     dw, db = conv2d_weight_grads(x, w, g, stride, cols=cols)
-    kh, kw = w.shape[0], w.shape[1]
+    kh, kw, s = w.shape[0], w.shape[1], stride
     h2, w2 = g.shape[-3], g.shape[-2]
-    dx = np.zeros_like(x)
+    dx = np.empty_like(x)  # the phases below cover it
     g_rows = g.reshape(-1, g.shape[-1])
-    for u in range(kh):
-        for v in range(kw):
-            dx[..., u:u + h2 * stride:stride, v:v + w2 * stride:stride, :] += (
-                g_rows @ w[u, v].T).reshape(g.shape[:-1] + (w.shape[2],))
+    prod = np.empty((g_rows.shape[0], w.shape[2]), np.result_type(g, w))  # one tap's product
+    tap = prod.reshape(g.shape[:-1] + (w.shape[2],))
+    for a in range(s):
+        for b in range(s):
+            phase = np.zeros_like(dx[..., a::s, b::s, :])  # rows no tap reaches stay 0
+            for u in range(a, kh, s):
+                for v in range(b, kw, s):
+                    np.matmul(g_rows, w[u, v].T, out=prod)
+                    p, q = (u - a) // s, (v - b) // s
+                    phase[..., p:p + h2, q:q + w2, :] += tap
+            dx[..., a::s, b::s, :] = phase
     return dx, dw, db

@@ -132,7 +132,9 @@ class GlobalAvgPool(Layer):
     def forward(self, x, train=False):
         if x.ndim != 4:
             raise GapnetError(f"global average pooling expects (B, H, W, C), got rank {x.ndim}")
-        out = ensure_finite(x.mean(axis=(1, 2)), "global_avg_pool")
+        out = np.einsum("bhwc->bc", x)  # x.mean(axis=(1, 2))'s bits when C > 1
+        out /= x.shape[1] * x.shape[2]
+        ensure_finite(out, "global_avg_pool")
         if train:
             self._cache = x.shape
         return out

@@ -19,7 +19,7 @@ import numpy as np
 
 from .backbone import (TOY_CHANNELS, TOY_INPUT_SHAPE, load_feature_map, save_tensor,
                        toy_backbone, write_atomic)
-from .errors import GapnetError, require_counts
+from .errors import GapnetError, require_counts, require_numbers
 from .nn import Conv1D, Dense, Dropout, GlobalAvgPool, ReLU, Sequential
 
 CLASSIFIERS = ("dfn", "fcnn", "cnn1d")
@@ -44,6 +44,11 @@ class ModelSpec:
             raise GapnetError(f"unknown backbone {self.backbone!r}")
         if self.classifier not in CLASSIFIERS:
             raise GapnetError(f"unknown classifier {self.classifier!r}")
+        for name in ("hidden_widths", "dropout_rates"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise GapnetError(f"{name} must be a list, got {getattr(self, name)!r}")
+        require_numbers(decision_threshold=self.decision_threshold,
+                        **{f"dropout_rates[{i}]": r for i, r in enumerate(self.dropout_rates)})
         require_counts(head_input_channels=self.head_input_channels,
                        projection_dim=self.projection_dim, conv_filters=self.conv_filters,
                        conv_kernel=self.conv_kernel,

@@ -6,7 +6,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .backbone import write_atomic
-from .errors import GapnetError, require_counts
+from .errors import GapnetError, require_counts, require_numbers
 from .pipeline import decide, sigmoid
 
 IMPROVE_EPS = 1e-4  # absolute val-loss improvement that resets patience counters
@@ -27,6 +27,8 @@ class TrainConfig:
         require_counts(batch_size=self.batch_size, max_epochs=self.max_epochs,
                        early_stop_patience=self.early_stop_patience,
                        lr_plateau_patience=self.lr_plateau_patience)
+        require_numbers(learning_rate=self.learning_rate, lr_factor=self.lr_factor,
+                        min_lr=self.min_lr)
         if not all(0 < lr < np.inf for lr in (self.learning_rate, self.min_lr)):  # NaN fails
             raise GapnetError(f"learning rates must be positive and finite, got learning_rate "
                               f"{self.learning_rate!r}, min_lr {self.min_lr!r}")

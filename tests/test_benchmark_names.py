@@ -9,6 +9,7 @@ error, so this test resolves each name. It reads those files and edits none.
 
 import ast
 import importlib
+import inspect
 import json
 import re
 from pathlib import Path
@@ -76,3 +77,17 @@ def test_each_name_the_benchmark_reads_resolves(name):
 def test_the_kernel_provenance_attributes_exist():
     kernels = importlib.import_module("gapnet.kernels")
     assert isinstance(kernels.BACKEND, str) and isinstance(kernels.HAVE_NUMBA, bool)
+
+
+@pytest.mark.parametrize("name, third", [("conv2d_forward", "b"), ("conv2d_backward", "g"),
+                                         ("conv2d_weight_grads", "g")])
+def test_the_conv2d_kernels_keep_the_calling_convention_the_tracer_reads(name, third):
+    # the tracer wraps these kernels by name, reads x, w and b or g from args[0:3] and
+    # picks a conv's stage from args[1]; Conv2D passes its window buffer as cols=
+    params = inspect.signature(getattr(importlib.import_module("gapnet.kernels"), name)).parameters
+    positional = [p.name for p in params.values()
+                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    assert positional[:3] == ["x", "w", third]
+    assert params["cols"].kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                                   inspect.Parameter.KEYWORD_ONLY)
+    assert params["cols"].default is None

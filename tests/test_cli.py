@@ -855,6 +855,18 @@ def _report_to_a_directory(tmp_path):
     pytest.param(_bad_config(train={"learning_rate": float("inf")}), 1, "learning_rate inf",
                  id="learning-rate-infinite"),
     pytest.param(_bad_config(train={"min_lr": float("nan")}), 1, "min_lr nan", id="min-lr-nan"),
+    pytest.param(_bad_config(train={"learning_rate": True}), 1,
+                 "learning_rate must be a number, got True", id="learning-rate-is-bool"),
+    pytest.param(_bad_config(train={"min_lr": "1e-6"}), 1,
+                 "min_lr must be a number, got '1e-6'", id="min-lr-is-string"),
+    pytest.param(_bad_config(model={"decision_threshold": True}), 1,
+                 "decision_threshold must be a number, got True", id="decision-threshold-is-bool"),
+    pytest.param(_bad_config(model={"hidden_widths": 5}), 1,
+                 "hidden_widths must be a list, got 5", id="hidden-widths-not-list"),
+    pytest.param(_bad_config(model={"dropout_rates": 0.5}), 1,
+                 "dropout_rates must be a list, got 0.5", id="dropout-rates-not-list"),
+    pytest.param(_bad_config(model={"dropout_rates": [0.5, "0.3"]}), 1,
+                 "dropout_rates[1] must be a number, got '0.3'", id="dropout-rate-is-string"),
     pytest.param(_bad_config(train={"learning_rate": 1e-4, "min_lr": 1e-2}), 1,
                  "min_lr 0.01 exceeds learning_rate 0.0001", id="min-lr-above-learning-rate"),
     pytest.param(_prepare_manifest(lambda t: [str(t / "m.jsonl"), "--split", "a,b"]), 1,

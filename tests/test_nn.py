@@ -294,6 +294,61 @@ def test_weight_grad_kernels_match_backward_bitwise():
     assert np.array_equal(dw, dw2) and np.array_equal(db, db2)
 
 
+def scatter_dx(x, w, g, stride):
+    """conv2d's dL/dx as kh*kw strided adds of g @ w[u, v].T straight into dx, u then v."""
+    h2, w2 = g.shape[-3:-1]
+    dx = np.zeros_like(x)
+    g_rows = g.reshape(-1, g.shape[-1])
+    for u in range(w.shape[0]):
+        for v in range(w.shape[1]):
+            dx[..., u:u + h2 * stride:stride, v:v + w2 * stride:stride, :] += (
+                g_rows @ w[u, v].T).reshape(g.shape[:-1] + (w.shape[2],))
+    return dx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+def test_conv2d_dx_is_the_tap_scatter_to_the_bit(lead, dtype):
+    # each dx element sums the same products in the same order as the scatter does
+    r = np.random.default_rng(4005)
+    # (kh, kw, stride, H, W): strides 1-3, last rows and columns no tap reaches,
+    # and strides above the kernel, which leave whole phases untouched
+    for kh, kw, stride, height, width in [(3, 3, 1, 7, 8), (5, 5, 2, 14, 15), (3, 2, 2, 10, 9),
+                                          (3, 3, 3, 13, 14), (2, 2, 3, 10, 11),
+                                          (1, 2, 3, 8, 9)]:
+        x = r.standard_normal(lead + (height, width, 3)).astype(dtype)
+        w = r.standard_normal((kh, kw, 3, 4)).astype(dtype)
+        g = r.standard_normal(lead + ((height - kh) // stride + 1, (width - kw) // stride + 1,
+                                      4)).astype(dtype)
+        dx, _, _ = kernels.conv2d_backward(x, w, g, stride)
+        want = scatter_dx(x, w, g, stride)
+        assert dx.dtype == want.dtype and dx.shape == want.shape
+        assert np.array_equal(dx, want) and dx.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape, w_shape", [((1, 224, 224, 1), (5, 5, 1, 8)),
+                                              ((1, 110, 110, 8), (5, 5, 8, 16))])
+def test_conv2d_bias_grad_is_the_column_sum_to_the_bit(x_shape, w_shape, dtype):
+    # the toy backbone's two stages: g_rows are (12100, 8) and (2809, 16)
+    r = np.random.default_rng(4006)
+    x = r.standard_normal(x_shape).astype(dtype)
+    w = r.standard_normal(w_shape).astype(dtype)
+    g = r.standard_normal(kernels.conv2d_forward(x, w, np.zeros(w_shape[3], dtype),
+                                                 2).shape).astype(dtype)
+    _, db = kernels.conv2d_weight_grads(x, w, g, 2)
+    want = g.reshape(-1, w_shape[3]).sum(axis=0)
+    assert db.dtype == want.dtype and db.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 53, 53, 16), (1, 7, 7, 2048), (4, 53, 53, 16)])
+def test_gap_forward_is_the_mean_to_the_bit(shape, dtype):
+    x = np.random.default_rng(4007).standard_normal(shape).astype(dtype)
+    got, want = GlobalAvgPool().forward(x), x.mean(axis=(1, 2))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_conv2d_results_share_no_memory_with_each_other_or_the_kept_windows():
     r = np.random.default_rng(4002)
     layer = Conv2D(3, 4, 3, 3, 2, r)
