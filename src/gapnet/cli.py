@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as datamod
 from .backbone import load_feature_map, save_tensor, write_atomic
-from .errors import GapnetError, require_counts
+from .errors import GapnetError, json_object, require_counts, require_object
 from .metrics import confusion, metrics, render_confusion_csv, render_confusion_svg
 from .pipeline import Model, ModelSpec, decide, load_checkpoint, save_checkpoint, sigmoid
 from .train import (
@@ -45,7 +45,7 @@ class ExperimentConfig:
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
-        obj = _read_json_object(path)
+        obj = json_object(path.read_bytes(), path)
         if "seed" not in obj:
             raise GapnetError(f"{path}: an explicit seed is required")
         seed = obj["seed"]
@@ -62,9 +62,10 @@ class ExperimentConfig:
         manifest = (path.parent / dataset["manifest"]).resolve()
         if not manifest.exists():
             raise FileNotFoundError(f"manifest not found: {manifest}")
+        model, train = (require_object(obj.get(k, {}), f"{path}: {k}") for k in ("model", "train"))
         try:
-            spec = ModelSpec.from_dict(obj.get("model", {}))
-            train = TrainConfig(seed=seed, **obj.get("train", {})).validate()
+            spec = ModelSpec.from_dict(model)
+            train = TrainConfig(seed=seed, **train).validate()
         except (TypeError, ValueError) as e:
             raise GapnetError(f"{path}: {e}") from e
         output_dir = (path.parent / output_dir).resolve()
@@ -130,14 +131,15 @@ def _scan_raw_dir(raw_dir):
         if not class_dir.is_dir():
             raise GapnetError(f"expected class directory {class_dir} (tumor/ and non_tumor/)")
         for p in sorted(class_dir.glob("*.pgm")):
-            stem = p.stem
-            tokens = stem.split("_")
+            tokens = p.stem.split("_")
             plane = next((t for t in tokens if t in ("axial", "coronal", "sagittal")),
                          "unknown")
-            records.append(datamod.ManifestRecord(
-                sample_id=stem, path=str(p.resolve()), label=label,
-                subject_id=tokens[0], plane=plane,
-            ))
+            rec = datamod.ManifestRecord(sample_id=p.stem, path=str(p.resolve()), label=label,
+                                         subject_id=tokens[0], plane=plane)
+            try:
+                records.append(rec.validate())
+            except GapnetError as e:
+                raise GapnetError(f"{p}: {e}") from e
     ids = [r.sample_id for r in records]
     if len(ids) != len(set(ids)):
         raise GapnetError(f"{raw_dir}: duplicate sample ids across class directories")
@@ -177,11 +179,9 @@ def cmd_prepare(args):
         records = prepared
 
     datamod.save_manifest(records, out_manifest)
-    counts = {0: 0, 1: 0}
-    for r in records:
-        counts[r.label] += 1
+    tumor = sum(r.label for r in records)
     print(f"prepared {len(records)} records "
-          f"(tumor {counts[1]}, non-tumor {counts[0]}) -> {out_manifest}")
+          f"(tumor {tumor}, non-tumor {len(records) - tumor}) -> {out_manifest}")
     return 0
 
 
@@ -307,16 +307,6 @@ def build_dataset(config, model, splits):
 
 # ------------------------------------------------------------ subcommands
 
-def _read_json_object(path):
-    try:
-        obj = json.loads(path.read_text())
-    except ValueError as e:  # not JSON, or not UTF-8
-        raise GapnetError(f"{path}: not valid JSON: {e}") from e
-    if not isinstance(obj, dict):
-        raise GapnetError(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    return obj
-
-
 def cmd_train(args):
     config = ExperimentConfig.load(args.config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -395,7 +385,7 @@ def cmd_report(args):
         metrics_file = Path(run_dir) / "metrics.json"
         if not metrics_file.exists():
             raise FileNotFoundError(f"metrics file not found: {metrics_file}")
-        obj = _read_json_object(metrics_file)
+        obj = json_object(metrics_file.read_bytes(), metrics_file)
         try:
             rows.append((obj["model"], *(float(obj[k]) for k in
                                          ("accuracy", "precision", "recall", "f1"))))

@@ -7,16 +7,23 @@ are newline-delimited JSON, one flat record per line, order preserving.
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 from .backbone import write_atomic
-from .errors import GapnetError
+from .errors import GapnetError, json_object
 
 PLANES = ("axial", "coronal", "sagittal", "unknown")
 SPLITS = ("train", "val", "test", "unassigned")
-TRANSFORMS = ("hflip", "vflip", "rot90", "rot180", "rot270")
+# the label-preserving pixel permutations, in the order balance_classes draws them
+TRANSFORMS = {
+    "hflip": lambda img: img[:, ::-1],
+    "vflip": lambda img: img[::-1, :],
+    "rot90": lambda img: np.rot90(img, 1),
+    "rot180": lambda img: np.rot90(img, 2),
+    "rot270": lambda img: np.rot90(img, 3),
+}
 
 
 @dataclass
@@ -48,29 +55,28 @@ class ManifestRecord:
         return self
 
 
+# (name, required) of each ManifestRecord field: a manifest line must hold the required ones
+_FIELDS = tuple((f.name, f.default is MISSING) for f in fields(ManifestRecord))
+
+
 def load_manifest(path):
+    """A manifest's records; a line's absent optional keys default, unknown ones are ignored."""
     records = []
     seen = set()
-    with open(path, "rb") as fh:  # each line decoded in the try: a bad byte names its line
+    with open(path, "rb") as fh:  # each line decoded on its own: a bad byte names its line
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}: line {lineno}"
+            obj = json_object(line, where)
             try:
-                obj = json.loads(line.decode("utf-8"))
-                rec = ManifestRecord(
-                    sample_id=obj["sample_id"],
-                    path=obj["path"],
-                    label=obj["label"],
-                    subject_id=obj["subject_id"],
-                    plane=obj.get("plane", "unknown"),
-                    split=obj.get("split", "unassigned"),
-                    augmented_from=obj.get("augmented_from"),
-                ).validate()
-            except (ValueError, KeyError, TypeError, GapnetError) as e:
-                raise GapnetError(f"{path}: line {lineno}: {e}") from e
+                rec = ManifestRecord(**{name: obj[name] for name, required in _FIELDS
+                                        if required or name in obj}).validate()
+            except (KeyError, GapnetError) as e:
+                raise GapnetError(f"{where}: {e}") from e
             if rec.sample_id in seen:
-                raise GapnetError(f"{path}: line {lineno}: duplicate sample_id {rec.sample_id!r}")
+                raise GapnetError(f"{where}: duplicate sample_id {rec.sample_id!r}")
             seen.add(rec.sample_id)
             records.append(rec)
     return records
@@ -79,16 +85,9 @@ def load_manifest(path):
 def save_manifest(records, path):
     lines = []
     for rec in records:
-        obj = {
-            "sample_id": rec.sample_id,
-            "path": rec.path,
-            "label": rec.label,
-            "subject_id": rec.subject_id,
-            "plane": rec.plane,
-            "split": rec.split,
-        }
-        if rec.augmented_from is not None:
-            obj["augmented_from"] = rec.augmented_from
+        obj = vars(rec).copy()
+        if rec.augmented_from is None:
+            del obj["augmented_from"]
         lines.append(json.dumps(obj) + "\n")
     write_atomic(path, "".join(lines).encode())
 
@@ -193,19 +192,11 @@ def normalize(img):
 def augment(img, transform):
     """Exact pixel permutations only; label-preserving by construction."""
     img = gray_image(img)
+    if transform not in TRANSFORMS:
+        raise GapnetError(f"unknown transform {transform!r}")
     if transform in ("rot90", "rot270") and img.shape[0] != img.shape[1]:
         raise GapnetError(f"{transform} needs a square image, got {img.shape}")
-    if transform == "hflip":
-        return np.ascontiguousarray(img[:, ::-1])
-    if transform == "vflip":
-        return np.ascontiguousarray(img[::-1, :])
-    if transform == "rot90":
-        return np.ascontiguousarray(np.rot90(img, 1))
-    if transform == "rot180":
-        return np.ascontiguousarray(np.rot90(img, 2))
-    if transform == "rot270":
-        return np.ascontiguousarray(np.rot90(img, 3))
-    raise GapnetError(f"unknown transform {transform!r}")
+    return np.ascontiguousarray(TRANSFORMS[transform](img))
 
 
 # ------------------------------------------------------- balancing / splits
@@ -236,15 +227,8 @@ def balance_classes(manifest, target_per_class, seed):
         order = rng.permutation(len(pairs))[:target_per_class - len(class_records)]
         for idx in order:
             src, transform = pairs[idx]
-            out.append(ManifestRecord(
-                sample_id=f"{src.sample_id}.{transform}",
-                path=src.path,
-                label=src.label,
-                subject_id=src.subject_id,
-                plane=src.plane,
-                split="unassigned",
-                augmented_from=src.sample_id,
-            ))
+            out.append(replace(src, sample_id=f"{src.sample_id}.{transform}",
+                               split="unassigned", augmented_from=src.sample_id))
     return out
 
 

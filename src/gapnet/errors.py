@@ -1,4 +1,5 @@
-"""The one error type gapnet raises for a bad input, and its checks for counts and numbers.
+"""The one error type gapnet raises for a bad input, its checks for counts, numbers
+and JSON objects, and the one reader of JSON.
 
 Every contract violation is a ``GapnetError`` whose message says what was
 wrong; the command line prints that one line and exits 1, as it does for
@@ -7,6 +8,7 @@ Python's own ``FileNotFoundError`` and exits 2. Training prefixes the
 message of an error raised inside an epoch with that epoch's number.
 """
 
+import json
 import numbers
 
 
@@ -27,3 +29,21 @@ def require_numbers(**values):
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise GapnetError(f"{name} must be a number, got {value!r}")
+
+
+def require_object(value, where):
+    """``value`` if it is a JSON object (a dict), else a ``GapnetError`` starting ``where``."""
+    if not isinstance(value, dict):
+        raise GapnetError(f"{where}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def json_object(data, where):
+    """``require_object`` of the JSON in ``data``, UTF-8 bytes: gapnet's one JSON reader."""
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise GapnetError(f"{where}: {e}") from e
+    except ValueError as e:
+        raise GapnetError(f"{where}: not valid JSON: {e}") from e
+    return require_object(obj, where)

@@ -2,11 +2,12 @@
 
 Every kernel takes any number of leading axes in front of the ones it
 convolves, so the same code runs one sample or a batch of them; weight
-and bias gradients are summed over the leading axes. The ``*_weight_grads``
-kernels give those two alone, for a layer whose input gradient nobody
-reads; ``*_backward`` adds the input gradient to them. All kernels
-preserve the input dtype (float32 at runtime, float64 when the
-gradient-check oracle re-runs a model in double precision).
+and bias gradients are summed over the leading axes. ``*_backward`` gives
+the input, weight and bias gradients; conv2d alone also has
+``conv2d_weight_grads``, the last two without dx, for a first trainable
+Conv2D whose input gradient nobody reads. All kernels preserve the input
+dtype (float32 at runtime, float64 when the gradient-check oracle re-runs
+a model in double precision).
 
 The conv2d kernels work on x's window matrix, one kh*kw*Cin row per
 output position. Given ``cols=``, ``conv2d_forward`` builds it in that
@@ -33,21 +34,15 @@ def conv1d_forward(x, w, b):
     return np.ascontiguousarray(np.swapaxes(windows @ w.T + b, -1, -2))
 
 
-def conv1d_weight_grads(x, w, g):
-    # g: (..., filters, L) -> dw (filters, K), db (filters,)
-    f, k = w.shape
-    windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)  # (..., L, K)
-    dw = np.swapaxes(g, -1, -2).reshape(-1, f).T @ windows.reshape(-1, k)
-    db = g.reshape(-1, f, g.shape[-1]).sum(axis=(0, 2))
-    return dw, db
-
-
 def conv1d_backward(x, w, g):
     # g: (..., filters, L) -> dx (..., n), dw (filters, K), db (filters,)
-    dw, db = conv1d_weight_grads(x, w, g)
+    f, k = w.shape
     length = g.shape[-1]
+    windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)  # (..., L, K)
+    dw = np.swapaxes(g, -1, -2).reshape(-1, f).T @ windows.reshape(-1, k)
+    db = g.reshape(-1, f, length).sum(axis=(0, 2))
     dx = np.zeros_like(x)
-    for j in range(w.shape[1]):
+    for j in range(k):
         dx[..., j:j + length] += w[:, j] @ g
     return dx, dw, db
 

@@ -7,6 +7,8 @@ ordered without NaNs.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GapnetError
 
 
@@ -27,19 +29,9 @@ def confusion(predictions, labels):
         raise GapnetError(f"{len(predictions)} predictions vs {len(labels)} labels")
     if not len(predictions):
         raise GapnetError("no samples to score")
-    cm = ConfusionMatrix()
-    for pred, label in zip(predictions, labels):
-        if label == 1:
-            if pred == 1:
-                cm.tp += 1
-            else:
-                cm.fn += 1
-        else:
-            if pred == 1:
-                cm.fp += 1
-            else:
-                cm.tn += 1
-    return cm
+    pos, tumor = np.asarray(predictions) == 1, np.asarray(labels) == 1
+    return ConfusionMatrix(tp=int(np.sum(pos & tumor)), tn=int(np.sum(~pos & ~tumor)),
+                           fp=int(np.sum(pos & ~tumor)), fn=int(np.sum(~pos & tumor)))
 
 
 def metrics(cm):
@@ -48,22 +40,17 @@ def metrics(cm):
     if cm.total == 0:
         raise GapnetError("confusion matrix has no samples")
     undefined = []
+
+    def ratio(name, num, den):
+        if den > 0:
+            return num / den
+        undefined.append(name)
+        return 0.0
+
     accuracy = (cm.tp + cm.tn) / cm.total
-    if cm.tp + cm.fp > 0:
-        precision = cm.tp / (cm.tp + cm.fp)
-    else:
-        precision = 0.0
-        undefined.append("precision")
-    if cm.tp + cm.fn > 0:
-        recall = cm.tp / (cm.tp + cm.fn)
-    else:
-        recall = 0.0
-        undefined.append("recall")
-    if precision + recall > 0:
-        f1 = 2.0 * precision * recall / (precision + recall)
-    else:
-        f1 = 0.0
-        undefined.append("f1")
+    precision = ratio("precision", cm.tp, cm.tp + cm.fp)
+    recall = ratio("recall", cm.tp, cm.tp + cm.fn)
+    f1 = ratio("f1", 2.0 * precision * recall, precision + recall)
     return {"accuracy": accuracy, "precision": precision, "recall": recall, "f1": f1,
             "undefined": undefined}
 

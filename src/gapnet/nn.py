@@ -9,9 +9,10 @@ its input's window matrix, replaced when the input's shape or dtype
 changes. Parameter gradients are summed over the batch rows and
 accumulate until zero_grad(); the training loop zeroes once per batch.
 ``backward(grad_out, input_grad=True)`` returns dL/d(input); with
-``input_grad=False`` a layer with parameters fills its gradients only and
-returns None, so the first trainable layer of a model skips the input
-gradient nobody reads. Parameter-free layers ignore the flag. A model
+``input_grad=False`` a layer with parameters fills its gradients and
+returns None: Dense and Conv2D, which can open a model's trained chain,
+skip the input gradient nobody reads, and Conv1D, which never does,
+computes it and drops it. Parameter-free layers ignore the flag. A model
 ends at a Dense logit; ``pipeline.sigmoid`` makes it a probability.
 """
 
@@ -175,15 +176,10 @@ class Conv1D(Layer):
 
     def backward(self, grad_out, input_grad=True):
         x, out_shape = self._need_cache()
-        g = grad_out.reshape(out_shape)
-        if input_grad:
-            dx, dw, db = kernels.conv1d_backward(x, self.params["w"], g)
-        else:
-            dx = None
-            dw, db = kernels.conv1d_weight_grads(x, self.params["w"], g)
+        dx, dw, db = kernels.conv1d_backward(x, self.params["w"], grad_out.reshape(out_shape))
         self.grads["w"] += dw
         self.grads["b"] += db
-        return dx
+        return dx if input_grad else None
 
 
 class Conv2D(Layer):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .backbone import (TOY_CHANNELS, TOY_INPUT_SHAPE, load_feature_map, save_tensor,
                        toy_backbone, write_atomic)
-from .errors import GapnetError, require_counts, require_numbers
+from .errors import GapnetError, json_object, require_counts, require_numbers
 from .nn import Conv1D, Dense, Dropout, GlobalAvgPool, ReLU, Sequential
 
 CLASSIFIERS = ("dfn", "fcnn", "cnn1d")
@@ -232,8 +232,8 @@ def save_checkpoint(model, directory):
 def load_checkpoint(directory, expected_spec=None):
     directory = Path(directory)
     path = directory / "model.json"
+    manifest = json_object(path.read_bytes(), path)
     try:
-        manifest = json.loads(path.read_text())
         seed = manifest.get("seed", 0)
         require_counts(least=0, seed=seed)  # the seeds numpy accepts
         model = Model(ModelSpec(**manifest["model_spec"]), seed=seed)  # checks the spec

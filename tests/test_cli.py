@@ -794,6 +794,16 @@ def _report_to_a_directory(tmp_path):
                  1, "backbone_trainable", id="trainable-without-backbone"),
     pytest.param(_bad_checkpoint("{not json"), 1, "model.json", id="corrupt-model-json"),
     pytest.param(_bad_checkpoint('{"seed": 1}'), 1, "model_spec", id="model-json-without-spec"),
+    pytest.param(_bad_checkpoint("[1]"), 1, "model.json: expected a JSON object, got list",
+                 id="model-json-is-list"),
+    pytest.param(_bad_config(train=[1]), 1, "c.json: train: expected a JSON object, got list",
+                 id="train-not-object"),
+    pytest.param(_bad_config(model=None), 1,
+                 "c.json: model: expected a JSON object, got NoneType", id="model-is-null"),
+    pytest.param(_bad_record("[1]"), 1, "m.jsonl: line 1: expected a JSON object, got list",
+                 id="record-is-list"),
+    pytest.param(_pgm_path(lambda p: save_pgm(np.zeros((8, 8), np.uint8), p.with_name("..pgm"))),
+                 1, "..pgm: sample_id '.' is not a plain file name", id="raw-file-named-dot"),
     pytest.param(_pgm_path(lambda p: p.mkdir()), 1, "t0_axial_0.pgm", id="pgm-is-directory"),
     pytest.param(_pgm_path(_dangling_symlink), 2, "missing.pgm", id="pgm-missing"),
     pytest.param(_pgm_path(lambda p: p.write_bytes(b"P5\n-5 -5\n255\n" + bytes(25))), 1,

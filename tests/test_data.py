@@ -44,6 +44,34 @@ def test_manifest_round_trip(tmp_path):
     assert load_manifest(tmp_path / "m.jsonl") == records
 
 
+def test_manifest_lines_are_pinned(tmp_path):
+    records = [ManifestRecord("a", "a.pgm", 1, "s", plane="axial", split="train"),
+               ManifestRecord("a.hflip", "a.pgm", 1, "s", augmented_from="a")]
+    save_manifest(records, tmp_path / "m.jsonl")
+    assert (tmp_path / "m.jsonl").read_text() == (
+        '{"sample_id": "a", "path": "a.pgm", "label": 1, "subject_id": "s", "plane": "axial", '
+        '"split": "train"}\n'
+        '{"sample_id": "a.hflip", "path": "a.pgm", "label": 1, "subject_id": "s", '
+        '"plane": "unknown", "split": "unassigned", "augmented_from": "a"}\n')
+
+
+def test_manifest_line_defaults_unknown_keys_and_missing_keys(tmp_path):
+    (tmp_path / "m.jsonl").write_text(
+        '{"subject_id": "s", "extra": [1], "label": 0, "path": "b.pgm", "sample_id": "b"}\n'
+        '{"sample_id": "c", "path": "c.pgm", "label": 1, "subject_id": "t", '
+        '"split": "val", "augmented_from": "b", "plane": "sagittal"}\n')
+    assert load_manifest(tmp_path / "m.jsonl") == [
+        ManifestRecord("b", "b.pgm", 0, "s", plane="unknown", split="unassigned"),
+        ManifestRecord("c", "c.pgm", 1, "t", plane="sagittal", split="val", augmented_from="b")]
+    for line, needle in [('{"path": "a.pgm", "label": 1, "subject_id": "s"}', "'sample_id'"),
+                         ('{"sample_id": "a", "path": "a.pgm", "label": 1}', "'subject_id'"),
+                         ("[1]", "expected a JSON object, got list"),
+                         ("{not json", "not valid JSON")]:
+        (tmp_path / "bad.jsonl").write_text(line + "\n")
+        with pytest.raises(GapnetError, match=f"bad.jsonl: line 1: {needle}"):
+            load_manifest(tmp_path / "bad.jsonl")
+
+
 @pytest.mark.parametrize("sample_id", ["", ".", "..", "a/b", "../../escaped"])
 def test_manifest_rejects_an_id_that_is_not_a_plain_file_name(tmp_path, sample_id):
     save_manifest([ManifestRecord(sample_id, "a.pgm", 1, "s")], tmp_path / "m.jsonl")
@@ -354,6 +382,19 @@ def test_balance_draws_are_pinned():
     out = balance_classes(mock_manifest(5, 12), 12, seed=2)
     assert [r.sample_id for r in out[17:]] == [
         "t2.rot270", "t4.vflip", "t4.hflip", "t1.rot90", "t3.vflip", "t3.rot180", "t4.rot180"]
+
+
+def test_balance_augmented_records_are_pinned():
+    manifest = [ManifestRecord("t0", "t0.pgm", 1, "s0", plane="axial", split="train"),
+                ManifestRecord("t1", "t1.pgm", 1, "s1", plane="coronal", split="val")]
+    manifest += [ManifestRecord(f"n{i}", f"n{i}.pgm", 0, f"m{i}") for i in range(5)]
+    out = balance_classes(manifest, 5, seed=3)
+    assert out[:7] == manifest
+    assert [(r.sample_id, r.path, r.subject_id, r.plane) for r in out[7:]] == [
+        ("t1.rot270", "t1.pgm", "s1", "coronal"), ("t1.vflip", "t1.pgm", "s1", "coronal"),
+        ("t0.hflip", "t0.pgm", "s0", "axial")]
+    assert all((r.label, r.split) == (1, "unassigned") for r in out[7:])
+    assert [r.augmented_from for r in out[7:]] == ["t1", "t1", "t0"]
 
 
 def test_rebalance_draws_only_free_ids():

@@ -59,3 +59,23 @@ def test_every_raise_names_a_type_the_command_line_reports():
             if name not in RAISED and not stub:
                 wrong.append(f"{path.name}:{node.lineno} raises {name}")
     assert wrong == []
+
+
+def test_json_is_parsed_only_by_the_one_reader():
+    """``errors.json_object`` parses every JSON gapnet reads and checks that it holds an
+    object, so no caller meets a list or a number where it expects keys."""
+    calls = []
+
+    def visit(node, path, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func) in ("json.loads",
+                                                                           "json.load"):
+                calls.append((path.name, fn))
+            if isinstance(child, ast.ImportFrom) and child.module == "json":
+                calls.append((path.name, "from json import"))
+            is_fn = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path, child.name if is_fn else fn)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text()), path, None)
+    assert calls == [("errors.py", "json_object")]

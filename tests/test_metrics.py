@@ -35,6 +35,37 @@ def test_confusion_hand_counts():
         confusion([1], [1, 0])
 
 
+def loop_confusion(predictions, labels):
+    """The per-sample branch loop ``confusion`` once was: the reference for its counts."""
+    cm = ConfusionMatrix()
+    for pred, label in zip(predictions, labels):
+        if label == 1:
+            if pred == 1:
+                cm.tp += 1
+            else:
+                cm.fn += 1
+        else:
+            if pred == 1:
+                cm.fp += 1
+            else:
+                cm.tn += 1
+    return cm
+
+
+def test_confusion_counts_match_the_loop():
+    rng = np.random.default_rng(7)
+    cases = [(np.zeros(9, np.int64), rng.integers(0, 2, 9)),  # no predicted positives
+             (rng.integers(0, 2, 9), np.zeros(9, np.int64)),  # no positives
+             (np.zeros(4, np.int64), np.zeros(4, np.int64)), (np.ones(3, np.int64), [1, 1, 1])]
+    cases += [(rng.integers(0, 2, n), rng.integers(0, 2, n))
+              for n in rng.integers(1, 200, 100)]
+    for preds, labels in cases:
+        want = loop_confusion(preds, labels)
+        assert confusion(preds, labels) == want
+        assert confusion(list(preds), list(labels)) == want
+        assert type(confusion(preds, labels).tp) is int
+
+
 def test_metric_formulas():
     vals = metrics(ConfusionMatrix(tp=2, tn=3, fp=1, fn=0))
     assert abs(vals["accuracy"] - 5 / 6) < 1e-12

@@ -286,12 +286,6 @@ def test_weight_grad_kernels_match_backward_bitwise():
         _, dw, db = kernels.conv2d_backward(x, w, g, stride)
         dw2, db2 = kernels.conv2d_weight_grads(x, w, g, stride)
         assert np.array_equal(dw, dw2) and np.array_equal(db, db2)
-    x = r.standard_normal((3, 12)).astype(np.float32)
-    w = r.standard_normal((4, 3)).astype(np.float32)
-    g = r.standard_normal((3, 4, 10)).astype(np.float32)
-    _, dw, db = kernels.conv1d_backward(x, w, g)
-    dw2, db2 = kernels.conv1d_weight_grads(x, w, g)
-    assert np.array_equal(dw, dw2) and np.array_equal(db, db2)
 
 
 def scatter_dx(x, w, g, stride):
