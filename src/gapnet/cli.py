@@ -461,6 +461,9 @@ def main(argv=None):
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:  # numpy's names the allocation it could not make
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 2
     except (GapnetError, OSError) as e:  # any other OSError: a path of the wrong kind
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -4,7 +4,9 @@ Every layer takes a batch: axis 0 of its input indexes the samples,
 so a mini-batch costs one GEMM per layer. Each layer keeps its
 parameters and gradient accumulators in ``params`` / ``grads`` dicts and
 caches whatever its backward pass needs when the forward pass runs in
-train mode. Conv2D alone keeps something between passes: a buffer for
+train mode. In a ``pipeline.Model`` those entries are views into the
+model's one parameter vector and one gradient vector, so a layer must
+update them in place (``+=``, ``[...] =``) and never rebind them. Conv2D alone keeps something between passes: a buffer for
 its input's window matrix, replaced when the input's shape or dtype
 changes. Parameter gradients are summed over the batch rows and
 accumulate until zero_grad(); the training loop zeroes once per batch.

@@ -135,6 +135,10 @@ class Model:
     returns it when nothing is frozen); ``forward`` and ``backward``
     run ``trained`` and the classifier on a batch of encoded inputs, so raw
     inputs score as ``sigmoid(forward(np.stack([encode(x) for x in xs])))``.
+
+    Every layer's ``params`` and ``grads`` entries are views into two flat
+    vectors of the model's dtype, ``flat_params`` and ``flat_grads``
+    (``_bind``), which training updates in place.
     """
 
     def __init__(self, spec, seed):
@@ -153,6 +157,33 @@ class Model:
         self._named = [(prefix, part) for prefix, part in
                        (("backbone.", self.backbone), ("head.", self.head),
                         ("clf.", self.classifier)) if part is not None]
+        self._bind(self.dtype)
+
+    def __setstate__(self, state):  # a deep copy's layer arrays are copies, not views
+        self.__dict__.update(state)
+        self._bind(self.dtype)
+
+    def _bind(self, dtype):
+        """Pack every layer's current params and grads, in ``_named`` order, into
+        ``flat_params`` and ``flat_grads`` of ``dtype``, and make each layer's
+        entries reshaped views into them.
+
+        A frozen backbone comes first, so the trainable parameters are the
+        suffix from ``n_frozen`` on.
+        """
+        entries = self.parameters(trainable_only=False)
+        total = sum(layer.params[pname].size for _, layer, pname in entries)
+        self.n_frozen = total - sum(layer.params[pname].size
+                                    for _, layer, pname in self.parameters())
+        self.flat_params, self.flat_grads = np.empty(total, dtype), np.empty(total, dtype)
+        at = 0
+        for _, layer, pname in entries:
+            size = layer.params[pname].size
+            for store, flat in ((layer.params, self.flat_params), (layer.grads, self.flat_grads)):
+                view = flat[at:at + size].reshape(store[pname].shape)
+                view[...] = store[pname]
+                store[pname] = view
+            at += size
 
     # -- inference ----------------------------------------------------
     def encode(self, x):
@@ -191,25 +222,11 @@ class Model:
                 for entry in part.parameters(prefix)]
 
     def zero_grad(self):
-        for part in (self.frozen, self.trained, self.classifier):
-            part.zero_grad()
+        self.flat_grads.fill(0)
 
     def astype(self, dtype):
         self.dtype = dtype
-        for part in (self.frozen, self.trained, self.classifier):
-            part.astype(dtype)
-
-    def state_dict(self):
-        return {name: layer.params[pname].copy()
-                for name, layer, pname in self.parameters(trainable_only=False)}
-
-    def load_state_dict(self, state):
-        for name, layer, pname in self.parameters(trainable_only=False):
-            value = state[name]
-            if value.shape != layer.params[pname].shape:
-                raise GapnetError(f"{name}: checkpoint shape {value.shape} != "
-                                  f"model shape {layer.params[pname].shape}")
-            layer.params[pname] = value.astype(layer.params[pname].dtype).copy()
+        self._bind(dtype)
 
 
 # ------------------------------------------------------- checkpoints
@@ -247,8 +264,10 @@ def load_checkpoint(directory, expected_spec=None):
             f"checkpoint fingerprint {spec.fingerprint()[:12]} != "
             f"configured model fingerprint {expected_spec.fingerprint()[:12]}"
         )
-    state = {}
     for name, layer, pname in model.parameters(trainable_only=False):
-        state[name] = load_feature_map(directory / "params" / f"{name}.btft")
-    model.load_state_dict(state)
+        value = load_feature_map(directory / "params" / f"{name}.btft")
+        if value.shape != layer.params[pname].shape:
+            raise GapnetError(f"{name}: checkpoint shape {value.shape} != "
+                              f"model shape {layer.params[pname].shape}")
+        layer.params[pname][...] = value  # a view into flat_params: write, never rebind
     return model

@@ -10,6 +10,7 @@ from .errors import GapnetError, require_counts, require_numbers
 from .pipeline import decide, sigmoid
 
 IMPROVE_EPS = 1e-4  # absolute val-loss improvement that resets patience counters
+ADAM_BLOCK = 1 << 16  # elements per pass of AdamState.step; see its docstring
 
 
 @dataclass
@@ -59,34 +60,37 @@ def bce_loss(z, y):
 
 
 class AdamState:
-    """First/second moment estimates with bias correction.
+    """First/second moment estimates with bias correction, over one flat vector.
 
-    Every step runs in place: the moments and one scratch buffer per
-    parameter are allocated on the first step and reused after it.
+    ``step`` updates the trainable suffix of ``Model.flat_params`` in place
+    from the same suffix of ``Model.flat_grads``, so the layers see the new
+    values through their views. It walks the vectors in blocks of
+    ``ADAM_BLOCK`` elements, with one block of scratch, running the same
+    ufuncs in the same order on every element as whole-vector passes would,
+    so the update is the same to the bit. A block's five float32 streams (p,
+    g, m, v, scratch) of 256 KiB each stay in a 2 MiB L2 across its thirteen
+    passes: on the paper's 1.21M-parameter head a step takes 3.6-3.7 ms on
+    one core, against 5.3-5.6 ms whole-vector or per tensor; blocks of 4096
+    (per-call overhead) and 262144 (out of L2) are slower (README).
     """
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {}
-        self.v = {}
-        self.scratch = {}
+        self.m = self.v = self.scratch = None
 
-    def step(self, named_params, lr):
-        """named_params: (key, layer, param-name) triples; updates in place."""
+    def step(self, params, grads, lr):
+        """One update of the flat vector ``params`` from ``grads``, in place."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for key, layer, name in named_params:
-            p = layer.params[name]
-            g = layer.grads[name]
-            if g.shape != p.shape:
-                raise GapnetError(f"{key}: grad shape {g.shape} != param shape {p.shape}")
-            if key not in self.m:
-                self.m[key] = np.zeros_like(p)
-                self.v[key] = np.zeros_like(p)
-                self.scratch[key] = np.empty_like(p)
-            m, v, s = self.m[key], self.v[key], self.scratch[key]
+        if self.m is None:
+            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+            self.scratch = np.empty(min(ADAM_BLOCK, params.size), params.dtype)
+        for lo in range(0, params.size, ADAM_BLOCK):
+            block = slice(lo, lo + ADAM_BLOCK)
+            p, g, m, v = params[block], grads[block], self.m[block], self.v[block]
+            s = self.scratch[:p.size]
             m *= self.beta1
             np.multiply(g, 1.0 - self.beta1, out=s)
             m += s
@@ -129,7 +133,7 @@ def lr_on_plateau(val_losses, config):
 class EarlyStopState:
     best_val_loss: float = np.inf
     epochs_since_improve: int = 0
-    snapshot: dict | None = None
+    snapshot: np.ndarray | None = None  # a copy of Model.flat_params
 
 
 def early_stop_update(state, val_loss, patience, model=None):
@@ -143,7 +147,7 @@ def early_stop_update(state, val_loss, patience, model=None):
     if val_loss < state.best_val_loss:
         state.best_val_loss = val_loss
         if model is not None:
-            state.snapshot = model.state_dict()
+            state.snapshot = model.flat_params.copy()
     if improvement >= IMPROVE_EPS:
         state.epochs_since_improve = 0
         return "continue"
@@ -206,7 +210,7 @@ def train_loop(model, train, val, config):
     stopper = EarlyStopState()
     val_history = []
     logs = []
-    params = model.parameters(trainable_only=True)
+    params, grads = model.flat_params[model.n_frozen:], model.flat_grads[model.n_frozen:]
 
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
@@ -228,7 +232,7 @@ def train_loop(model, train, val, config):
                     model.backward(dldz / len(batch))
             except GapnetError as e:
                 raise GapnetError(f"epoch {epoch}: {e}") from e
-            adam.step(params, lr)
+            adam.step(params, grads, lr)
         train_loss = float(np.mean(np.concatenate(losses)))
         train_acc = hits / len(train)
         val_loss, val_acc = _evaluate(model, val, config.batch_size)
@@ -241,7 +245,7 @@ def train_loop(model, train, val, config):
             break
 
     if stopper.snapshot is not None:  # however the loop ended, keep the best epoch's weights
-        model.load_state_dict(stopper.snapshot)
+        model.flat_params[...] = stopper.snapshot
     return logs
 
 

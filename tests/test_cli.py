@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from gapnet import backbone, kernels
+from gapnet import backbone, cli, kernels
 from gapnet.backbone import load_feature_map, save_tensor
 from gapnet.cli import main
 from gapnet.data import ManifestRecord, load_manifest, save_manifest
@@ -158,6 +158,26 @@ def test_missing_input_exits_2(tmp_path, capsys):
     rc = main(["prepare", str(tmp_path / "nope"), str(tmp_path / "m.jsonl"), "--seed", "1"])
     assert rc == 2
     assert "nope" in capsys.readouterr().err
+
+
+def test_running_out_of_memory_exits_2_with_one_line(raw_dir, tmp_path, monkeypatch, capsys):
+    def no_room(*args, **kwargs):  # numpy's MemoryError, without the huge allocation
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(100000, 100000) and data type float64")
+
+    monkeypatch.setattr(cli.datamod, "resize_bilinear", no_room)
+    rc = main(["prepare", str(raw_dir), str(tmp_path / "m.jsonl"), "--seed", "1",
+               "--image-size", "100000"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: out of memory: Unable to allocate 74.5 GiB")
+    assert len(err.splitlines()) == 1
+
+    monkeypatch.setattr(cli, "Model", no_room)
+    (tmp_path / "m.jsonl").write_text("")
+    cfg = write_config(tmp_path / "big.json", tmp_path / "m.jsonl", tmp_path / "run")
+    assert main(["train", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory:") and len(err.splitlines()) == 1
 
 
 def test_train_eval_report_cycle(raw_dir, tmp_path):

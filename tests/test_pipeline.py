@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from gapnet.pipeline import (
     save_checkpoint,
     sigmoid,
 )
+from gapnet.train import AdamState
 from gradcheck import gradient_check
 from synth import count_parameters
 
@@ -320,3 +323,50 @@ def test_float64_rows_score_like_float32_rows():
     p32 = model.forward(z)
     p64 = model.forward(z.astype(np.float64))
     assert p64.dtype == np.float32 and np.array_equal(p32, p64)
+
+
+def assert_views_linked(model):
+    for name, layer, pname in model.parameters(trainable_only=False):
+        assert np.shares_memory(layer.params[pname], model.flat_params), name
+        assert np.shares_memory(layer.grads[pname], model.flat_grads), name
+        assert layer.params[pname].dtype == layer.grads[pname].dtype == model.dtype, name
+
+
+def checkpoint_bytes(directory):
+    return {f.name: f.read_bytes() for f in sorted((directory / "params").iterdir())}
+
+
+def test_parameter_store_views_stay_linked(tmp_path):
+    model = Model(ModelSpec(backbone="toy_cnn", head_input_channels=16, projection_dim=8,
+                            hidden_widths=(4,), dropout_rates=(0.0,)), seed=3)
+    assert_views_linked(model)
+    assert model.flat_params.size == count_parameters(model) == model.flat_grads.size
+    save_checkpoint(model, tmp_path / "a")
+    loaded = load_checkpoint(tmp_path / "a")
+    assert_views_linked(loaded)
+    assert loaded.flat_params.tobytes() == model.flat_params.tobytes()
+
+    wide = copy.deepcopy(model)
+    assert_views_linked(wide)
+    assert not np.shares_memory(wide.flat_params, model.flat_params)
+    wide.astype(np.float64)
+    assert_views_linked(wide)
+    assert np.array_equal(wide.flat_params, model.flat_params)
+    assert_views_linked(copy.deepcopy(wide))
+
+    # gradients reach the store through the layers' views, and Adam's update reaches
+    # the layers, and so the checkpoint, through the store
+    model.input_shape = (13, 13, 1)  # desk-sized images
+    z = np.stack([model.encode(x) for x in
+                  np.random.default_rng(4).standard_normal((3, 13, 13, 1)).astype(np.float32)])
+    model.zero_grad()
+    model.backward(np.ones(3) - 2.0 * sigmoid(model.forward(z, train=True)))
+    assert np.any(model.flat_grads[model.n_frozen:])
+    AdamState().step(model.flat_params[model.n_frozen:], model.flat_grads[model.n_frozen:],
+                     lr=1e-2)
+    save_checkpoint(model, tmp_path / "b")
+    before, after = checkpoint_bytes(tmp_path / "a"), checkpoint_bytes(tmp_path / "b")
+    for name, layer, pname in model.parameters(trainable_only=False):
+        moved = bool(np.any(layer.grads[pname]))  # Adam moves exactly the nonzero gradients
+        assert (before[f"{name}.btft"] != after[f"{name}.btft"]) == moved, name
+    assert before != after

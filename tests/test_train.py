@@ -4,7 +4,9 @@ import pytest
 from gapnet.errors import GapnetError
 from gapnet.nn import Dense
 from gapnet.pipeline import Model, ModelSpec
+from gapnet import train as train_mod
 from gapnet.train import (
+    ADAM_BLOCK,
     AdamState,
     EarlyStopState,
     EpochLog,
@@ -61,37 +63,75 @@ def test_bce_flushes_gradients_below_float32_tiny():
     assert not np.any((grad != 0) & (np.abs(grad.astype(np.float32)) < tiny))
 
 
-class Param:
-    def __init__(self, value):
-        self.params = {"w": np.asarray(value, dtype=np.float32)}
-        self.grads = {"w": np.zeros_like(self.params["w"])}
-
-
 def test_adam_zero_gradient_is_identity():
-    p = Param([1.0, -2.0, 3.0])
+    p = np.array([1.0, -2.0, 3.0], np.float32)
     adam = AdamState()
-    before = p.params["w"].copy()
-    adam.step([("w", p, "w")], lr=1e-4)
-    assert np.array_equal(p.params["w"], before)
+    before = p.copy()
+    adam.step(p, np.zeros_like(p), lr=1e-4)
+    assert np.array_equal(p, before)
 
 
 def test_adam_first_step_magnitude():
-    p = Param([0.0])
-    p.grads["w"][...] = 1.0
-    AdamState().step([("w", p, "w")], lr=1e-4)
+    p = np.array([0.0], np.float32)
+    AdamState().step(p, np.ones_like(p), lr=1e-4)
     # m_hat = v_hat = 1 up to eps, so the step is ~ -1e-4
-    assert abs(p.params["w"][0] + 1e-4) < 1e-9
+    assert abs(p[0] + 1e-4) < 1e-9
 
 
 def test_adam_constant_gradient_monotone():
-    p = Param([0.5])
+    p = np.array([0.5], np.float32)
     adam = AdamState()
     values = []
     for _ in range(100):
-        p.grads["w"][...] = 2.0
-        adam.step([("w", p, "w")], lr=1e-3)
-        values.append(float(p.params["w"][0]))
+        adam.step(p, np.full_like(p, 2.0), lr=1e-3)
+        values.append(float(p[0]))
     assert all(b < a for a, b in zip(values, values[1:] ))
+
+
+def per_tensor_adam_step(tensors, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The Adam rule as it ran before the flat store: one pass per ufunc over
+    each whole tensor, with that tensor's own moments and scratch."""
+    state["t"] = t = state.get("t", 0) + 1
+    bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    for i, (p, g) in enumerate(zip(tensors, grads)):
+        if i not in state:
+            state[i] = (np.zeros_like(p), np.zeros_like(p), np.empty_like(p))
+        m, v, s = state[i]
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=s)
+        m += s
+        v *= beta2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - beta2
+        v += s
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        np.divide(m, s, out=s)
+        s *= lr / bc1
+        p -= s
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_adam_is_bitwise_the_per_tensor_rule(dtype):
+    # tensor boundaries at 1000, B + 1001, B + 1004 and 2B - 3 + 1001: none on a block's
+    sizes = [1000, ADAM_BLOCK + 1, 3, ADAM_BLOCK - 7, 12345]
+    assert sum(sizes) > 2 * ADAM_BLOCK
+    rng = np.random.default_rng(7)
+    flat_p = rng.standard_normal(sum(sizes)).astype(dtype)
+    flat_g = np.empty_like(flat_p)
+    cuts = np.cumsum(sizes)[:-1]
+    ref_p = [t.copy() for t in np.split(flat_p, cuts)]
+    adam, ref_state = AdamState(), {}
+    for step in range(6):
+        flat_g[...] = rng.standard_normal(flat_g.size) * 10.0 ** -step
+        flat_g[:50] = 0.0  # zero gradients leave their parameters as they are
+        adam.step(flat_p, flat_g, lr=1e-3 * (step + 1))
+        per_tensor_adam_step(ref_p, np.split(flat_g, cuts), ref_state, lr=1e-3 * (step + 1))
+    assert adam.scratch.size == ADAM_BLOCK
+    for got, want in ((flat_p, ref_p), (adam.m, [ref_state[i][0] for i in range(5)]),
+                      (adam.v, [ref_state[i][1] for i in range(5)])):
+        assert got.dtype == dtype and np.array_equal(got, np.concatenate(want))
 
 
 def cfg(**kw):
@@ -126,15 +166,16 @@ def small_model(seed=2):
                            hidden_widths=(8,), dropout_rates=(0.2,)), seed=seed)
 
 
-def small_dataset(seed=3, n=24):
+def small_dataset(seed=3, n=24, shift=2.0):
     """(train, val) lists of the GAP vectors (``Model.encode``) of seeded
-    3x3x8 maps, with their labels; 6 of them for val."""
+    3x3x8 maps, with their labels; 6 of them for val. A class's maps are
+    moved by ``shift`` (or ``-shift``)."""
     rng = np.random.default_rng(seed)
     encode = small_model().encode  # an imported model's encode is GAP alone
     samples = []
     for i in range(n):
         y = i % 2
-        x = (rng.standard_normal((3, 3, 8)) + (2.0 if y else -2.0)).astype(np.float32)
+        x = (rng.standard_normal((3, 3, 8)) + (shift if y else -shift)).astype(np.float32)
         samples.append((encode(x), y))
     return samples[:n - 6], samples[n - 6:]
 
@@ -147,6 +188,45 @@ def test_early_stop_restores_best_parameters():
     best = min(e.val_loss for e in logs)
     val_loss = np.mean([bce_loss(model.forward(z[None])[0], y)[0] for z, y in val])
     assert abs(val_loss - best) < 1e-6
+
+
+def param_bytes(model):
+    return [layer.params[p].tobytes() for _, layer, p in model.parameters(trainable_only=False)]
+
+
+def test_early_stop_restores_the_best_epochs_bytes_into_the_store(monkeypatch):
+    seen = []  # (val loss, parameter bytes) at each epoch's end
+
+    def spy(state, val_loss, patience, model=None):
+        seen.append((val_loss, param_bytes(model)))
+        return early_stop_update(state, val_loss, patience, model)
+
+    monkeypatch.setattr(train_mod, "early_stop_update", spy)
+    model = small_model()
+    train, val = small_dataset(shift=0.0)  # labels that carry no signal: val loss climbs
+    train_loop(model, train, val, cfg(seed=4, max_epochs=40, batch_size=6,
+                                      learning_rate=5e-3, early_stop_patience=3))
+    best = min(range(len(seen)), key=lambda i: seen[i][0])  # the first of equal losses
+    assert best < len(seen) - 1  # the restore has something to undo
+    assert param_bytes(model) == seen[best][1]
+    assert model.flat_params.tobytes() == b"".join(seen[best][1])
+
+
+def test_a_frozen_backbone_prefix_is_left_bit_identical():
+    model = Model(ModelSpec(backbone="toy_cnn", head_input_channels=16, projection_dim=8,
+                            hidden_widths=(4,), dropout_rates=(0.0,)), seed=3)
+    model.input_shape = (13, 13, 1)  # desk-sized images
+    backbone = model.backbone.parameters("backbone.")
+    assert model.n_frozen == sum(layer.params[p].size for _, layer, p in backbone) > 0
+    rng = np.random.default_rng(4)
+    samples = [(model.encode(rng.standard_normal((13, 13, 1)).astype(np.float32)), i % 2)
+               for i in range(12)]
+    before = model.flat_params.copy()
+    train_loop(model, samples[:8], samples[8:], cfg(seed=5, max_epochs=2, batch_size=4,
+                                                    learning_rate=1e-2))
+    frozen = slice(0, model.n_frozen)
+    assert model.flat_params[frozen].tobytes() == before[frozen].tobytes()
+    assert not np.array_equal(model.flat_params[model.n_frozen:], before[model.n_frozen:])
 
 
 def test_single_sample_loss_decreases_over_random_inits():
