@@ -92,7 +92,7 @@ def main(argv=None):
                 code = gapnet_main(step.argv)
             if code != 0:
                 sys.stderr.write(out.getvalue())
-                print(f"error: step {' '.join(step.argv[:1])} exited {code}", file=sys.stderr)
+                print(f"error: {step.kind} exited {code}", file=sys.stderr)
                 return 1
         print(round_digest(round_dir, in_dir))
     return 0
