@@ -29,9 +29,13 @@ HAVE_NUMBA = False
 
 
 def conv1d_forward(x, w, b):
-    # x: (..., n), w: (filters, K), b: (filters,) -> (..., filters, n-K+1)
+    # x: (..., n), w: (filters, K), b: (filters,) -> (..., filters, n-K+1), C-contiguous;
+    # w @ windows^T gives that layout from the product itself, with the bits of
+    # (windows @ w.T)^T, which cost a transposing copy
     windows = np.lib.stride_tricks.sliding_window_view(x, w.shape[1], axis=-1)
-    return np.ascontiguousarray(np.swapaxes(windows @ w.T + b, -1, -2))
+    out = np.matmul(w, np.swapaxes(windows, -1, -2))
+    out += b[:, None]
+    return out
 
 
 def conv1d_backward(x, w, g):

@@ -2,20 +2,23 @@
 
 Every layer takes a batch: axis 0 of its input indexes the samples,
 so a mini-batch costs one GEMM per layer. Each layer keeps its
-parameters and gradient accumulators in ``params`` / ``grads`` dicts and
+parameters and their gradients in ``params`` / ``grads`` dicts and
 caches whatever its backward pass needs when the forward pass runs in
 train mode. In a ``pipeline.Model`` those entries are views into the
 model's one parameter vector and one gradient vector, so a layer must
-update them in place (``+=``, ``[...] =``) and never rebind them. Conv2D alone keeps something between passes: a buffer for
-its input's window matrix, replaced when the input's shape or dtype
-changes. Parameter gradients are summed over the batch rows and
-accumulate until zero_grad(); the training loop zeroes once per batch.
-``backward(grad_out, input_grad=True)`` returns dL/d(input); with
+update them in place (``[...] =``, ``+=``, ``out=``) and never rebind
+them. Conv2D alone keeps something between passes: a buffer for its
+input's window matrix, replaced when the input's shape or dtype changes.
+
+``backward(grad_out, input_grad=True, accumulate=False)`` writes the
+parameter gradients, summed over the batch rows, over whatever
+``grads`` held; ``accumulate=True`` adds them instead, so several passes
+can sum into one mini-batch's gradients. It returns dL/d(input); with
 ``input_grad=False`` a layer with parameters fills its gradients and
 returns None: Dense and Conv2D, which can open a model's trained chain,
 skip the input gradient nobody reads, and Conv1D, which never does,
-computes it and drops it. Parameter-free layers ignore the flag. A model
-ends at a Dense logit; ``pipeline.sigmoid`` makes it a probability.
+computes it and drops it. Parameter-free layers ignore both flags. A
+model ends at a Dense logit; ``pipeline.sigmoid`` makes it a probability.
 """
 
 import numpy as np
@@ -26,6 +29,10 @@ from .tensor import DTYPE, ensure_finite
 
 
 def he_uniform(rng, shape, fan_in):
+    """He-uniform draws of ``shape``; zeros if ``rng`` is None, for a layer whose
+    values a checkpoint is about to replace."""
+    if rng is None:
+        return np.zeros(shape, DTYPE)
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape).astype(DTYPE)
 
@@ -41,12 +48,8 @@ class Layer:
     def forward(self, x, train=False):
         raise NotImplementedError
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out, input_grad=True, accumulate=False):
         raise NotImplementedError
-
-    def zero_grad(self):
-        for g in self.grads.values():
-            g[...] = 0
 
     def astype(self, dtype):
         for k in self.params:
@@ -61,8 +64,23 @@ class Layer:
         return cache
 
 
+def _store(grads, accumulate, **new):
+    """Write (or, if ``accumulate``, add) each ``new`` gradient into ``grads`` in place."""
+    for name, value in new.items():
+        if accumulate:
+            grads[name] += value
+        else:
+            grads[name][...] = value
+
+
 class Dense(Layer):
-    """Affine map z = x W^T + b on a (B, din) batch, giving (B, dout)."""
+    """Affine map z = x W^T + b on a (B, din) batch, giving (B, dout).
+
+    W is stored (dout, din), and the forward product runs as (W x^T)^T:
+    the same bits as x @ W.T, in the orientation OpenBLAS is faster at
+    (README). ``np.matmul(w, x.T, out=z.T)`` would not be: numpy makes it
+    the same BLAS call as x @ W.T.
+    """
 
     def __init__(self, din, dout, rng):
         super().__init__()
@@ -73,15 +91,20 @@ class Dense(Layer):
     def forward(self, x, train=False):
         if x.ndim != 2 or x.shape[1] != self.din:
             raise GapnetError(f"dense expects (B, {self.din}), got {x.shape}")
-        z = x @ self.params["w"].T + self.params["b"]
+        z = np.ascontiguousarray((self.params["w"] @ x.T).T)  # copies (B, dout) only
+        z += self.params["b"]
         if train:
             self._cache = x
         return ensure_finite(z, "dense_forward")
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out, input_grad=True, accumulate=False):
         x = self._need_cache()
-        self.grads["w"] += grad_out.T @ x
-        self.grads["b"] += grad_out.sum(axis=0)
+        if accumulate:
+            self.grads["w"] += grad_out.T @ x
+            self.grads["b"] += grad_out.sum(axis=0)
+        else:
+            np.matmul(grad_out.T, x, out=self.grads["w"])
+            np.sum(grad_out, axis=0, out=self.grads["b"])
         return grad_out @ self.params["w"] if input_grad else None
 
 
@@ -91,7 +114,7 @@ class ReLU(Layer):
             self._cache = x
         return np.maximum(x, 0)
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out, input_grad=True, accumulate=False):
         x = self._need_cache()
         # subgradient 0 at x == 0
         return grad_out * (x > 0)
@@ -101,8 +124,10 @@ class Dropout(Layer):
     """Inverted dropout: eval is the identity, train rescales survivors by 1/(1-rate).
 
     A train-mode forward draws one keep-mask of the input's shape, so a
-    (B, D) batch takes one draw. Set ``fixed_mask`` to make a train-mode
-    forward deterministic (the gradient checks in tests/ rely on this).
+    (B, D) batch takes one draw, from a generator made from ``seed`` on
+    the first draw. A layer built with ``seed`` None (a loaded model's)
+    cannot draw. Set ``fixed_mask`` to make a train-mode forward
+    deterministic (the gradient checks in tests/ rely on this).
     """
 
     def __init__(self, rate, seed=0):
@@ -110,7 +135,7 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise GapnetError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self._rng = np.random.default_rng(seed)
+        self.seed, self._rng = seed, None
         self.fixed_mask = None
 
     def forward(self, x, train=False):
@@ -119,12 +144,17 @@ class Dropout(Layer):
         if self.fixed_mask is not None:
             keep = self.fixed_mask
         else:
+            if self._rng is None:
+                if self.seed is None:
+                    raise GapnetError("dropout has no seed to draw masks from: "
+                                      "a model loaded from a checkpoint cannot train")
+                self._rng = np.random.default_rng(self.seed)
             keep = self._rng.random(x.shape) >= self.rate
         scale = keep.astype(x.dtype) / x.dtype.type(1.0 - self.rate)
         self._cache = scale
         return x * scale
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out, input_grad=True, accumulate=False):
         scale = self._need_cache()
         return grad_out * scale
 
@@ -142,7 +172,7 @@ class GlobalAvgPool(Layer):
             self._cache = x.shape
         return out
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out, input_grad=True, accumulate=False):
         b, h, w, c = self._need_cache()
         if grad_out.shape != (b, c):
             raise GapnetError(f"expected grad of shape ({b}, {c}), got {grad_out.shape}")
@@ -176,11 +206,10 @@ class Conv1D(Layer):
             self._cache = (x, out.shape)
         return ensure_finite(out.reshape(x.shape[0], -1), "conv1d_layer_forward")
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out, input_grad=True, accumulate=False):
         x, out_shape = self._need_cache()
         dx, dw, db = kernels.conv1d_backward(x, self.params["w"], grad_out.reshape(out_shape))
-        self.grads["w"] += dw
-        self.grads["b"] += db
+        _store(self.grads, accumulate, w=dw, b=db)
         return dx if input_grad else None
 
 
@@ -231,7 +260,7 @@ class Conv2D(Layer):
             self._cache, self._cols = (x, cols), None
         return ensure_finite(out, "conv2d_layer_forward")
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out, input_grad=True, accumulate=False):
         x, cols = self._need_cache()
         if input_grad:
             dx, dw, db = kernels.conv2d_backward(x, self.params["w"], grad_out, self.stride,
@@ -241,13 +270,13 @@ class Conv2D(Layer):
             dw, db = kernels.conv2d_weight_grads(x, self.params["w"], grad_out, self.stride,
                                                  cols=cols)
         self._cols = cols
-        self.grads["w"] += dw
-        self.grads["b"] += db
+        _store(self.grads, accumulate, w=dw, b=db)
         return dx
 
 
 class Sequential:
-    """Chain of layers with reverse-order backward; ``input_grad`` goes to the first layer."""
+    """Chain of layers with reverse-order backward; ``input_grad`` goes to the first
+    layer, ``accumulate`` to every layer."""
 
     def __init__(self, layers):
         self.layers = list(layers)
@@ -257,14 +286,10 @@ class Sequential:
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out, input_grad=True, accumulate=False):
         for layer in reversed(self.layers[1:]):
-            grad_out = layer.backward(grad_out)
-        return self.layers[0].backward(grad_out, input_grad=input_grad)
-
-    def zero_grad(self):
-        for layer in self.layers:
-            layer.zero_grad()
+            grad_out = layer.backward(grad_out, accumulate=accumulate)
+        return self.layers[0].backward(grad_out, input_grad=input_grad, accumulate=accumulate)
 
     def astype(self, dtype):
         for layer in self.layers:

@@ -101,7 +101,8 @@ def build_classifier(spec, rng):
     for i, width in enumerate(spec.hidden_widths):  # fcnn is dfn without the Dropouts
         layers += [Dense(din, width, rng), ReLU()]
         if spec.classifier == "dfn":
-            layers.append(Dropout(spec.dropout_rates[i], seed=int(rng.integers(2**63))))
+            seed = None if rng is None else int(rng.integers(2**63))
+            layers.append(Dropout(spec.dropout_rates[i], seed=seed))
         din = width
     layers.append(Dense(din, 1, rng))
     return Sequential(layers)
@@ -142,10 +143,14 @@ class Model:
     """
 
     def __init__(self, spec, seed):
+        self._build(spec, seed, np.random.default_rng(seed))
+
+    def _build(self, spec, seed, rng):
+        """Build the layers, drawing their values from ``rng``; with ``rng`` None
+        every parameter is 0 and no Dropout has a seed (``load_checkpoint``)."""
         self.spec = spec.validate()
         self.seed = seed
         self.dtype = np.float32
-        rng = np.random.default_rng(seed)
         self.backbone = toy_backbone(rng) if spec.backbone == "toy_cnn" else None
         self.input_shape = TOY_INPUT_SHAPE if self.backbone else None  # tests shrink it
         self.head = build_feature_head(spec, rng)
@@ -205,24 +210,24 @@ class Model:
         """(B,) logits of a batch of encoded inputs."""
         return self.classifier.forward(self.features(z, train), train=train)[:, 0]
 
-    def backward(self, dloss_dz, input_grad=False):
-        """(B,) dLoss/dlogit -> parameter gradients, accumulated.
+    def backward(self, dloss_dz, input_grad=False, accumulate=False):
+        """(B,) dLoss/dlogit -> the trainable parameters' gradients in ``flat_grads``.
 
-        Returns the gradient with respect to the encoded inputs if
-        ``input_grad``, else None: by default the first trainable layer
-        (the backbone's first conv, or the projection) skips it.
+        The gradients are written over what the store held, or added to it
+        if ``accumulate``; the frozen prefix is left alone. Returns the
+        gradient with respect to the encoded inputs if ``input_grad``, else
+        None: by default the first trainable layer (the backbone's first
+        conv, or the projection) skips it.
         """
-        g = self.classifier.backward(np.asarray(dloss_dz, dtype=self.dtype).reshape(-1, 1))
-        return self.trained.backward(g, input_grad=input_grad)
+        g = self.classifier.backward(np.asarray(dloss_dz, dtype=self.dtype).reshape(-1, 1),
+                                     accumulate=accumulate)
+        return self.trained.backward(g, input_grad=input_grad, accumulate=accumulate)
 
     # -- parameter plumbing -------------------------------------------
     def parameters(self, trainable_only=True):
         return [entry for prefix, part in self._named
                 if not (trainable_only and part in self.frozen.layers)
                 for entry in part.parameters(prefix)]
-
-    def zero_grad(self):
-        self.flat_grads.fill(0)
 
     def astype(self, dtype):
         self.dtype = dtype
@@ -247,13 +252,15 @@ def save_checkpoint(model, directory):
 
 
 def load_checkpoint(directory, expected_spec=None):
+    """The model ``save_checkpoint`` wrote, for scoring: its Dropouts have no seed."""
     directory = Path(directory)
     path = directory / "model.json"
     manifest = json_object(path.read_bytes(), path)
     try:
         seed = manifest.get("seed", 0)
         require_counts(least=0, seed=seed)  # the seeds numpy accepts
-        model = Model(ModelSpec(**manifest["model_spec"]), seed=seed)  # checks the spec
+        model = Model.__new__(Model)  # no draws: the files below give every value
+        model._build(ModelSpec(**manifest["model_spec"]), seed, rng=None)  # checks the spec
     except KeyError as e:
         raise GapnetError(f"{path}: checkpoint manifest lacks {e}") from e
     except (ValueError, TypeError, GapnetError) as e:

@@ -146,8 +146,10 @@ def early_stop_update(state, val_loss, patience, model=None):
     improvement = state.best_val_loss - val_loss
     if val_loss < state.best_val_loss:
         state.best_val_loss = val_loss
-        if model is not None:
+        if model is not None and state.snapshot is None:
             state.snapshot = model.flat_params.copy()
+        elif model is not None:  # later improvements reuse the first one's array
+            np.copyto(state.snapshot, model.flat_params)
     if improvement >= IMPROVE_EPS:
         state.epochs_since_improve = 0
         return "continue"
@@ -196,8 +198,10 @@ def train_loop(model, train, val, config):
     (the extract-once protocol), so every epoch runs only the part of the
     network that training changes, one forward, BCE and backward per
     mini-batch. A model with a trainable backbone accumulates each
-    mini-batch one image at a time (``passes``); either way one Adam step
-    follows each mini-batch. An error raised in a pass names its epoch.
+    mini-batch one image at a time (``passes``): its first pass writes the
+    gradients and the others add to them, so nothing zeroes them. Either
+    way one Adam step follows each mini-batch. An error raised in a pass
+    names its epoch.
     """
     config.validate()
     if not train:
@@ -220,16 +224,15 @@ def train_loop(model, train, val, config):
         hits = 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            model.zero_grad()
-            try:
-                for rows in passes(model, batch, config.batch_size):
+            try:  # the first pass writes the gradients, the others add to them
+                for k, rows in enumerate(passes(model, batch, config.batch_size)):
                     x = np.stack([train[i][0] for i in rows])
                     y = np.array([train[i][1] for i in rows])
                     z = model.forward(x, train=True)
                     loss, dldz = bce_loss(z, y)
                     losses.append(loss)
                     hits += int(np.sum(decide(sigmoid(z), model.spec.decision_threshold) == y))
-                    model.backward(dldz / len(batch))
+                    model.backward(dldz / len(batch), accumulate=k > 0)
             except GapnetError as e:
                 raise GapnetError(f"epoch {epoch}: {e}") from e
             adam.step(params, grads, lr)

@@ -62,7 +62,6 @@ def gradient_check(model, x, loss="proj", y=1, tolerance=1e-3, abs_tol=1e-4, h=1
         raise NonDeterministicFragment("repeated forward passes disagree")
     proj = rng.standard_normal(np.asarray(out1).shape)
 
-    frag.zero_grad()
     out = frag.forward(x, train=True)
     dx_analytic = frag.backward(_objective_grad(out, loss, y, proj), input_grad=True)
 

@@ -71,7 +71,7 @@ def test_dense_backward_accumulates_and_returns_wt_grad():
     # zero grad_out leaves accumulators unchanged
     before = layer.grads["w"].copy()
     layer.forward(x, train=True)
-    dx = layer.backward(np.zeros((2, 3), np.float32))
+    dx = layer.backward(np.zeros((2, 3), np.float32), accumulate=True)
     assert np.array_equal(dx, np.zeros((2, 3))) and np.array_equal(layer.grads["w"], before)
 
 
@@ -192,7 +192,7 @@ def test_gradient_check_bce_and_corruption():
                           loss="bce", y=np.array([1, 0, 1]), tolerance=1e-3).passed
 
     class DoubledDense(Dense):
-        def backward(self, grad_out, input_grad=True):
+        def backward(self, grad_out, input_grad=True, accumulate=False):
             x_ = self._need_cache()
             self.grads["w"] += 2.0 * grad_out.T @ x_  # deliberately corrupted
             self.grads["b"] += grad_out.sum(axis=0)
@@ -227,15 +227,13 @@ def test_batch_rows_match_one_row_passes(name, build, shape):
     x = r.standard_normal(shape).astype(np.float32)
     out = frag.forward(x, train=True)
     g = r.standard_normal(out.shape).astype(np.float32)
-    frag.zero_grad()
     dx = frag.backward(g)
     batch_grads = {key: layer.grads[p].copy() for key, layer, p in frag.parameters()}
 
     # the same mini-batch accumulated one row at a time
-    frag.zero_grad()
     for i in range(shape[0]):
         assert rel_close(frag.forward(x[i:i + 1], train=True)[0], out[i]), (name, i)
-        assert rel_close(frag.backward(g[i:i + 1])[0], dx[i]), (name, i)
+        assert rel_close(frag.backward(g[i:i + 1], accumulate=i > 0)[0], dx[i]), (name, i)
     for key, layer, p in frag.parameters():
         assert rel_close(layer.grads[p], batch_grads[key]), (name, key)
 
@@ -268,7 +266,6 @@ def test_input_grad_false_skips_dx_and_keeps_param_grads_bitwise(name, build, sh
     layers = frag.layers if isinstance(frag, Sequential) else [frag]
     with_dx = [{k: v.copy() for k, v in layer.grads.items()} for layer in layers]
 
-    frag.zero_grad()
     frag.forward(x, train=True)
     assert frag.backward(g, input_grad=False) is None
     for layer, grads in zip(layers, with_dx):
@@ -367,7 +364,6 @@ def test_conv2d_forward_between_train_forward_and_backward_leaves_dw_as_it_was()
     layer.forward(x, train=True)
     want = layer.backward(g)
     want_grads = {k: v.copy() for k, v in layer.grads.items()}
-    layer.zero_grad()
     layer.forward(x, train=True)
     layer.forward(other)  # eval mode, another image, before the backward
     assert np.array_equal(layer.backward(g), want)
@@ -384,7 +380,6 @@ def test_conv2d_windows_follow_a_change_of_shape_or_dtype():
         want = np.maximum(kernels.conv2d_forward(h, conv2.params["w"], conv2.params["b"], 2), 0)
         assert np.array_equal(net.forward(x, train=True), want)
         g = r.standard_normal(want.shape).astype(x.dtype)
-        net.zero_grad()
         net.backward(g, input_grad=False)
         dw, db = kernels.conv2d_weight_grads(h, conv2.params["w"], g * (want > 0), 2)
         assert np.array_equal(conv2.grads["w"], dw) and np.array_equal(conv2.grads["b"], db)

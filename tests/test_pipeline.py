@@ -276,16 +276,14 @@ def test_batch_step_matches_rows_accumulated_one_at_a_time():
                   for _ in range(8)])
     dldz = rng.standard_normal(8)
     logits = model.forward(z, train=True)
-    model.zero_grad()
     model.backward(dldz / 8)
     batch = {name: layer.grads[pn].copy() for name, layer, pn in model.parameters()}
 
-    model.zero_grad()
     for i in range(8):
         logit_i = model.forward(z[i:i + 1], train=True)
         # on a logit near 0 this is stricter than the 1e-6 relative bound on p it replaces
         assert abs(logit_i[0] - logits[i]) <= 1e-6 * max(abs(logits[i]), 1.0)
-        model.backward(dldz[i:i + 1] / 8)
+        model.backward(dldz[i:i + 1] / 8, accumulate=i > 0)
     for name, layer, pn in model.parameters():
         diff = np.max(np.abs(layer.grads[pn] - batch[name]))
         assert diff <= 1e-5 * np.max(np.abs(batch[name])), name
@@ -303,13 +301,11 @@ def test_model_backward_skips_input_grad_by_default_bitwise(trainable):
                                 hidden_widths=(5,)), seed=3)
         z = rng.standard_normal((3, 8)).astype(np.float32)
     dldz = rng.standard_normal(len(z))
-    model.zero_grad()
     model.forward(z, train=True)
     dz = model.backward(dldz, input_grad=True)
     assert dz.shape == z.shape
     with_dz = {name: layer.grads[pn].copy() for name, layer, pn in model.parameters()}
 
-    model.zero_grad()
     model.forward(z, train=True)
     assert model.backward(dldz) is None
     for name, layer, pn in model.parameters():
@@ -359,7 +355,6 @@ def test_parameter_store_views_stay_linked(tmp_path):
     model.input_shape = (13, 13, 1)  # desk-sized images
     z = np.stack([model.encode(x) for x in
                   np.random.default_rng(4).standard_normal((3, 13, 13, 1)).astype(np.float32)])
-    model.zero_grad()
     model.backward(np.ones(3) - 2.0 * sigmoid(model.forward(z, train=True)))
     assert np.any(model.flat_grads[model.n_frozen:])
     AdamState().step(model.flat_params[model.n_frozen:], model.flat_grads[model.n_frozen:],

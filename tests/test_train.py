@@ -285,9 +285,9 @@ def test_saturated_head_sends_no_subnormal_into_dense_backward(monkeypatch, sign
     grads_in = []
     backward = Dense.backward
 
-    def recording_backward(self, grad_out, input_grad=True):
+    def recording_backward(self, grad_out, input_grad=True, accumulate=False):
         grads_in.append((self.dout, grad_out.copy()))
-        return backward(self, grad_out, input_grad)
+        return backward(self, grad_out, input_grad, accumulate)
 
     monkeypatch.setattr(Dense, "backward", recording_backward)
     batch = len(train)
