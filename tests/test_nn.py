@@ -75,6 +75,82 @@ def test_dense_backward_accumulates_and_returns_wt_grad():
     assert np.array_equal(dx, np.zeros((2, 3))) and np.array_equal(layer.grads["w"], before)
 
 
+# (din, dout) of every Dense the three heads build at the paper's sizes (2048 -> 512
+# projection, dfn/fcnn 512 -> 256 -> 128 -> 1, cnn1d's 8 * 510 -> 1), toy_cnn's 16 -> 512
+# projection, and three small ones
+DENSE_SHAPES = [(2048, 512), (16, 512), (512, 256), (256, 128), (128, 1), (4080, 1),
+                (512, 1), (3, 3), (5, 4), (6, 5)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("din,dout", DENSE_SHAPES)
+def test_dense_forward_is_x_wt_plus_b_to_the_bit(din, dout, dtype):
+    # the layer runs (W x^T)^T; on a BLAS where that orientation rounds differently
+    # from x @ W.T, this fails
+    r = np.random.default_rng(4008)
+    layer = Dense(din, dout, r)
+    layer.astype(dtype)
+    layer.params["b"][...] = r.standard_normal(dout)
+    for batch in (1, 16, 32, 33):
+        x = r.standard_normal((batch, din)).astype(dtype)
+        got = layer.forward(x)
+        want = x @ layer.params["w"].T + layer.params["b"]
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), batch
+
+
+def transposed_conv1d_forward(x, w, b):
+    """conv1d's forward as (windows @ w.T + b), made (..., filters, L) by a transposing copy."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, w.shape[1], axis=-1)
+    return np.ascontiguousarray(np.swapaxes(windows @ w.T + b, -1, -2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,filters,k", [(512, 8, 3), (16, 8, 3), (9, 3, 3), (40, 4, 5),
+                                         (6, 2, 6)])
+def test_conv1d_forward_is_the_transposed_product_to_the_bit(n, filters, k, dtype):
+    r = np.random.default_rng(4009)
+    w = r.standard_normal((filters, k)).astype(dtype)
+    b = r.standard_normal(filters).astype(dtype)
+    for lead in [(), (1,), (16,), (32,), (33,), (2, 3)]:
+        x = r.standard_normal(lead + (n,)).astype(dtype)
+        got, want = kernels.conv1d_forward(x, w, b), transposed_conv1d_forward(x, w, b)
+        assert got.shape == want.shape == lead + (filters, n - k + 1)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), lead
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("name,build,shape", [
+    ("dense", lambda r: Dense(5, 4, r), (3, 5)),
+    ("conv1d", lambda r: Conv1D(3, 3, r), (3, 9)),
+    ("conv2d", lambda r: Conv2D(3, 4, 3, 3, 2, r), (3, 9, 8, 3)),
+])
+def test_backward_writes_gradients_unless_told_to_accumulate(name, build, shape, input_grad):
+    r = np.random.default_rng(4010)
+    layer = build(r)
+    x, x2 = r.standard_normal((2,) + shape).astype(np.float32)
+    g, g2 = r.standard_normal((2,) + layer.forward(x).shape).astype(np.float32)
+
+    def contribution(x, g, accumulate):
+        layer.forward(x, train=True)
+        layer.backward(g, input_grad=input_grad, accumulate=accumulate)
+        return {k: v.copy() for k, v in layer.grads.items()}
+
+    for grad in layer.grads.values():
+        grad[...] = 0
+    zeroed_then_added = contribution(x, g, accumulate=True)
+    for grad in layer.grads.values():
+        grad[...] = np.nan  # a write must not read what it overwrites
+    written = contribution(x, g, accumulate=False)
+    assert all(written[k].tobytes() == zeroed_then_added[k].tobytes() for k in written), name
+
+    second = contribution(x2, g2, accumulate=True)  # adds exactly one more contribution
+    alone = contribution(x2, g2, accumulate=False)
+    for k in second:
+        assert second[k].tobytes() == (written[k] + alone[k]).tobytes(), (name, k)
+
+
 def test_backward_without_forward_raises():
     layer = Dense(2, 2, rng())
     with pytest.raises(GapnetError, match="Dense.backward without a train-mode forward"):

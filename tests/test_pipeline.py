@@ -195,6 +195,24 @@ def test_checkpoint_round_trip_and_mismatch(tmp_path):
         load_checkpoint(tmp_path / "ckpt", expected_spec=other)
 
 
+def test_a_loaded_checkpoint_draws_nothing_and_cannot_train_its_dropouts(tmp_path, monkeypatch):
+    spec = ModelSpec(head_input_channels=32, projection_dim=16, hidden_widths=(8, 4))
+    model = Model(spec, seed=12)
+    save_checkpoint(model, tmp_path / "ckpt")
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a random initialisation")
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = load_checkpoint(tmp_path / "ckpt", expected_spec=spec)
+    monkeypatch.undo()
+    assert loaded.flat_params.tobytes() == model.flat_params.tobytes()
+    z = np.random.default_rng(13).standard_normal((5, 32)).astype(np.float32)
+    assert loaded.forward(z).tobytes() == model.forward(z).tobytes()
+    assert count_layers(loaded.classifier, Dropout) == 2
+    with pytest.raises(GapnetError, match=r"^dropout has no seed[^\n]*$"):
+        loaded.forward(z, train=True)
+
+
 def sigmoid_layer_forward(x):
     """The forward pass of the sigmoid layer models used to end in, verbatim."""
     info = np.finfo(x.dtype)

@@ -166,6 +166,20 @@ def small_model(seed=2):
                            hidden_widths=(8,), dropout_rates=(0.2,)), seed=seed)
 
 
+def test_early_stop_snapshot_is_one_array_rewritten_on_each_improvement():
+    model, state = small_model(), EarlyStopState()
+    early_stop_update(state, 0.5, patience=3, model=model)
+    first = state.snapshot
+    assert not np.shares_memory(first, model.flat_params)
+    model.flat_params += 1
+    early_stop_update(state, 0.4, patience=3, model=model)
+    assert state.snapshot is first and first.tobytes() == model.flat_params.tobytes()
+    best = first.copy()
+    model.flat_params += 1
+    early_stop_update(state, 0.45, patience=3, model=model)  # no improvement
+    assert state.snapshot is first and first.tobytes() == best.tobytes()
+
+
 def small_dataset(seed=3, n=24, shift=2.0):
     """(train, val) lists of the GAP vectors (``Model.encode``) of seeded
     3x3x8 maps, with their labels; 6 of them for val. A class's maps are
