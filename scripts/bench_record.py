@@ -21,9 +21,14 @@ percent, the pairs in which the change was better (ties count for
 neither), whether the shift lies inside both sides' IQRs, whether the
 change is worse than the parent by more than the metric's bound, and a
 verdict. The claim rule: at least ten pairs, the change better in at
-least nine tenths of them, and the medians further apart than the
-parent's IQR. The seed-7 output
-digests (``scripts/round_digest.py``) are recorded as given.
+least nine tenths of them, the medians further apart than the parent's
+IQR, and no larger share of failed operations on the change's side.
+
+Every run's operations count in ``ops``. A run that gave no value for
+some metric (a failed run writes ``"metrics": {}``) drops its pair from
+the summaries, and the entry names that seed under ``dropped_seeds``.
+The seed-7 output digests (``scripts/round_digest.py``) are recorded as
+given; each side's digest of the workload is required.
 """
 
 import argparse
@@ -80,8 +85,17 @@ def rounded(side):
     return {k: [round(v, 6) for v in x] if k == "runs" else round(x, 6) for k, x in side.items()}
 
 
-def metric_summary(spec, parent, change, parent_measured=None, change_measured=None):
-    """One metric's entry from the two sides' runs, listed in pair order."""
+def more_failures(ops):
+    """Whether a larger share of the change's operations failed than of the parent's."""
+    p, c = ops["parent"], ops["change"]
+    return c["failed"] * p["attempted"] > p["failed"] * c["attempted"]
+
+
+def metric_summary(spec, parent, change, parent_measured=None, change_measured=None,
+                   failed_more=False):
+    """One metric's entry from the two sides' runs, listed in pair order.
+
+    ``failed_more`` (see ``more_failures``) withholds the claim."""
     sign = 1.0 if spec["better"] == "lower" else -1.0
     p = side_summary(parent, parent_measured or parent)
     c = side_summary(change, change_measured or change)
@@ -92,10 +106,12 @@ def metric_summary(spec, parent, change, parent_measured=None, change_measured=N
     if worse_beyond:
         verdict = "worse beyond bound"
     elif (sign * shift < 0 and len(parent) >= 10 and 10 * better_pairs >= 9 * len(parent)
-          and abs(shift) > p["iqr"]):
+          and abs(shift) > p["iqr"] and not failed_more):
         verdict = "better (claim rule met)"
     elif inside:
         verdict = "no change resolved (shift inside both IQRs)"
+    elif sign * shift < 0 and failed_more:
+        verdict = "better, claim rule not met (a larger share of operations failed)"
     elif sign * shift < 0:
         verdict = "better, claim rule not met"
     else:
@@ -120,15 +136,26 @@ def digests(pairs, flag):
 
 
 def build_entry(workload, parent_dir, change_dir, note, parent_digests, change_digests):
+    if workload not in parent_digests or sorted(parent_digests) != sorted(change_digests):
+        raise RecordError(f"give each side's {workload} digest, and every other workload's "
+                          "for both sides or for neither")
     sides = {"parent": load_runs(parent_dir, workload), "change": load_runs(change_dir, workload)}
-    seeds = sorted(sides["parent"])
-    if sorted(sides["change"]) != seeds:
-        raise RecordError(f"unpaired seeds: parent has {seeds}, change has "
+    all_seeds = sorted(sides["parent"])
+    if sorted(sides["change"]) != all_seeds:
+        raise RecordError(f"unpaired seeds: parent has {all_seeds}, change has "
                           f"{sorted(sides['change'])}")
-    if len(seeds) < 2:
-        raise RecordError("quartiles need at least two pairs")
     specs = json.loads(BENCHMARK.read_text())["end_to_end"]
-    everything = [sides[s][seed] for s in sides for seed in seeds]
+    dropped = {}
+    for seed in all_seeds:
+        missing = [f"{side} has no {spec['name']}" for side in sides for spec in specs
+                   if "value" not in sides[side][seed]["metrics"].get(spec["name"], {})]
+        if missing:
+            dropped[str(seed)] = "; ".join(missing)
+    seeds = [seed for seed in all_seeds if str(seed) not in dropped]
+    if len(seeds) < 2:
+        raise RecordError(f"quartiles need at least two pairs with every metric; "
+                          f"dropped: {dropped}")
+    everything = [sides[s][seed] for s in sides for seed in all_seeds]
     prov = [run["provenance"] for run in everything]
     blas = [p["blas"].get("openblas configuration", p["blas"].get("name"))
             if isinstance(p["blas"], dict) else p["blas"] for p in prov]
@@ -139,8 +166,8 @@ def build_entry(workload, parent_dir, change_dir, note, parent_digests, change_d
     for key, field in (("sha", "git_sha"), ("src_sha256", "src_sha256")):
         for side in sides:
             entry[f"{side}_{key}"] = one([sides[side][seed]["provenance"][field]
-                                          for seed in seeds], f"the {side}'s {field}")
-    odd, even = [s for s in seeds if s % 2], [s for s in seeds if not s % 2]
+                                          for seed in all_seeds], f"the {side}'s {field}")
+    odd, even = [s for s in all_seeds if s % 2], [s for s in all_seeds if not s % 2]
     entry.update({
         "command": f"python3 perfbench/run.py --workload {workload} --seed S --trace 0",
         "seeds": seeds,
@@ -150,31 +177,27 @@ def build_entry(workload, parent_dir, change_dir, note, parent_digests, change_d
         "host": host,
         "values": VALUES,
         "flags": FLAGS,
-        "ops": {side: {key: sum(sides[side][seed][key] for seed in seeds)
+        "ops": {side: {key: sum(sides[side][seed][key] for seed in all_seeds)
                        for key in ("attempted", "failed")} for side in sides},
-        "metrics": {},
     })
+    if dropped:
+        entry["dropped_seeds"] = dropped
+    entry["metrics"] = {}
+    failed_more = more_failures(entry["ops"])
     for spec in specs:
         name = spec["name"]
         columns = {}
         for side in sides:
-            records = []
-            for seed in seeds:
-                record = sides[side][seed]["metrics"].get(name)
-                if record is None or "value" not in record:
-                    raise RecordError(f"{side} seed {seed}: no {name} value")
-                records.append(record)
+            records = [sides[side][seed]["metrics"][name] for seed in seeds]
             columns[side] = ([r["value"] for r in records],
                              [r.get("measured", r["value"]) for r in records])
         entry["metrics"][name] = metric_summary(spec, columns["parent"][0], columns["change"][0],
-                                                columns["parent"][1], columns["change"][1])
-    if change_digests or parent_digests:
-        if sorted(parent_digests) != sorted(change_digests):
-            raise RecordError("give each workload's digest for both sides")
-        entry["output_digest_seed7"] = {"tool": DIGEST_TOOL, **change_digests,
-                                        "parent_equals_change": parent_digests == change_digests}
-        if parent_digests != change_digests:
-            entry["output_digest_seed7"]["parent"] = parent_digests
+                                                columns["parent"][1], columns["change"][1],
+                                                failed_more)
+    entry["output_digest_seed7"] = {"tool": DIGEST_TOOL, **change_digests,
+                                    "parent_equals_change": parent_digests == change_digests}
+    if parent_digests != change_digests:
+        entry["output_digest_seed7"]["parent"] = parent_digests
     return entry
 
 
@@ -184,12 +207,13 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="the parent's results files")
     parser.add_argument("--change", required=True, help="the change's results files")
     parser.add_argument("--note", required=True, help="what the change does, in one line")
-    parser.add_argument("--parent-digest", action="append", default=[], metavar="W=SHA256")
-    parser.add_argument("--change-digest", action="append", default=[], metavar="W=SHA256")
-    parser.add_argument("--out", help="the file to append to (default: BENCH_<workload>.json "
-                                      "at the repository root)")
+    parser.add_argument("--parent-digest", action="append", required=True, metavar="W=SHA256",
+                        help="the parent's seed-7 digest of a workload; the workload's own is "
+                             "required")
+    parser.add_argument("--change-digest", action="append", required=True, metavar="W=SHA256",
+                        help="the change's, likewise")
     args = parser.parse_args(argv)
-    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.workload}.json"
+    out = ROOT / f"BENCH_{args.workload}.json"
     try:
         entry = build_entry(args.workload, args.parent, args.change, args.note,
                             digests(args.parent_digest, "--parent-digest"),
