@@ -13,7 +13,7 @@ standard error and exits 1.
 The digest covers every file of the round directory except dot-files
 (the encode cache and the output locks), each under its relative path:
 the prepared manifest, the configs, the tensors, each head's checkpoint
-(``model.json`` and ``params/*.btft``), the extracted vectors,
+(``model.json`` and ``params.btft``), the extracted vectors,
 ``epochs.csv`` without its ``seconds_per_epoch`` column, ``metrics.json``
 without ``test_ms_per_image`` and ``seconds_per_epoch``, and both
 confusion files. The absolute paths of the input and round directories

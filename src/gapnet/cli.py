@@ -9,6 +9,7 @@ import contextlib
 import fcntl
 import hashlib
 import json
+import numbers
 import os
 import sys
 import time
@@ -21,7 +22,8 @@ from . import data as datamod
 from .backbone import load_feature_map, save_tensor, write_atomic
 from .errors import GapnetError, json_object, require_counts, require_object
 from .metrics import confusion, metrics, render_confusion_csv, render_confusion_svg
-from .pipeline import Model, ModelSpec, decide, load_checkpoint, save_checkpoint, sigmoid
+from .pipeline import (CLASSIFIERS, Model, ModelSpec, decide, load_checkpoint, save_checkpoint,
+                       sigmoid)
 from .train import (
     TrainConfig,
     mean_seconds_per_epoch,
@@ -191,6 +193,15 @@ CACHE_DIR = ".gapnet-cache"
 CACHE_FORMAT = "gapnet encode cache 1"
 
 
+def _encode(model, rec):
+    """``model.encode`` of ``rec``'s input file; a bad input's error names the file."""
+    x = load_feature_map(rec.path)  # whose errors name it already
+    try:
+        return model.encode(x)
+    except GapnetError as e:
+        raise GapnetError(f"{rec.path}: {e}") from e
+
+
 def _tag(*parts):
     return hashlib.sha256("\0".join(map(str, parts)).encode()).hexdigest()[:32]
 
@@ -221,11 +232,8 @@ class _EncodeCache:
     def __init__(self, manifest, model):
         self.model = model
         h = hashlib.sha256(f"{CACHE_FORMAT}\0{model.spec.backbone}\0"
-                           f"{model.spec.head_input_channels}".encode())
-        frozen = model.backbone.parameters("backbone.") if model.backbone else ()
-        for name, layer, pname in frozen:
-            value = np.ascontiguousarray(layer.params[pname], dtype="<f4")
-            h.update(f"\0{name}\0{value.shape}\0".encode() + value.tobytes())
+                           f"{model.spec.head_input_channels}\0".encode())
+        h.update(model.flat_params[:model.n_frozen].astype("<f4", copy=False))
         self.dir = manifest.parent / CACHE_DIR / h.hexdigest()[:32]
         self.known = {}  # path tag -> (stat tag, vector)
         self.hits = 0
@@ -250,14 +258,14 @@ class _EncodeCache:
         try:
             st = os.stat(rec.path)
         except OSError:  # reading the input reports it
-            return self.model.encode(load_feature_map(rec.path))
+            return _encode(self.model, rec)
         path_tag = _tag(rec.path)
         stat_tag = _tag(st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
         entry = self.known.get(path_tag)
         if entry is not None and entry[0] == stat_tag:
             self.hits += 1
             return entry[1]
-        vec = self.model.encode(load_feature_map(rec.path))
+        vec = _encode(self.model, rec)
         self.known[path_tag] = (stat_tag, vec)
         self.encoded = True
         return vec
@@ -286,7 +294,7 @@ def _encoded_inputs(manifest, model):
     on-disk cache where it can, and what was encoded is cached on exit; a
     trainable backbone's rows are its raw inputs, which are never cached."""
     if not model.frozen.layers:
-        yield lambda rec: model.encode(load_feature_map(rec.path))
+        yield lambda rec: _encode(model, rec)
         return
     cache = _EncodeCache(manifest, model)
     yield cache
@@ -380,6 +388,7 @@ def cmd_extract(args):
 
 
 def cmd_report(args):
+    reported = ("accuracy", "precision", "recall", "f1")
     rows = []
     for run_dir in args.run_dirs:
         metrics_file = Path(run_dir) / "metrics.json"
@@ -387,12 +396,16 @@ def cmd_report(args):
             raise FileNotFoundError(f"metrics file not found: {metrics_file}")
         obj = json_object(metrics_file.read_bytes(), metrics_file)
         try:
-            rows.append((obj["model"], *(float(obj[k]) for k in
-                                         ("accuracy", "precision", "recall", "f1"))))
+            row = [obj[k] for k in ("model", *reported)]
         except KeyError as e:
             raise GapnetError(f"{metrics_file}: lacks {e}") from e
-        except (TypeError, ValueError) as e:
-            raise GapnetError(f"{metrics_file}: a metric is not a number: {e}") from e
+        if row[0] not in CLASSIFIERS:
+            raise GapnetError(f"{metrics_file}: model {row[0]!r} is not one of {CLASSIFIERS}")
+        for key, value in zip(reported, row[1:]):  # a bool, a string and NaN all fail
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and 0 <= value <= 1):
+                raise GapnetError(f"{metrics_file}: {key} is not a number in [0, 1]: {value!r}")
+        rows.append(row)
     lines = ["Model,Accuracy,Precision,Recall,F1"]
     for name, acc, prec, rec, f1 in rows:
         lines.append(f"{name},{100 * acc:.2f},{100 * prec:.2f},{100 * rec:.2f},{100 * f1:.2f}")

@@ -158,7 +158,7 @@ class Model:
         chain = [part for part in (self.backbone, GlobalAvgPool(), self.head) if part is not None]
         cut = 0 if spec.backbone_trainable else len(chain) - 1
         self.frozen, self.trained = Sequential(chain[:cut]), Sequential(chain[cut:])
-        # the prefixes name the files of a checkpoint's params/
+        # the prefixes name the entries, whose order is the layout of a saved params.btft
         self._named = [(prefix, part) for prefix, part in
                        (("backbone.", self.backbone), ("head.", self.head),
                         ("clf.", self.classifier)) if part is not None]
@@ -237,11 +237,10 @@ class Model:
 # ------------------------------------------------------- checkpoints
 
 def save_checkpoint(model, directory):
-    """One BTFT entry per parameter plus a manifest recording the ModelSpec."""
+    """``model.flat_params`` as ``params.btft``, then its ModelSpec in ``model.json``, last."""
     directory = Path(directory)
-    (directory / "params").mkdir(parents=True, exist_ok=True)
-    for name, layer, pname in model.parameters(trainable_only=False):
-        save_tensor(layer.params[pname], directory / "params" / f"{name}.btft")
+    directory.mkdir(parents=True, exist_ok=True)
+    save_tensor(model.flat_params, directory / "params.btft")
     manifest = {
         "model_spec": model.spec.to_dict(),
         "fingerprint": model.spec.fingerprint(),
@@ -259,7 +258,7 @@ def load_checkpoint(directory, expected_spec=None):
     try:
         seed = manifest.get("seed", 0)
         require_counts(least=0, seed=seed)  # the seeds numpy accepts
-        model = Model.__new__(Model)  # no draws: the files below give every value
+        model = Model.__new__(Model)  # no draws: params.btft gives every value
         model._build(ModelSpec(**manifest["model_spec"]), seed, rng=None)  # checks the spec
     except KeyError as e:
         raise GapnetError(f"{path}: checkpoint manifest lacks {e}") from e
@@ -271,10 +270,10 @@ def load_checkpoint(directory, expected_spec=None):
             f"checkpoint fingerprint {spec.fingerprint()[:12]} != "
             f"configured model fingerprint {expected_spec.fingerprint()[:12]}"
         )
-    for name, layer, pname in model.parameters(trainable_only=False):
-        value = load_feature_map(directory / "params" / f"{name}.btft")
-        if value.shape != layer.params[pname].shape:
-            raise GapnetError(f"{name}: checkpoint shape {value.shape} != "
-                              f"model shape {layer.params[pname].shape}")
-        layer.params[pname][...] = value  # a view into flat_params: write, never rebind
+    path = directory / "params.btft"
+    value = load_feature_map(path)
+    if value.shape != model.flat_params.shape:
+        raise GapnetError(f"{path}: checkpoint shape {value.shape} != "
+                          f"model shape {model.flat_params.shape}")
+    model.flat_params[...] = value  # every layer's entries are views into it
     return model

@@ -388,9 +388,8 @@ def conv_calls(monkeypatch):
 
 def _run_bytes(run_dir):
     lines = (run_dir / "epochs.csv").read_text().splitlines()
-    params = sorted((run_dir / "checkpoint" / "params").iterdir())
     return ([line.rsplit(",", 1)[0] for line in lines],  # timing column stripped
-            [(p.name, p.read_bytes()) for p in params])
+            (run_dir / "checkpoint" / "params.btft").read_bytes())
 
 
 def _extracted(out_dir):
@@ -600,8 +599,7 @@ def test_train_idempotent_checkpoints(raw_dir, tmp_path):
         assert main(["train", str(cfg)]) == 0
         lines = (tmp_path / run / "epochs.csv").read_text().splitlines()
         csvs.append([",".join(line.split(",")[:6]) for line in lines])
-        params = sorted((tmp_path / run / "checkpoint" / "params").iterdir())
-        ckpts.append([p.read_bytes() for p in params])
+        ckpts.append((tmp_path / run / "checkpoint" / "params.btft").read_bytes())
     assert csvs[0] == csvs[1]  # timing column excluded
     assert ckpts[0] == ckpts[1]
 
@@ -731,7 +729,7 @@ def _missing_checkpoint_param(tmp_path):
     args = _missing_record_tensor(tmp_path)
     spec = ModelSpec.from_dict(json.loads((tmp_path / "c.json").read_text())["model"])
     save_checkpoint(Model(spec, seed=21), tmp_path / "ckpt")
-    (tmp_path / "ckpt" / "params" / "clf.0.w.btft").unlink()
+    (tmp_path / "ckpt" / "params.btft").unlink()
     return ["eval", args[1], str(tmp_path / "ckpt")]
 
 
@@ -765,8 +763,11 @@ def _fcnn_checkpoint(path):
 def _three_channel_toy_checkpoint(path):
     spec = ModelSpec.from_dict({"backbone": "toy_cnn", "head_input_channels": 16,
                                 "classifier": "dfn"})
-    save_checkpoint(Model(spec, seed=21), path)
-    save_tensor(np.zeros((5, 5, 3, 8), np.float32), path / "params" / "backbone.0.w.btft")
+    model = Model(spec, seed=21)
+    save_checkpoint(model, path)
+    # the vector of a stage-1 conv built for 3 input channels: 5*5*2*8 more weights
+    save_tensor(np.zeros(model.flat_params.size + 5 * 5 * 2 * 8, np.float32),
+                path / "params.btft")
 
 
 def _escaping_sample_id(tmp_path):
@@ -790,6 +791,21 @@ def _bad_record(line):
         (tmp_path / "m.jsonl").write_text(line + "\n")
         return ["train", cfg]
     return setup
+
+
+def _narrow_map_among_wide(tmp_path):
+    args = ["train", _config(tmp_path, model={"head_input_channels": 8})]
+    records = []
+    for k, channels in enumerate((8, 8, 4, 8)):
+        save_tensor(np.ones((3, 3, channels), np.float32), tmp_path / f"m{k}.btft")
+        records.append(ManifestRecord(f"m{k}", f"m{k}.btft", k % 2, f"s{k}", split="train"))
+    save_manifest(records, tmp_path / "m.jsonl")
+    return args
+
+
+def _metrics_with(**fields):
+    row = {"model": "dfn", "accuracy": 1, "precision": 1, "recall": 1, "f1": 1, **fields}
+    return _bad_metrics(json.dumps(row))
 
 
 def _report_to_a_directory(tmp_path):
@@ -837,6 +853,20 @@ def _report_to_a_directory(tmp_path):
     pytest.param(_bad_metrics('{"model": "dfn", "accuracy": "high", "precision": 1,'
                               ' "recall": 1, "f1": 1}'), 1, "not a number",
                  id="metrics-json-accuracy-not-number"),
+    pytest.param(_metrics_with(model="a,b\nx"), 1,
+                 "metrics.json: model 'a,b\\nx' is not one of", id="metrics-json-model-not-a-head"),
+    pytest.param(_metrics_with(accuracy=True), 1,
+                 "metrics.json: accuracy is not a number in [0, 1]: True",
+                 id="metrics-json-accuracy-is-bool"),
+    pytest.param(_metrics_with(precision="0.5"), 1,
+                 "metrics.json: precision is not a number in [0, 1]: '0.5'",
+                 id="metrics-json-precision-is-string"),
+    pytest.param(_metrics_with(recall=float("nan")), 1,
+                 "metrics.json: recall is not a number in [0, 1]: nan",
+                 id="metrics-json-recall-nan"),
+    pytest.param(_metrics_with(f1=1e9), 1,
+                 "metrics.json: f1 is not a number in [0, 1]: 1000000000.0",
+                 id="metrics-json-f1-above-1"),
     pytest.param(_bad_epochs("2,0.4,0.8,0.55,0.75,0.0001,fast\n"), 1, "epochs.csv",
                  id="epochs-csv-seconds-not-a-number"),
     pytest.param(_bad_epochs("2,0.4,0.8\n"), 1, "epochs.csv", id="epochs-csv-short-row"),
@@ -904,7 +934,7 @@ def _report_to_a_directory(tmp_path):
     pytest.param(_unknown_transform, 1, "unknown transform 'blur'",
                  id="augmented-id-names-no-transform"),
     pytest.param(_missing_record_tensor, 2, "x.btft", id="record-tensor-missing"),
-    pytest.param(_missing_checkpoint_param, 2, "clf.0.w.btft", id="checkpoint-param-missing"),
+    pytest.param(_missing_checkpoint_param, 2, "params.btft", id="checkpoint-param-missing"),
     pytest.param(_checkpoint_seed("x"), 1, "model.json: not a checkpoint manifest: seed must be "
                  "an integer >= 0, got 'x'", id="checkpoint-seed-not-int"),
     pytest.param(_checkpoint_seed(-1), 1, "model.json: not a checkpoint manifest: seed must be "
@@ -916,11 +946,15 @@ def _report_to_a_directory(tmp_path):
     pytest.param(_non_utf8_manifest("train"), 1, "m.jsonl: line 1: 'utf-8' codec can't decode",
                  id="train-manifest-not-utf8"),
     pytest.param(_nan_record_tensor, 1, "non-finite values produced by ", id="record-tensor-has-nan"),
+    pytest.param(_narrow_map_among_wide, 1,
+                 "m2.btft: input (3, 3, 4) is not an HxWx8 feature map",
+                 id="imported-map-of-another-width"),
     pytest.param(_three_channel_record_tensor, 1,
                  "toy backbone expects (224, 224, 1), got (224, 224, 3)",
                  id="record-tensor-has-three-channels"),
     pytest.param(_extract_checkpoint(_three_channel_toy_checkpoint), 1,
-                 "backbone.0.w: checkpoint shape (5, 5, 3, 8)", id="toy-checkpoint-three-channels"),
+                 "params.btft: checkpoint shape (176881,) != model shape (176481,)",
+                 id="toy-checkpoint-three-channels"),
     pytest.param(_extract_checkpoint(_fcnn_checkpoint), 1, "fingerprint",
                  id="extract-checkpoint-of-another-spec"),
     pytest.param(_extract_checkpoint(lambda path: None), 2, "ckpt",

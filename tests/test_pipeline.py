@@ -1,8 +1,11 @@
 import copy
+import itertools
+import os
 
 import numpy as np
 import pytest
 
+from gapnet.backbone import load_feature_map
 from gapnet.errors import GapnetError
 from gapnet.nn import Conv1D, Dense, Dropout, ReLU
 from gapnet.pipeline import (
@@ -213,6 +216,45 @@ def test_a_loaded_checkpoint_draws_nothing_and_cannot_train_its_dropouts(tmp_pat
         loaded.forward(z, train=True)
 
 
+class Killed(Exception):
+    """Stands in for a kill in the middle of a checkpoint's file writes."""
+
+
+def test_an_interrupted_save_loads_as_one_whole_run(tmp_path, monkeypatch):
+    # model b saved over model a's checkpoint, the save cut at each of its file
+    # writes in turn: what loads is a's vector or b's, byte for byte, never a mix
+    spec = ModelSpec(head_input_channels=4, projection_dim=6, hidden_widths=(3,),
+                     dropout_rates=(0.5,))
+    a, b = Model(spec, seed=1), Model(spec, seed=2)
+    runs = {a.flat_params.tobytes(): "a", b.flat_params.tobytes(): "b"}
+    real_replace = os.replace  # every file write ends in one, atomically
+    loaded = []
+    for cut in itertools.count(1):
+        directory = tmp_path / str(cut)
+        save_checkpoint(a, directory)
+        writes = []
+
+        def replace(src, dst):
+            writes.append(dst)
+            if len(writes) == cut:
+                raise Killed(dst)
+            real_replace(src, dst)
+        monkeypatch.setattr(os, "replace", replace)
+        try:
+            save_checkpoint(b, directory)
+        except Killed:
+            pass
+        finally:
+            monkeypatch.undo()
+        model = load_checkpoint(directory, expected_spec=spec)
+        loaded.append(runs.get(model.flat_params.tobytes(), "a mix"))
+        if len(writes) < cut:  # the save ran to its end
+            break
+    assert loaded == ["a", "b", "b"]
+    for directory in tmp_path.iterdir():  # and no temp file is left behind
+        assert sorted(p.name for p in directory.iterdir()) == ["model.json", "params.btft"]
+
+
 def sigmoid_layer_forward(x):
     """The forward pass of the sigmoid layer models used to end in, verbatim."""
     info = np.finfo(x.dtype)
@@ -249,7 +291,8 @@ DFN_ENTRIES = ["head.0.w", "head.0.b", "clf.0.w", "clf.0.b", "clf.3.w", "clf.3.b
                                      "clf.2.w", "clf.2.b"], False),
 ], ids=["frozen-toy-dfn", "trainable-toy-dfn", "imported-cnn1d"])
 def test_checkpoint_entry_names_are_pinned(spec, entries, trains_backbone):
-    # the names of a checkpoint's params/ files: renaming one orphans every saved checkpoint
+    # this order is the layout of flat_params, and so of every saved params.btft:
+    # reordering or resizing an entry misreads every checkpoint saved before
     model = Model(spec, seed=0)
     assert [name for name, _, _ in model.parameters(trainable_only=False)] == entries
     trainable = [name for name, _, _ in model.parameters()]
@@ -346,10 +389,6 @@ def assert_views_linked(model):
         assert layer.params[pname].dtype == layer.grads[pname].dtype == model.dtype, name
 
 
-def checkpoint_bytes(directory):
-    return {f.name: f.read_bytes() for f in sorted((directory / "params").iterdir())}
-
-
 def test_parameter_store_views_stay_linked(tmp_path):
     model = Model(ModelSpec(backbone="toy_cnn", head_input_channels=16, projection_dim=8,
                             hidden_widths=(4,), dropout_rates=(0.0,)), seed=3)
@@ -378,8 +417,11 @@ def test_parameter_store_views_stay_linked(tmp_path):
     AdamState().step(model.flat_params[model.n_frozen:], model.flat_grads[model.n_frozen:],
                      lr=1e-2)
     save_checkpoint(model, tmp_path / "b")
-    before, after = checkpoint_bytes(tmp_path / "a"), checkpoint_bytes(tmp_path / "b")
+    before, after = (load_feature_map(tmp_path / run / "params.btft") for run in "ab")
+    at = 0
     for name, layer, pname in model.parameters(trainable_only=False):
+        size = layer.params[pname].size
         moved = bool(np.any(layer.grads[pname]))  # Adam moves exactly the nonzero gradients
-        assert (before[f"{name}.btft"] != after[f"{name}.btft"]) == moved, name
-    assert before != after
+        assert (before[at:at + size].tobytes() != after[at:at + size].tobytes()) == moved, name
+        at += size
+    assert at == before.size == after.size and before.tobytes() != after.tobytes()
