@@ -292,7 +292,8 @@ def _encoded_inputs(manifest, model):
     """Yields rec -> the row ``model.forward`` takes for it, for the
     records of ``manifest``. With a frozen prefix the row comes from the
     on-disk cache where it can, and what was encoded is cached on exit; a
-    trainable backbone's rows are its raw inputs, which are never cached."""
+    backbone that trains (only ever in a model built to train, never in a
+    loaded checkpoint) takes raw inputs, which are never cached."""
     if not model.frozen.layers:
         yield lambda rec: _encode(model, rec)
         return
@@ -313,6 +314,12 @@ def build_dataset(config, model, splits):
     return dataset, getattr(load, "hits", None)
 
 
+def _cache_note(hits, n):
+    """The end of a summary line: how many of ``n`` inputs the encode cache
+    served, or nothing when nothing is frozen."""
+    return "" if hits is None else f", {hits} of {n} inputs from the encode cache"
+
+
 # ------------------------------------------------------------ subcommands
 
 def cmd_train(args):
@@ -320,14 +327,15 @@ def cmd_train(args):
     config.output_dir.mkdir(parents=True, exist_ok=True)
     with OutputLock(config.output_dir):
         model = Model(config.model, seed=config.seed)
-        dataset, _ = build_dataset(config, model, ("train", "val"))
+        dataset, hits = build_dataset(config, model, ("train", "val"))
         logs = train_loop(model, dataset["train"], dataset["val"], config.train)
         write_epoch_csv(logs, config.output_dir / "epochs.csv")
         save_checkpoint(model, config.output_dir / "checkpoint")
     last = logs[-1]
     print(f"trained {config.model.classifier} for {last.epoch} epochs: "
           f"val_loss {last.val_loss:.4f}, val_acc {last.val_acc:.4f} "
-          f"-> {config.output_dir}")
+          f"-> {config.output_dir}"
+          + _cache_note(hits, len(dataset["train"]) + len(dataset["val"])))
     return 0
 
 
@@ -363,7 +371,7 @@ def cmd_eval(args):
     print(f"{config.model.classifier}: accuracy {report['accuracy']:.4f}, "
           f"precision {report['precision']:.4f}, recall {report['recall']:.4f}, "
           f"f1 {report['f1']:.4f} -> {config.output_dir / 'metrics.json'}"
-          + ("" if hits is None else f", {hits} of {len(samples)} inputs from the encode cache"))
+          + _cache_note(hits, len(samples)))
     return 0
 
 

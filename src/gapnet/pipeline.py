@@ -129,8 +129,9 @@ class Model:
     The chain [toy backbone, GAP, feature head] is cut once, at the freeze
     point, into two ``Sequential`` parts: ``frozen``, which training never
     changes (frozen backbone and GAP, or GAP alone for imported maps;
-    nothing when the backbone trains), and ``trained``, the rest. A raw
-    input is an ``input_shape`` (224x224x1) image for toy_cnn, an
+    nothing when the backbone trains, which only a model built to train
+    does: a loaded one freezes its backbone), and ``trained``, the rest. A
+    raw input is an ``input_shape`` (224x224x1) image for toy_cnn, an
     HxWx``head_input_channels`` map for imported features. ``encode``, the
     one check of a raw input's shape, runs ``frozen`` on one raw input (or
     returns it when nothing is frozen); ``forward`` and ``backward``
@@ -147,7 +148,13 @@ class Model:
 
     def _build(self, spec, seed, rng):
         """Build the layers, drawing their values from ``rng``; with ``rng`` None
-        every parameter is 0 and no Dropout has a seed (``load_checkpoint``)."""
+        every parameter is 0 and no Dropout has a seed (``load_checkpoint``).
+
+        A model built to train (``rng`` given) keeps the spec's freeze point.
+        A loaded model scores only, so everything up to and including GAP is
+        frozen even when ``backbone_trainable`` is set; the parameter layout
+        (``_named``) is the same either way.
+        """
         self.spec = spec.validate()
         self.seed = seed
         self.dtype = np.float32
@@ -156,7 +163,7 @@ class Model:
         self.head = build_feature_head(spec, rng)
         self.classifier = build_classifier(spec, rng)
         chain = [part for part in (self.backbone, GlobalAvgPool(), self.head) if part is not None]
-        cut = 0 if spec.backbone_trainable else len(chain) - 1
+        cut = 0 if spec.backbone_trainable and rng is not None else len(chain) - 1
         self.frozen, self.trained = Sequential(chain[:cut]), Sequential(chain[cut:])
         # the prefixes name the entries, whose order is the layout of a saved params.btft
         self._named = [(prefix, part) for prefix, part in
@@ -251,7 +258,9 @@ def save_checkpoint(model, directory):
 
 
 def load_checkpoint(directory, expected_spec=None):
-    """The model ``save_checkpoint`` wrote, for scoring: its Dropouts have no seed."""
+    """The model ``save_checkpoint`` wrote, for scoring: its Dropouts have no
+    seed, and its backbone is frozen even if the spec trained it, so its
+    inputs go through the encode cache like any frozen model's."""
     directory = Path(directory)
     path = directory / "model.json"
     manifest = json_object(path.read_bytes(), path)

@@ -171,7 +171,9 @@ class EpochLog:
 def passes(model, rows, batch_size):
     """Split ``rows`` into the chunks one forward/backward pass takes: one image
     at a time for a trainable backbone, which keeps one image's conv
-    activations in memory, else whole batches of cached GAP vectors."""
+    activations in memory, else whole batches of cached GAP vectors. Only a
+    model built to train has a trainable backbone (``Model._build``), so a
+    loaded checkpoint always scores whole batches."""
     step = batch_size if model.frozen.layers else 1
     return [rows[i:i + step] for i in range(0, len(rows), step)]
 

@@ -58,6 +58,24 @@ def test_a_small_imported_round_passes_the_benchmark_checks(tmp_path, harness):
     assert rc.records == {"prepare": 16, "extract": 16}
 
 
+def test_a_small_finetune_round_passes_the_benchmark_checks(tmp_path, harness):
+    workloads = harness.workloads
+    in_dir, round_dir = tmp_path / "in", tmp_path / "round"
+    # 2+2 subjects of 4 slices: 8 images a class, which five transforms top up to
+    # the 48 a class that toy_finetune's prepare balances to
+    subjects = [("n000", 0), ("n001", 0), ("t000", 1), ("t001", 1)]
+    workloads._blob_images(in_dir / "raw", np.random.default_rng(7), subjects, per_subject=4)
+    workload = dataclasses.replace(workloads.WORKLOADS["toy_finetune"], epochs=1, train_runs=1)
+    steps = workloads.make_round(workload, 7, in_dir, round_dir)
+    results = [(step, main(step.argv)) for step in steps]
+    # the checks load the fine-tuned checkpoint with no spec, whose backbone loads
+    # frozen, and count one vector file per record of what extract scored from it
+    rc = harness.checks.check_round(workload, round_dir, results)
+    assert [op for op in rc.ops if not op[1]] == []
+    assert len(rc.ops) == 9  # 4 exits, the records, epochs.csv, checkpoint, vectors, metrics
+    assert rc.records == {"prepare": 96, "extract": 96}
+
+
 EPOCHS_CSV = ("epoch,train_loss,train_acc,val_loss,val_acc,lr,seconds_per_epoch\n"
               "1,0.5,0.75,0.6,0.7,0.0001,{seconds}\n")
 

@@ -406,13 +406,16 @@ def _scored(run_dir):
 def test_second_head_trains_on_cached_gap_vectors(raw_dir, tmp_path, capsys, conv_calls):
     manifest = _prepared(raw_dir, tmp_path)
     cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "dfn", "dfn")
+    capsys.readouterr()
     assert main(["train", str(cfg)]) == 0
+    assert capsys.readouterr().out.endswith(", 0 of 30 inputs from the encode cache\n")
     _one_segment(manifest, 30)
 
     conv_calls.clear()
     cfg = write_config(tmp_path / "hit.json", manifest, tmp_path / "hit", "fcnn")
     assert main(["train", str(cfg)]) == 0
     assert conv_calls == []  # every input came from the cache
+    assert capsys.readouterr().out.endswith(", 30 of 30 inputs from the encode cache\n")
 
     shutil.rmtree(manifest.parent / ".gapnet-cache")
     cfg = write_config(tmp_path / "miss.json", manifest, tmp_path / "miss", "fcnn")
@@ -573,20 +576,42 @@ def test_unwritable_cache_evals_uncached_with_one_warning(raw_dir, tmp_path, cap
     assert scored[0] == scored[1]
 
 
-def test_trainable_backbone_creates_no_cache(raw_dir, tmp_path, capsys, conv_calls):
+def test_trainable_backbone_trains_uncached_and_its_checkpoint_scores_cached(
+        raw_dir, tmp_path, capsys, conv_calls):
     manifest = _prepared(raw_dir, tmp_path)
     cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn", max_epochs=1)
     obj = json.loads(cfg.read_text())
     obj["model"]["backbone_trainable"] = True
     cfg.write_text(json.dumps(obj))
+    capsys.readouterr()
     assert main(["train", str(cfg)]) == 0
-    assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "vectors")]) == 0
+    assert capsys.readouterr().out.endswith(f"-> {tmp_path / 'run'}\n")  # no cache to report
+    # a model built from the seed trains its backbone, so it extracts uncached too
+    assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "seeded")]) == 0
+    assert not (manifest.parent / ".gapnet-cache").exists()
+
+    # the loaded checkpoint's backbone is frozen: extract encodes each input once,
+    # under the fine-tuned weights' own tag, not the seed's
+    ckpt = str(tmp_path / "run" / "checkpoint")
+    conv_calls.clear()
+    assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "vectors"),
+                 "--checkpoint", ckpt]) == 0
+    assert len(conv_calls) == 2 * 30
+    keys, _ = _one_segment(manifest, 30)
+    seed_model = Model(ModelSpec(backbone="toy_cnn", head_input_channels=16), seed=21)
+    assert keys.parent != cli._EncodeCache(manifest, seed_model).dir
+
     conv_calls.clear()
     capsys.readouterr()
-    assert main(["eval", str(cfg), str(tmp_path / "run" / "checkpoint")]) == 0
-    assert len(conv_calls) == 2 * 6  # the backbone runs on every scored image
-    assert capsys.readouterr().out.endswith(f"-> {tmp_path / 'run' / 'metrics.json'}\n")
-    assert not (manifest.parent / ".gapnet-cache").exists()
+    assert main(["eval", str(cfg), ckpt]) == 0
+    assert conv_calls == []
+    assert capsys.readouterr().out.endswith(", 6 of 6 inputs from the encode cache\n")
+    hit = _scored(tmp_path / "run")
+
+    shutil.rmtree(manifest.parent / ".gapnet-cache")
+    assert main(["eval", str(cfg), ckpt]) == 0
+    assert len(conv_calls) == 2 * 6
+    assert _scored(tmp_path / "run") == hit
 
 
 def test_train_idempotent_checkpoints(raw_dir, tmp_path):

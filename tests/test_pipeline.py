@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import os
 
@@ -284,19 +285,45 @@ DFN_ENTRIES = ["head.0.w", "head.0.b", "clf.0.w", "clf.0.b", "clf.3.w", "clf.3.b
                "clf.6.w", "clf.6.b"]
 
 
-@pytest.mark.parametrize("spec, entries, trains_backbone", [
-    (ModelSpec(**TOY), BACKBONE_ENTRIES + DFN_ENTRIES, False),
-    (ModelSpec(backbone_trainable=True, **TOY), BACKBONE_ENTRIES + DFN_ENTRIES, True),
-    (ModelSpec(classifier="cnn1d"), ["head.0.w", "head.0.b", "clf.0.w", "clf.0.b",
-                                     "clf.2.w", "clf.2.b"], False),
-], ids=["frozen-toy-dfn", "trainable-toy-dfn", "imported-cnn1d"])
-def test_checkpoint_entry_names_are_pinned(spec, entries, trains_backbone):
+CNN1D_ENTRIES = ["head.0.w", "head.0.b", "clf.0.w", "clf.0.b", "clf.2.w", "clf.2.b"]
+
+
+@pytest.mark.parametrize("spec, entries, trains_backbone, loaded", [
+    (ModelSpec(**TOY), BACKBONE_ENTRIES + DFN_ENTRIES, False, False),
+    (ModelSpec(backbone_trainable=True, **TOY), BACKBONE_ENTRIES + DFN_ENTRIES, True, False),
+    (ModelSpec(classifier="cnn1d"), CNN1D_ENTRIES, False, False),
+    (ModelSpec(**TOY), BACKBONE_ENTRIES + DFN_ENTRIES, False, True),
+    # a loaded checkpoint scores only: its backbone is frozen whatever the spec says
+    (ModelSpec(backbone_trainable=True, **TOY), BACKBONE_ENTRIES + DFN_ENTRIES, False, True),
+    (ModelSpec(classifier="cnn1d"), CNN1D_ENTRIES, False, True),
+], ids=["frozen-toy-dfn", "trainable-toy-dfn", "imported-cnn1d",
+        "frozen-toy-dfn-loaded", "trainable-toy-dfn-loaded", "imported-cnn1d-loaded"])
+def test_checkpoint_entry_names_are_pinned(tmp_path, spec, entries, trains_backbone, loaded):
     # this order is the layout of flat_params, and so of every saved params.btft:
     # reordering or resizing an entry misreads every checkpoint saved before
     model = Model(spec, seed=0)
+    if loaded:
+        save_checkpoint(model, tmp_path / "ckpt")
+        model = load_checkpoint(tmp_path / "ckpt")
     assert [name for name, _, _ in model.parameters(trainable_only=False)] == entries
     trainable = [name for name, _, _ in model.parameters()]
     assert trainable == [n for n in entries if trains_backbone or not n.startswith("backbone.")]
+    frozen = Model(dataclasses.replace(spec, backbone_trainable=False), seed=0)
+    assert model.n_frozen == (0 if trains_backbone else frozen.n_frozen)
+
+
+def test_a_loaded_fine_tuned_checkpoint_scores_as_the_frozen_model_bitwise(tmp_path):
+    trainable = ModelSpec(backbone_trainable=True, **TOY)
+    save_checkpoint(Model(trainable, seed=14), tmp_path / "ckpt")
+    loaded = load_checkpoint(tmp_path / "ckpt", expected_spec=trainable)
+    frozen = Model(ModelSpec(**TOY), seed=15)
+    frozen.flat_params[...] = loaded.flat_params
+    imgs = np.random.default_rng(16).standard_normal((3, 224, 224, 1)).astype(np.float32)
+    z = np.stack([loaded.encode(x) for x in imgs])
+    assert z.shape == (3, 16)  # GAP vectors, not raw images
+    assert z.tobytes() == np.stack([frozen.encode(x) for x in imgs]).tobytes()
+    assert loaded.features(z).tobytes() == frozen.features(z).tobytes()
+    assert loaded.forward(z).tobytes() == frozen.forward(z).tobytes()
 
 
 @pytest.mark.parametrize("classifier", ["dfn", "fcnn", "cnn1d"])
