@@ -599,7 +599,7 @@ def test_trainable_backbone_trains_uncached_and_its_checkpoint_scores_cached(
     assert len(conv_calls) == 2 * 30
     keys, _ = _one_segment(manifest, 30)
     seed_model = Model(ModelSpec(backbone="toy_cnn", head_input_channels=16), seed=21)
-    assert keys.parent != cli._EncodeCache(manifest, seed_model).dir
+    assert keys.parent.name != cli._EncodeCache(manifest, seed_model).dir.name
 
     conv_calls.clear()
     capsys.readouterr()
