@@ -12,7 +12,10 @@ a model in double precision).
 The conv2d kernels work on x's window matrix, one kh*kw*Cin row per
 output position. Given ``cols=``, ``conv2d_forward`` builds it in that
 caller-kept buffer, and the gradient kernels read it from there instead
-of copying the windows out of x again. Every result is a new array.
+of copying the windows out of x again. The buffer may be C-contiguous
+(position-major) or tap-major, a (..., H', W', K) view of memory laid
+out (K, ..., H', W'). BLAS may sum the two orders' products in different
+orders on some shapes (README). Every result is a new array.
 
 conv2d's dx is built one stride phase at a time: the taps (u, v) with
 u = a, v = b (mod stride) all land on dx[a::s, b::s], so each adds its

@@ -79,7 +79,10 @@ class Dense(Layer):
     W is stored (dout, din), and the forward product runs as (W x^T)^T:
     the same bits as x @ W.T, in the orientation OpenBLAS is faster at
     (README). ``np.matmul(w, x.T, out=z.T)`` would not be: numpy makes it
-    the same BLAS call as x @ W.T.
+    the same BLAS call as x @ W.T. dW of a one-row batch, an outer product,
+    is taken with ``np.dot``, which numpy runs several times faster than
+    ``np.matmul`` at inner dimension 1, with the same bits; at more rows
+    ``np.matmul`` is the faster one.
     """
 
     def __init__(self, din, dout, rng):
@@ -99,11 +102,12 @@ class Dense(Layer):
 
     def backward(self, grad_out, input_grad=True, accumulate=False):
         x = self._need_cache()
+        product = np.dot if len(x) == 1 else np.matmul
         if accumulate:
-            self.grads["w"] += grad_out.T @ x
+            self.grads["w"] += product(grad_out.T, x)
             self.grads["b"] += grad_out.sum(axis=0)
         else:
-            np.matmul(grad_out.T, x, out=self.grads["w"])
+            product(grad_out.T, x, out=self.grads["w"])
             np.sum(grad_out, axis=0, out=self.grads["b"])
         return grad_out @ self.params["w"] if input_grad else None
 
@@ -219,10 +223,15 @@ class Conv2D(Layer):
     The layer keeps one buffer between calls: the window matrix of its
     last input, (B, H', W', kh*kw*Cin), which the forward kernel fills.
     It is reused while the input's shape and dtype repeat and replaced
-    when either changes. A train-mode forward hands the buffer to its
-    cache, so backward's dW is one GEMM on it without a second copy of
-    the windows, and backward hands it back; a forward run in between
-    builds its windows in a buffer of its own.
+    when either changes. With one input channel it is tap-major, laid
+    out (kh*kw, B, H', W') in memory, so each tap's copy runs along whole
+    output rows, not in runs of kw floats; with more channels it is
+    C-contiguous, which their GEMMs read faster. The kernels take either,
+    and on the toy backbone's 224x224 input give the same bits (README).
+    A train-mode forward hands the buffer to its cache, so backward's dW
+    is one GEMM on it without a second copy of the windows, and backward
+    hands it back; a forward run in between builds its windows in a
+    buffer of its own.
     """
 
     def __init__(self, cin, cout, kh, kw, stride, rng):
@@ -243,7 +252,11 @@ class Conv2D(Layer):
                  (x.shape[2] - self.kw) // self.stride + 1, self.kh * self.kw * self.cin)
         cols = self._cols
         if cols is None or cols.shape != shape or cols.dtype != x.dtype:
-            cols = self._cols = np.empty(shape, x.dtype)
+            if self.cin == 1:  # tap-major: (K, B, H', W') in memory
+                cols = np.moveaxis(np.empty(shape[3:] + shape[:3], x.dtype), 0, -1)
+            else:
+                cols = np.empty(shape, x.dtype)
+            self._cols = cols
         return cols
 
     def forward(self, x, train=False):

@@ -99,6 +99,31 @@ def test_dense_forward_is_x_wt_plus_b_to_the_bit(din, dout, dtype):
         assert got.tobytes() == want.tobytes(), batch
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("din,dout", DENSE_SHAPES)
+def test_one_row_dense_weight_grad_is_the_matmul_to_the_bit(din, dout, dtype):
+    # a trainable backbone's passes are one image each; the layer takes their dW with
+    # np.dot, which must give the bits of grad_out.T @ x, written and accumulated
+    r = np.random.default_rng(4009)
+    layer = Dense(din, dout, r)
+    layer.astype(dtype)
+    x = r.standard_normal((1, din)).astype(dtype)
+    g = r.standard_normal((1, dout)).astype(dtype)
+    want = g.T @ x
+    layer.forward(x, train=True)
+    layer.backward(g, input_grad=False)
+    assert layer.grads["w"].dtype == want.dtype
+    assert layer.grads["w"].tobytes() == want.tobytes()
+    assert layer.grads["b"].tobytes() == g.sum(axis=0).tobytes()
+    before = {k: r.standard_normal(v.shape).astype(dtype) for k, v in layer.grads.items()}
+    for k, v in before.items():
+        layer.grads[k][...] = v
+    layer.forward(x, train=True)
+    layer.backward(g, input_grad=False, accumulate=True)
+    assert layer.grads["w"].tobytes() == (before["w"] + want).tobytes()
+    assert layer.grads["b"].tobytes() == (before["b"] + g.sum(axis=0)).tobytes()
+
+
 def transposed_conv1d_forward(x, w, b):
     """conv1d's forward as (windows @ w.T + b), made (..., filters, L) by a transposing copy."""
     windows = np.lib.stride_tricks.sliding_window_view(x, w.shape[1], axis=-1)
@@ -459,6 +484,10 @@ def test_conv2d_windows_follow_a_change_of_shape_or_dtype():
         net.backward(g, input_grad=False)
         dw, db = kernels.conv2d_weight_grads(h, conv2.params["w"], g * (want > 0), 2)
         assert np.array_equal(conv2.grads["w"], dw) and np.array_equal(conv2.grads["b"], db)
+        dh = kernels.conv2d_backward(h, conv2.params["w"], g * (want > 0), 2)[0] * (h > 0)
+        dw, db = kernels.conv2d_weight_grads(x, conv1.params["w"], dh, 2)
+        assert np.array_equal(conv1.grads["w"], dw) and np.array_equal(conv1.grads["b"], db)
+        assert is_tap_major(conv1._cols) and conv2._cols.flags.c_contiguous
 
     bb = toy_backbone(r)
     for size in (13, 224, 13):
@@ -471,6 +500,52 @@ def test_conv2d_windows_follow_a_change_of_shape_or_dtype():
     x = np.random.default_rng(5).standard_normal((2, 13, 13, 1)) * 0.5
     report = gradient_check(wide, x, rng=np.random.default_rng(6))
     assert report.passed, report.per_param
+
+
+def is_tap_major(cols):
+    """Whether a (B, H', W', K) window buffer has K as its outermost axis in memory."""
+    return cols.strides[-1] == max(cols.strides) and not cols.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("cin, cout, size", [(1, 8, 224), (8, 16, 110), (1, 4, 17)])
+def test_conv2d_keeps_one_channel_windows_tap_major(cin, cout, size, batch, dtype):
+    # The kept buffer's memory order follows the channel count. On the toy backbone's
+    # two stages (224x224x1 and 110x110x8 inputs) every result has the bits of kernel
+    # calls with no buffer. On a small one-channel input OpenBLAS may sum a tap-major
+    # product in another order, so there the results agree to rounding.
+    r = np.random.default_rng(4010)
+    layer = Conv2D(cin, cout, 5, 5, 2, r)
+    layer.astype(dtype)
+    layer.params["b"][...] = r.standard_normal(cout)
+    w, b = layer.params["w"], layer.params["b"]
+    x = r.standard_normal((batch, size, size, cin)).astype(dtype)
+    exact = size >= 110
+
+    def same(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if exact:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-5 if dtype == np.float32 else 1e-12)
+
+    want = kernels.conv2d_forward(x, w, b, 2)
+    same(layer.forward(x), want)
+    h2 = (size - 5) // 2 + 1
+    assert layer._cols.shape == (batch, h2, h2, 25 * cin) and layer._cols.dtype == dtype
+    assert is_tap_major(layer._cols) if cin == 1 else layer._cols.flags.c_contiguous
+    g = r.standard_normal(want.shape).astype(dtype)
+    want_dx, want_dw, want_db = kernels.conv2d_backward(x, w, g, 2)
+    for input_grad in (False, True):
+        same(layer.forward(x, train=True), want)
+        dx = layer.backward(g, input_grad=input_grad)
+        same(layer.grads["w"], want_dw)
+        same(layer.grads["b"], want_db)
+        if input_grad:
+            same(dx, want_dx)
+        else:
+            assert dx is None
 
 
 FAULTS_PER_PASS = """
