@@ -528,7 +528,8 @@ def test_conv2d_keeps_one_channel_windows_tap_major(cin, cout, size, batch, dtyp
         if exact:
             assert got.tobytes() == want.tobytes()
         else:
-            np.testing.assert_allclose(got, want, rtol=1e-5 if dtype == np.float32 else 1e-12)
+            tol = 1e-5 if dtype == np.float32 else 1e-12
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
     want = kernels.conv2d_forward(x, w, b, 2)
     same(layer.forward(x), want)
