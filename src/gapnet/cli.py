@@ -341,10 +341,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     config = ExperimentConfig.load(args.config)
-    ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    model = load_checkpoint(ckpt, expected_spec=config.model)
+    model = load_checkpoint(Path(args.checkpoint), expected_spec=config.model)
     t0 = time.perf_counter()  # the first record read: a cache hit skips the backbone
     dataset, hits = build_dataset(config, model, (args.split,))
     samples = dataset[args.split]
@@ -364,10 +361,11 @@ def cmd_eval(args):
                   config_fingerprint=config.model.fingerprint(), seed=config.seed,
                   undefined_metrics=undefined)
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    write_atomic(config.output_dir / "metrics.json",
-                 (json.dumps(report, indent=2) + "\n").encode())
+    # metrics.json last: until it is replaced, the directory reads as the previous eval's
     write_atomic(config.output_dir / "confusion.csv", render_confusion_csv(cm).encode())
     write_atomic(config.output_dir / "confusion.svg", render_confusion_svg(cm).encode())
+    write_atomic(config.output_dir / "metrics.json",
+                 (json.dumps(report, indent=2) + "\n").encode())
     print(f"{config.model.classifier}: accuracy {report['accuracy']:.4f}, "
           f"precision {report['precision']:.4f}, recall {report['recall']:.4f}, "
           f"f1 {report['f1']:.4f} -> {config.output_dir / 'metrics.json'}"
@@ -377,10 +375,7 @@ def cmd_eval(args):
 
 def cmd_extract(args):
     config = ExperimentConfig.load(args.config)
-    if args.checkpoint:
-        model = load_checkpoint(Path(args.checkpoint), expected_spec=config.model)
-    else:
-        model = Model(config.model, seed=config.seed)
+    model = load_checkpoint(Path(args.checkpoint), expected_spec=config.model)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = _records(config.manifest)
@@ -452,10 +447,10 @@ def build_parser():
                    help="skip pixel work; only balance/split the manifest")
     p.set_defaults(fn=cmd_prepare)
 
-    p = sub.add_parser("extract", help="run the feature head, write per-sample vectors")
+    p = sub.add_parser("extract", help="run a checkpoint's feature head, write per-sample vectors")
     p.add_argument("config")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--checkpoint", required=True)
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("train", help="train a model from a config")

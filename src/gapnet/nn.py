@@ -6,19 +6,19 @@ parameters and their gradients in ``params`` / ``grads`` dicts and
 caches whatever its backward pass needs when the forward pass runs in
 train mode. In a ``pipeline.Model`` those entries are views into the
 model's one parameter vector and one gradient vector, so a layer must
-update them in place (``[...] =``, ``+=``, ``out=``) and never rebind
+update them in place (``[...] =``, ``out=``) and never rebind
 them. Conv2D alone keeps something between passes: a buffer for its
 input's window matrix, replaced when the input's shape or dtype changes.
 
-``backward(grad_out, input_grad=True, accumulate=False)`` writes the
-parameter gradients, summed over the batch rows, over whatever
-``grads`` held; ``accumulate=True`` adds them instead, so several passes
-can sum into one mini-batch's gradients. It returns dL/d(input); with
-``input_grad=False`` a layer with parameters fills its gradients and
-returns None: Dense and Conv2D, which can open a model's trained chain,
-skip the input gradient nobody reads, and Conv1D, which never does,
-computes it and drops it. Parameter-free layers ignore both flags. A
-model ends at a Dense logit; ``pipeline.sigmoid`` makes it a probability.
+``backward(grad_out, input_grad=True)`` writes the parameter gradients,
+summed over the batch rows, over whatever ``grads`` held; a mini-batch
+run as several passes is summed by ``train.train_loop``. It returns
+dL/d(input); with ``input_grad=False`` a layer with parameters fills its
+gradients and returns None: Dense and Conv2D, which can open a model's
+trained chain, skip the input gradient nobody reads, and Conv1D, which
+never does, computes it and drops it. Parameter-free layers ignore the
+flag. A model ends at a Dense logit; ``pipeline.sigmoid`` makes it a
+probability.
 """
 
 import numpy as np
@@ -48,7 +48,7 @@ class Layer:
     def forward(self, x, train=False):
         raise NotImplementedError
 
-    def backward(self, grad_out, input_grad=True, accumulate=False):
+    def backward(self, grad_out, input_grad=True):
         raise NotImplementedError
 
     def astype(self, dtype):
@@ -62,15 +62,6 @@ class Layer:
             raise GapnetError(f"{type(self).__name__}.backward without a train-mode forward")
         cache, self._cache = self._cache, None
         return cache
-
-
-def _store(grads, accumulate, **new):
-    """Write (or, if ``accumulate``, add) each ``new`` gradient into ``grads`` in place."""
-    for name, value in new.items():
-        if accumulate:
-            grads[name] += value
-        else:
-            grads[name][...] = value
 
 
 class Dense(Layer):
@@ -100,15 +91,11 @@ class Dense(Layer):
             self._cache = x
         return ensure_finite(z, "dense_forward")
 
-    def backward(self, grad_out, input_grad=True, accumulate=False):
+    def backward(self, grad_out, input_grad=True):
         x = self._need_cache()
         product = np.dot if len(x) == 1 else np.matmul
-        if accumulate:
-            self.grads["w"] += product(grad_out.T, x)
-            self.grads["b"] += grad_out.sum(axis=0)
-        else:
-            product(grad_out.T, x, out=self.grads["w"])
-            np.sum(grad_out, axis=0, out=self.grads["b"])
+        product(grad_out.T, x, out=self.grads["w"])
+        np.sum(grad_out, axis=0, out=self.grads["b"])
         return grad_out @ self.params["w"] if input_grad else None
 
 
@@ -118,7 +105,7 @@ class ReLU(Layer):
             self._cache = x
         return np.maximum(x, 0)
 
-    def backward(self, grad_out, input_grad=True, accumulate=False):
+    def backward(self, grad_out, input_grad=True):
         x = self._need_cache()
         # subgradient 0 at x == 0
         return grad_out * (x > 0)
@@ -158,7 +145,7 @@ class Dropout(Layer):
         self._cache = scale
         return x * scale
 
-    def backward(self, grad_out, input_grad=True, accumulate=False):
+    def backward(self, grad_out, input_grad=True):
         scale = self._need_cache()
         return grad_out * scale
 
@@ -176,7 +163,7 @@ class GlobalAvgPool(Layer):
             self._cache = x.shape
         return out
 
-    def backward(self, grad_out, input_grad=True, accumulate=False):
+    def backward(self, grad_out, input_grad=True):
         b, h, w, c = self._need_cache()
         if grad_out.shape != (b, c):
             raise GapnetError(f"expected grad of shape ({b}, {c}), got {grad_out.shape}")
@@ -210,10 +197,10 @@ class Conv1D(Layer):
             self._cache = (x, out.shape)
         return ensure_finite(out.reshape(x.shape[0], -1), "conv1d_layer_forward")
 
-    def backward(self, grad_out, input_grad=True, accumulate=False):
+    def backward(self, grad_out, input_grad=True):
         x, out_shape = self._need_cache()
         dx, dw, db = kernels.conv1d_backward(x, self.params["w"], grad_out.reshape(out_shape))
-        _store(self.grads, accumulate, w=dw, b=db)
+        self.grads["w"][...], self.grads["b"][...] = dw, db
         return dx if input_grad else None
 
 
@@ -273,7 +260,7 @@ class Conv2D(Layer):
             self._cache, self._cols = (x, cols), None
         return ensure_finite(out, "conv2d_layer_forward")
 
-    def backward(self, grad_out, input_grad=True, accumulate=False):
+    def backward(self, grad_out, input_grad=True):
         x, cols = self._need_cache()
         if input_grad:
             dx, dw, db = kernels.conv2d_backward(x, self.params["w"], grad_out, self.stride,
@@ -283,13 +270,13 @@ class Conv2D(Layer):
             dw, db = kernels.conv2d_weight_grads(x, self.params["w"], grad_out, self.stride,
                                                  cols=cols)
         self._cols = cols
-        _store(self.grads, accumulate, w=dw, b=db)
+        self.grads["w"][...], self.grads["b"][...] = dw, db
         return dx
 
 
 class Sequential:
     """Chain of layers with reverse-order backward; ``input_grad`` goes to the first
-    layer, ``accumulate`` to every layer."""
+    layer."""
 
     def __init__(self, layers):
         self.layers = list(layers)
@@ -299,10 +286,10 @@ class Sequential:
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, grad_out, input_grad=True, accumulate=False):
+    def backward(self, grad_out, input_grad=True):
         for layer in reversed(self.layers[1:]):
-            grad_out = layer.backward(grad_out, accumulate=accumulate)
-        return self.layers[0].backward(grad_out, input_grad=input_grad, accumulate=accumulate)
+            grad_out = layer.backward(grad_out)
+        return self.layers[0].backward(grad_out, input_grad=input_grad)
 
     def astype(self, dtype):
         for layer in self.layers:

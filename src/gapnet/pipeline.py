@@ -217,18 +217,17 @@ class Model:
         """(B,) logits of a batch of encoded inputs."""
         return self.classifier.forward(self.features(z, train), train=train)[:, 0]
 
-    def backward(self, dloss_dz, input_grad=False, accumulate=False):
+    def backward(self, dloss_dz, input_grad=False):
         """(B,) dLoss/dlogit -> the trainable parameters' gradients in ``flat_grads``.
 
-        The gradients are written over what the store held, or added to it
-        if ``accumulate``; the frozen prefix is left alone. Returns the
-        gradient with respect to the encoded inputs if ``input_grad``, else
-        None: by default the first trainable layer (the backbone's first
-        conv, or the projection) skips it.
+        The gradients are written over what the store held; the frozen
+        prefix is left alone. Returns the gradient with respect to the
+        encoded inputs if ``input_grad``, else None: by default the first
+        trainable layer (the backbone's first conv, or the projection)
+        skips it.
         """
-        g = self.classifier.backward(np.asarray(dloss_dz, dtype=self.dtype).reshape(-1, 1),
-                                     accumulate=accumulate)
-        return self.trained.backward(g, input_grad=input_grad, accumulate=accumulate)
+        g = self.classifier.backward(np.asarray(dloss_dz, dtype=self.dtype).reshape(-1, 1))
+        return self.trained.backward(g, input_grad=input_grad)
 
     # -- parameter plumbing -------------------------------------------
     def parameters(self, trainable_only=True):

@@ -199,11 +199,12 @@ def train_loop(model, train, val, config):
     (``Model.encode``): the caller runs the frozen prefix once per sample
     (the extract-once protocol), so every epoch runs only the part of the
     network that training changes, one forward, BCE and backward per
-    mini-batch. A model with a trainable backbone accumulates each
-    mini-batch one image at a time (``passes``): its first pass writes the
-    gradients and the others add to them, so nothing zeroes them. Either
-    way one Adam step follows each mini-batch. An error raised in a pass
-    names its epoch.
+    mini-batch. A model with a trainable backbone runs each mini-batch one
+    image at a time (``passes``), and the loop sums the passes' gradients
+    in one buffer of the trainable size: the first pass's are copied into
+    it and each later pass's added. Either way one Adam step follows each
+    mini-batch; a frozen model's reads the trainable suffix of
+    ``flat_grads`` itself. An error raised in a pass names its epoch.
     """
     config.validate()
     if not train:
@@ -217,6 +218,9 @@ def train_loop(model, train, val, config):
     val_history = []
     logs = []
     params, grads = model.flat_params[model.n_frozen:], model.flat_grads[model.n_frozen:]
+    # Adam steps from the store's trainable suffix, or, when each image is a pass of its
+    # own, from a buffer that sums the mini-batch's passes
+    summed = grads if model.frozen.layers else np.empty_like(grads)
 
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
@@ -226,7 +230,7 @@ def train_loop(model, train, val, config):
         hits = 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            try:  # the first pass writes the gradients, the others add to them
+            try:
                 for k, rows in enumerate(passes(model, batch, config.batch_size)):
                     x = np.stack([train[i][0] for i in rows])
                     y = np.array([train[i][1] for i in rows])
@@ -234,10 +238,15 @@ def train_loop(model, train, val, config):
                     loss, dldz = bce_loss(z, y)
                     losses.append(loss)
                     hits += int(np.sum(decide(sigmoid(z), model.spec.decision_threshold) == y))
-                    model.backward(dldz / len(batch), accumulate=k > 0)
+                    model.backward(dldz / len(batch))
+                    if summed is not grads:
+                        if k:
+                            summed += grads
+                        else:
+                            np.copyto(summed, grads)
             except GapnetError as e:
                 raise GapnetError(f"epoch {epoch}: {e}") from e
-            adam.step(params, grads, lr)
+            adam.step(params, summed, lr)
         train_loss = float(np.mean(np.concatenate(losses)))
         train_acc = hits / len(train)
         val_loss, val_acc = _evaluate(model, val, config.batch_size)

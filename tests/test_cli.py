@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import shutil
@@ -38,6 +39,14 @@ def write_config(path, manifest, out_dir, classifier="dfn", seed=21, **train):
     }
     path.write_text(json.dumps(cfg, indent=1))
     return path
+
+
+def seeded_checkpoint(cfg, directory):
+    """Saves the untrained model of config file ``cfg``, drawn from its seed, as a
+    checkpoint in ``directory``; returns the directory as a string."""
+    obj = json.loads(cfg.read_text())
+    save_checkpoint(Model(ModelSpec.from_dict(obj["model"]), seed=obj["seed"]), directory)
+    return str(directory)
 
 
 def test_prepare_builds_manifest_and_tensors(raw_dir, tmp_path):
@@ -141,8 +150,10 @@ def test_extract_with_a_checkpoint_writes_its_trained_features(raw_dir, tmp_path
                        max_epochs=2, learning_rate=3e-3)
     assert main(["train", str(cfg)]) == 0
     ckpt = tmp_path / "run" / "checkpoint"
-    for out, extra in (("trained", ["--checkpoint", str(ckpt)]), ("seeded", [])):
-        assert main(["extract", str(cfg), "--out-dir", str(tmp_path / out)] + extra) == 0
+    seed_ckpt = seeded_checkpoint(cfg, tmp_path / "seed_ckpt")
+    for out, source in (("trained", str(ckpt)), ("seeded", seed_ckpt)):
+        assert main(["extract", str(cfg), "--out-dir", str(tmp_path / out),
+                     "--checkpoint", source]) == 0
     model = load_checkpoint(ckpt)
     records = load_manifest(manifest)
     assert len(list((tmp_path / "trained").iterdir())) == len(records) == 30
@@ -239,13 +250,65 @@ def test_eval_checkpoint_mismatch_exits_1(raw_dir, tmp_path, capsys):
     assert "fingerprint" in capsys.readouterr().err
 
 
+class Killed(Exception):
+    """Stands in for a kill in the middle of eval's file writes."""
+
+
+def test_an_interrupted_eval_keeps_the_last_whole_metrics(tmp_path, monkeypatch):
+    # checkpoint b evaluated over checkpoint a's output directory, the eval cut at each
+    # of its file writes in turn: metrics.json, written last, stays a's until b's
+    # confusion files are in place, and no temp file is left behind
+    model = {"head_input_channels": 8, "projection_dim": 6, "classifier": "fcnn",
+             "hidden_widths": [4]}
+    cfg = _config(tmp_path, model=model)
+    rng = np.random.default_rng(41)
+    records = []
+    for k in range(8):
+        save_tensor(rng.standard_normal((3, 3, 8)).astype(np.float32), tmp_path / f"m{k}.btft")
+        records.append(ManifestRecord(f"m{k}", f"m{k}.btft", k % 2, f"s{k}", split="val"))
+    save_manifest(records, tmp_path / "m.jsonl")
+    for seed in (1, 2):
+        save_checkpoint(Model(ModelSpec.from_dict(model), seed=seed), tmp_path / f"ckpt{seed}")
+    run = tmp_path / "run"
+    assert main(["eval", cfg, str(tmp_path / "ckpt2")]) == 0  # b's output, whole
+    second = _scored(run)
+    real_replace = os.replace  # every file write ends in one, atomically
+    for cut in itertools.count(1):
+        assert main(["eval", cfg, str(tmp_path / "ckpt1")]) == 0
+        assert _scored(run) != second  # the two checkpoints score apart
+        first = (run / "metrics.json").read_bytes()
+        writes = []
+
+        def replace(src, dst):
+            writes.append(dst)
+            if len(writes) == cut:
+                raise Killed(dst)
+            real_replace(src, dst)
+        monkeypatch.setattr(os, "replace", replace)
+        try:
+            main(["eval", cfg, str(tmp_path / "ckpt2")])
+        except Killed:
+            pass
+        finally:
+            monkeypatch.undo()
+        assert sorted(p.name for p in run.iterdir()) == ["confusion.csv", "confusion.svg",
+                                                         "metrics.json"]
+        if len(writes) < cut:  # the eval ran to its end
+            break
+        assert (run / "metrics.json").read_bytes() == first, cut
+    assert cut == 4 and [os.path.basename(w) for w in writes] == [
+        "confusion.csv", "confusion.svg", "metrics.json"]
+    assert _scored(run) == second
+
+
 def test_extract_writes_projection_vectors(raw_dir, tmp_path):
     manifest = tmp_path / "work" / "manifest.jsonl"
     assert main(["prepare", str(raw_dir), str(manifest), "--seed", "3",
                  "--split", "0.8,0.2", "--image-size", "224"]) == 0
     cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn")
     out_dir = tmp_path / "features"
-    assert main(["extract", str(cfg), "--out-dir", str(out_dir)]) == 0
+    assert main(["extract", str(cfg), "--out-dir", str(out_dir),
+                 "--checkpoint", seeded_checkpoint(cfg, tmp_path / "ckpt")]) == 0
     from gapnet.backbone import load_feature_map
 
     files = sorted(out_dir.glob("*.btft"))
@@ -465,10 +528,11 @@ def test_eval_of_a_split_train_never_read_caches_it(raw_dir, tmp_path, conv_call
 def test_extract_cache_hits_match_misses(raw_dir, tmp_path, conv_calls):
     manifest = _prepared(raw_dir, tmp_path)
     cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn")
-    assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "miss")]) == 0
+    extract = ["extract", str(cfg), "--checkpoint", seeded_checkpoint(cfg, tmp_path / "ckpt")]
+    assert main(extract + ["--out-dir", str(tmp_path / "miss")]) == 0
     assert len(conv_calls) == 2 * 30
     conv_calls.clear()
-    assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "hit")]) == 0
+    assert main(extract + ["--out-dir", str(tmp_path / "hit")]) == 0
     assert conv_calls == []
     assert _extracted(tmp_path / "hit") == _extracted(tmp_path / "miss")
 
@@ -476,7 +540,8 @@ def test_extract_cache_hits_match_misses(raw_dir, tmp_path, conv_calls):
 def test_rewritten_inputs_and_another_backbone_miss(raw_dir, tmp_path, conv_calls):
     manifest = _prepared(raw_dir, tmp_path)
     cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn")
-    extract = ["extract", str(cfg), "--out-dir", str(tmp_path / "vectors")]
+    extract = ["extract", str(cfg), "--out-dir", str(tmp_path / "vectors"),
+               "--checkpoint", seeded_checkpoint(cfg, tmp_path / "ckpt")]
     assert main(extract) == 0
     before = _extracted(tmp_path / "vectors")
 
@@ -498,7 +563,8 @@ def test_rewritten_inputs_and_another_backbone_miss(raw_dir, tmp_path, conv_call
 
     other = write_config(tmp_path / "seed.json", manifest, tmp_path / "run", "dfn", seed=22)
     conv_calls.clear()
-    assert main(["extract", str(other), "--out-dir", str(tmp_path / "other")]) == 0
+    assert main(["extract", str(other), "--out-dir", str(tmp_path / "other"),
+                 "--checkpoint", seeded_checkpoint(other, tmp_path / "ckpt22")]) == 0
     assert len(conv_calls) == 2 * 30
     assert len({p.parent for p in _cache_files(manifest)}) == 2
 
@@ -514,13 +580,14 @@ def test_bad_cache_segment_is_recomputed_and_rewritten(raw_dir, tmp_path, capsys
                                                        corrupt):
     manifest = _prepared(raw_dir, tmp_path)
     cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn")
-    assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "a")]) == 0
+    extract = ["extract", str(cfg), "--checkpoint", seeded_checkpoint(cfg, tmp_path / "ckpt")]
+    assert main(extract + ["--out-dir", str(tmp_path / "a")]) == 0
     keys, rows = _one_segment(manifest, 30)
     good = keys.read_bytes(), rows.read_bytes()
     corrupt(keys, rows)
     conv_calls.clear()
     capsys.readouterr()
-    assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
+    assert main(extract + ["--out-dir", str(tmp_path / "b")]) == 0
     assert capsys.readouterr().err == ""
     assert len(conv_calls) == 2 * 30
     assert _one_segment(manifest, 30) == (keys, rows)
@@ -586,8 +653,6 @@ def test_trainable_backbone_trains_uncached_and_its_checkpoint_scores_cached(
     capsys.readouterr()
     assert main(["train", str(cfg)]) == 0
     assert capsys.readouterr().out.endswith(f"-> {tmp_path / 'run'}\n")  # no cache to report
-    # a model built from the seed trains its backbone, so it extracts uncached too
-    assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "seeded")]) == 0
     assert not (manifest.parent / ".gapnet-cache").exists()
 
     # the loaded checkpoint's backbone is frozen: extract encodes each input once,
@@ -771,18 +836,20 @@ def _prepare_manifest(args, seed="1"):
     return setup
 
 
-def _extract_checkpoint(make):
+def _extract_checkpoint(make, out_dir=lambda t: str(t / "vectors")):
     def setup(tmp_path):
         make(tmp_path / "ckpt")
-        return ["extract", _config(tmp_path), "--out-dir", str(tmp_path / "vectors"),
+        return ["extract", _config(tmp_path), "--out-dir", out_dir(tmp_path),
                 "--checkpoint", str(tmp_path / "ckpt")]
     return setup
 
 
-def _fcnn_checkpoint(path):
-    spec = ModelSpec.from_dict({"backbone": "toy_cnn", "head_input_channels": 16,
-                                "classifier": "fcnn"})
-    save_checkpoint(Model(spec, seed=21), path)
+def _toy_checkpoint(classifier):
+    def make(path):
+        spec = ModelSpec.from_dict({"backbone": "toy_cnn", "head_input_channels": 16,
+                                    "classifier": classifier})
+        save_checkpoint(Model(spec, seed=21), path)
+    return make
 
 
 def _three_channel_toy_checkpoint(path):
@@ -899,8 +966,11 @@ def _report_to_a_directory(tmp_path):
                  id="output-dir-is-a-file"),
     pytest.param(_prepare_manifest(lambda t: [_a_file(t) + "/m.jsonl"]), 1, "afile",
                  id="prepare-out-under-a-file"),
-    pytest.param(lambda t: ["extract", _config(t), "--out-dir", _a_file(t)], 1, "afile",
+    pytest.param(_extract_checkpoint(_toy_checkpoint("dfn"), out_dir=_a_file), 1, "afile",
                  id="extract-out-dir-is-a-file"),
+    pytest.param(lambda t: ["extract", _config(t), "--out-dir", str(t / "vectors")], 1,
+                 "the following arguments are required: --checkpoint",
+                 id="extract-without-checkpoint"),
     pytest.param(_report_to_a_directory, 1, "run", id="report-out-is-a-directory"),
     pytest.param(lambda t: ["train", str(t)], 1, "directory", id="config-is-a-directory"),
     pytest.param(_bad_config(output_dir=5), 1, "output_dir", id="output-dir-not-string"),
@@ -980,10 +1050,12 @@ def _report_to_a_directory(tmp_path):
     pytest.param(_extract_checkpoint(_three_channel_toy_checkpoint), 1,
                  "params.btft: checkpoint shape (176881,) != model shape (176481,)",
                  id="toy-checkpoint-three-channels"),
-    pytest.param(_extract_checkpoint(_fcnn_checkpoint), 1, "fingerprint",
+    pytest.param(_extract_checkpoint(_toy_checkpoint("fcnn")), 1, "fingerprint",
                  id="extract-checkpoint-of-another-spec"),
     pytest.param(_extract_checkpoint(lambda path: None), 2, "ckpt",
                  id="extract-checkpoint-missing"),
+    pytest.param(lambda t: ["eval", _config(t), str(t / "ckpt")], 2, "ckpt",
+                 id="eval-checkpoint-missing"),
     pytest.param(_escaping_sample_id, 1, "sample_id '../../escaped' is not a plain file name",
                  id="sample-id-escapes-its-directory"),
     pytest.param(_bad_record('{"sample_id": "a", "path": "a.btft", "label": 2, '

@@ -56,7 +56,7 @@ def test_dense_zero_weights_gives_zeros():
     assert np.array_equal(layer.forward(x), np.zeros((4, 3), np.float32))
 
 
-def test_dense_backward_accumulates_and_returns_wt_grad():
+def test_dense_backward_writes_row_sums_and_returns_wt_grad():
     layer = Dense(3, 3, rng())
     layer.params["w"] = np.eye(3, dtype=np.float32)
     x = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 0.5]], np.float32)
@@ -68,11 +68,11 @@ def test_dense_backward_accumulates_and_returns_wt_grad():
     assert np.array_equal(layer.grads["w"], np.outer(g[0], x[0]) + np.outer(g[1], x[1]))
     assert np.array_equal(layer.grads["b"], g[0] + g[1])
 
-    # zero grad_out leaves accumulators unchanged
-    before = layer.grads["w"].copy()
+    # a zero grad_out writes zeros over what the last backward left
     layer.forward(x, train=True)
-    dx = layer.backward(np.zeros((2, 3), np.float32), accumulate=True)
-    assert np.array_equal(dx, np.zeros((2, 3))) and np.array_equal(layer.grads["w"], before)
+    dx = layer.backward(np.zeros((2, 3), np.float32))
+    assert np.array_equal(dx, np.zeros((2, 3)))
+    assert not np.any(layer.grads["w"]) and not np.any(layer.grads["b"])
 
 
 # (din, dout) of every Dense the three heads build at the paper's sizes (2048 -> 512
@@ -103,25 +103,20 @@ def test_dense_forward_is_x_wt_plus_b_to_the_bit(din, dout, dtype):
 @pytest.mark.parametrize("din,dout", DENSE_SHAPES)
 def test_one_row_dense_weight_grad_is_the_matmul_to_the_bit(din, dout, dtype):
     # a trainable backbone's passes are one image each; the layer takes their dW with
-    # np.dot, which must give the bits of grad_out.T @ x, written and accumulated
+    # np.dot, which must give the bits of grad_out.T @ x
     r = np.random.default_rng(4009)
     layer = Dense(din, dout, r)
     layer.astype(dtype)
     x = r.standard_normal((1, din)).astype(dtype)
     g = r.standard_normal((1, dout)).astype(dtype)
     want = g.T @ x
+    for grad in layer.grads.values():
+        grad[...] = np.nan  # a write must not read what it overwrites
     layer.forward(x, train=True)
     layer.backward(g, input_grad=False)
     assert layer.grads["w"].dtype == want.dtype
     assert layer.grads["w"].tobytes() == want.tobytes()
     assert layer.grads["b"].tobytes() == g.sum(axis=0).tobytes()
-    before = {k: r.standard_normal(v.shape).astype(dtype) for k, v in layer.grads.items()}
-    for k, v in before.items():
-        layer.grads[k][...] = v
-    layer.forward(x, train=True)
-    layer.backward(g, input_grad=False, accumulate=True)
-    assert layer.grads["w"].tobytes() == (before["w"] + want).tobytes()
-    assert layer.grads["b"].tobytes() == (before["b"] + g.sum(axis=0)).tobytes()
 
 
 def transposed_conv1d_forward(x, w, b):
@@ -152,28 +147,27 @@ def test_conv1d_forward_is_the_transposed_product_to_the_bit(n, filters, k, dtyp
     ("conv2d", lambda r: Conv2D(3, 4, 3, 3, 2, r), (3, 9, 8, 3)),
 ])
 def test_backward_writes_gradients_unless_told_to_accumulate(name, build, shape, input_grad):
+    # no layer can be told to: a backward writes over whatever grads held
     r = np.random.default_rng(4010)
     layer = build(r)
     x, x2 = r.standard_normal((2,) + shape).astype(np.float32)
     g, g2 = r.standard_normal((2,) + layer.forward(x).shape).astype(np.float32)
 
-    def contribution(x, g, accumulate):
+    def written(x, g, fill=None):
+        if fill is not None:
+            for grad in layer.grads.values():
+                grad[...] = fill
         layer.forward(x, train=True)
-        layer.backward(g, input_grad=input_grad, accumulate=accumulate)
-        return {k: v.copy() for k, v in layer.grads.items()}
+        layer.backward(g, input_grad=input_grad)
+        return {k: v.tobytes() for k, v in layer.grads.items()}
 
-    for grad in layer.grads.values():
-        grad[...] = 0
-    zeroed_then_added = contribution(x, g, accumulate=True)
-    for grad in layer.grads.values():
-        grad[...] = np.nan  # a write must not read what it overwrites
-    written = contribution(x, g, accumulate=False)
-    assert all(written[k].tobytes() == zeroed_then_added[k].tobytes() for k in written), name
-
-    second = contribution(x2, g2, accumulate=True)  # adds exactly one more contribution
-    alone = contribution(x2, g2, accumulate=False)
-    for k in second:
-        assert second[k].tobytes() == (written[k] + alone[k]).tobytes(), (name, k)
+    first = written(x, g, fill=0)
+    for fill in (np.nan, -3.5):  # nan: a write must not read what it overwrites
+        assert written(x, g, fill) == first, name
+    second = written(x2, g2, fill=0)
+    assert second != first, name
+    written(x, g)
+    assert written(x2, g2) == second, name  # over the first pass's gradients
 
 
 def test_backward_without_forward_raises():
@@ -293,10 +287,10 @@ def test_gradient_check_bce_and_corruption():
                           loss="bce", y=np.array([1, 0, 1]), tolerance=1e-3).passed
 
     class DoubledDense(Dense):
-        def backward(self, grad_out, input_grad=True, accumulate=False):
+        def backward(self, grad_out, input_grad=True):
             x_ = self._need_cache()
-            self.grads["w"] += 2.0 * grad_out.T @ x_  # deliberately corrupted
-            self.grads["b"] += grad_out.sum(axis=0)
+            self.grads["w"][...] = 2.0 * grad_out.T @ x_  # deliberately corrupted
+            self.grads["b"][...] = grad_out.sum(axis=0)
             return grad_out @ self.params["w"]
 
     bad = Sequential([DoubledDense(4, 3, np.random.default_rng(13))])
@@ -331,12 +325,15 @@ def test_batch_rows_match_one_row_passes(name, build, shape):
     dx = frag.backward(g)
     batch_grads = {key: layer.grads[p].copy() for key, layer, p in frag.parameters()}
 
-    # the same mini-batch accumulated one row at a time
+    # the same mini-batch one row at a time, each row's gradients summed here
+    summed = {key: 0 for key, _, _ in frag.parameters()}
     for i in range(shape[0]):
         assert rel_close(frag.forward(x[i:i + 1], train=True)[0], out[i]), (name, i)
-        assert rel_close(frag.backward(g[i:i + 1], accumulate=i > 0)[0], dx[i]), (name, i)
-    for key, layer, p in frag.parameters():
-        assert rel_close(layer.grads[p], batch_grads[key]), (name, key)
+        assert rel_close(frag.backward(g[i:i + 1])[0], dx[i]), (name, i)
+        for key, layer, p in frag.parameters():
+            summed[key] = summed[key] + layer.grads[p]
+    for key, _, _ in frag.parameters():
+        assert rel_close(summed[key], batch_grads[key]), (name, key)
 
 
 def test_dropout_draws_one_mask_per_batch():

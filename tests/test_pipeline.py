@@ -367,13 +367,16 @@ def test_batch_step_matches_rows_accumulated_one_at_a_time():
     model.backward(dldz / 8)
     batch = {name: layer.grads[pn].copy() for name, layer, pn in model.parameters()}
 
+    summed = {name: 0 for name, _, _ in model.parameters()}  # each row's, added here
     for i in range(8):
         logit_i = model.forward(z[i:i + 1], train=True)
         # on a logit near 0 this is stricter than the 1e-6 relative bound on p it replaces
         assert abs(logit_i[0] - logits[i]) <= 1e-6 * max(abs(logits[i]), 1.0)
-        model.backward(dldz[i:i + 1] / 8, accumulate=i > 0)
-    for name, layer, pn in model.parameters():
-        diff = np.max(np.abs(layer.grads[pn] - batch[name]))
+        model.backward(dldz[i:i + 1] / 8)
+        for name, layer, pn in model.parameters():
+            summed[name] = summed[name] + layer.grads[pn]
+    for name, _, _ in model.parameters():
+        diff = np.max(np.abs(summed[name] - batch[name]))
         assert diff <= 1e-5 * np.max(np.abs(batch[name])), name
 
 

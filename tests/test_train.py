@@ -243,6 +243,43 @@ def test_a_frozen_backbone_prefix_is_left_bit_identical():
     assert not np.array_equal(model.flat_params[model.n_frozen:], before[model.n_frozen:])
 
 
+@pytest.mark.parametrize("trainable", [True, False])
+def test_adam_steps_from_the_passes_gradients_summed_in_order(monkeypatch, trainable):
+    model = Model(ModelSpec(backbone="toy_cnn", head_input_channels=16, projection_dim=6,
+                            classifier="fcnn", hidden_widths=(5,),
+                            backbone_trainable=trainable), seed=3)
+    model.input_shape = (13, 13, 1)  # desk-sized images
+    rng = np.random.default_rng(16)
+    samples = [(model.encode(rng.standard_normal((13, 13, 1)).astype(np.float32)), i % 2)
+               for i in range(6)]
+    passes, steps = [], []  # the trainable gradients after each pass; what each step got
+    backward, step = Model.backward, AdamState.step
+
+    def recording_backward(self, dloss_dz, input_grad=False):
+        out = backward(self, dloss_dz, input_grad)
+        passes.append(self.flat_grads[self.n_frozen:].copy())
+        return out
+
+    def recording_step(self, params, grads, lr):
+        steps.append((grads, grads.copy()))
+        return step(self, params, grads, lr)
+
+    monkeypatch.setattr(Model, "backward", recording_backward)
+    monkeypatch.setattr(AdamState, "step", recording_step)
+    train_loop(model, samples[:4], samples[4:], cfg(seed=17, max_epochs=1, batch_size=4))
+    assert len(steps) == 1 and len(passes) == (4 if trainable else 1)
+    want = passes[0].copy()
+    for grads in passes[1:]:  # a trainable backbone's batch runs one image per pass
+        want += grads
+    grads, got = steps[0]
+    assert got.tobytes() == want.tobytes()
+    if trainable:
+        assert not np.array_equal(want, passes[-1])
+    else:  # the step reads the store's trainable suffix itself: no copy per step
+        assert model.n_frozen > 0 and grads.size == model.flat_grads.size - model.n_frozen
+        assert np.shares_memory(grads, model.flat_grads)
+
+
 def test_single_sample_loss_decreases_over_random_inits():
     for seed in range(20):
         model = small_model(seed=100 + seed)
@@ -299,9 +336,9 @@ def test_saturated_head_sends_no_subnormal_into_dense_backward(monkeypatch, sign
     grads_in = []
     backward = Dense.backward
 
-    def recording_backward(self, grad_out, input_grad=True, accumulate=False):
+    def recording_backward(self, grad_out, input_grad=True):
         grads_in.append((self.dout, grad_out.copy()))
-        return backward(self, grad_out, input_grad, accumulate)
+        return backward(self, grad_out, input_grad)
 
     monkeypatch.setattr(Dense, "backward", recording_backward)
     batch = len(train)
