@@ -6,6 +6,7 @@ contract violation in the inputs, 2 missing resource.
 
 import argparse
 import contextlib
+import ctypes
 import fcntl
 import hashlib
 import json
@@ -322,7 +323,24 @@ def _cache_note(hits, n):
 
 # ------------------------------------------------------------ subcommands
 
+# glibc's mallopt parameters (malloc.h) and train's values; 4 MiB is numpy's huge-page cutoff
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD_BYTES, MMAP_THRESHOLD_BYTES = 64 << 20, 4 << 20
+
+
+def _keep_heap():
+    """Stop glibc trimming the heap top between batches, so a batch's temporaries
+    (cnn1d's 510 KiB products) reuse pages instead of faulting fresh ones in; arrays
+    of 4 MiB and more keep their own mappings. Does nothing without ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def cmd_train(args):
+    _keep_heap()
     config = ExperimentConfig.load(args.config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     with OutputLock(config.output_dir):

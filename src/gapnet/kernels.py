@@ -17,6 +17,10 @@ of copying the windows out of x again. The buffer may be C-contiguous
 out (K, ..., H', W'). BLAS may sum the two orders' products in different
 orders on some shapes (README). Every result is a new array.
 
+conv1d's backward copies its (..., L, K) window matrix in K columns and
+takes dx as one batched ``w.T @ g`` (row j is tap j's product) added at
+shift j: on cnn1d's float32 shapes, the bits of the per-tap forms (README).
+
 conv2d's dx is built one stride phase at a time: the taps (u, v) with
 u = a, v = b (mod stride) all land on dx[a::s, b::s], so each adds its
 ``g @ w[u, v].T`` into one contiguous buffer, in u-then-v order, which
@@ -45,12 +49,15 @@ def conv1d_backward(x, w, g):
     # g: (..., filters, L) -> dx (..., n), dw (filters, K), db (filters,)
     f, k = w.shape
     length = g.shape[-1]
-    windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)  # (..., L, K)
+    windows = np.empty(x.shape[:-1] + (length, k), x.dtype)  # (..., L, K)
+    for j in range(k):
+        windows[..., j] = x[..., j:j + length]
     dw = np.swapaxes(g, -1, -2).reshape(-1, f).T @ windows.reshape(-1, k)
     db = g.reshape(-1, f, length).sum(axis=(0, 2))
+    taps = np.matmul(w.T, g)  # (..., K, L): tap j's row is w[:, j] @ g
     dx = np.zeros_like(x)
     for j in range(k):
-        dx[..., j:j + length] += w[:, j] @ g
+        dx[..., j:j + length] += taps[..., j, :]
     return dx, dw, db
 
 

@@ -73,7 +73,9 @@ class Dense(Layer):
     the same BLAS call as x @ W.T. dW of a one-row batch, an outer product,
     is taken with ``np.dot``, which numpy runs several times faster than
     ``np.matmul`` at inner dimension 1, with the same bits; at more rows
-    ``np.matmul`` is the faster one.
+    ``np.matmul`` is the faster one. dx is ``np.dot(grad_out, W)`` at any
+    batch: the bits of ``grad_out @ W``, and about 5x faster at dout 1
+    (the logit layer).
     """
 
     def __init__(self, din, dout, rng):
@@ -96,7 +98,7 @@ class Dense(Layer):
         product = np.dot if len(x) == 1 else np.matmul
         product(grad_out.T, x, out=self.grads["w"])
         np.sum(grad_out, axis=0, out=self.grads["b"])
-        return grad_out @ self.params["w"] if input_grad else None
+        return np.dot(grad_out, self.params["w"]) if input_grad else None
 
 
 class ReLU(Layer):

@@ -22,8 +22,14 @@ COMMITTED = [(path.stem, entry) for path in sorted(ROOT.glob("BENCH_*.json"))
              for entry in json.loads(path.read_text())["entries"]]
 
 
+def entry_id(name, entry):
+    """A test id: the change's commit, or its source digest when the runs came from a
+    copy that is not a git work tree (``change_sha`` null)."""
+    return f"{name}-{(entry['change_sha'] or entry['change_src_sha256'])[:7]}"
+
+
 @pytest.mark.parametrize("entry", [entry for _, entry in COMMITTED],
-                         ids=[f"{name}-{entry['change_sha'][:7]}" for name, entry in COMMITTED])
+                         ids=[entry_id(name, entry) for name, entry in COMMITTED])
 def test_committed_entries_rebuild_from_their_own_runs(entry):
     assert sorted(entry["metrics"]) == sorted(spec["name"] for spec in END_TO_END)
     for name, stored in entry["metrics"].items():
@@ -42,9 +48,10 @@ def test_committed_entries_rebuild_from_their_own_runs(entry):
             assert got[key] == stored[key], (name, key)
 
 
-def write_runs(directory, sha, values, failed=0):
+def write_runs(directory, sha, values, failed=0, src_sha=None):
     """One fake results file per seed: metric i reads values[seed] + i; a value of
-    None writes the record of a run whose commands all failed."""
+    None writes the record of a run whose commands all failed. The source digest is
+    ``src_sha``, or ``sha`` twice."""
     directory.mkdir()
     for seed, value in values.items():
         metrics = {spec["name"]: {"value": value + i, "unit": spec["unit"],
@@ -55,7 +62,7 @@ def write_runs(directory, sha, values, failed=0):
                   "provenance": {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6",
                                  "blas": {"name": "scipy-openblas",
                                           "openblas configuration": "OpenBLAS test"},
-                                 "git_sha": sha, "src_sha256": sha * 2, "seed": seed,
+                                 "git_sha": sha, "src_sha256": src_sha or sha * 2, "seed": seed,
                                  "pinned_cpu": 0}}
         (directory / f"w-seed{seed}-trace0.json").write_text(json.dumps(record))
     (directory / "w-seed1-trace1.json").write_text("{}")  # a traced run is not read
@@ -118,6 +125,16 @@ def test_synthetic_pairs_append_one_entry(root, capsys):
     assert rss["bound"] == 0.1 and rss["parent"]["median"] == 6.05
     out_text = capsys.readouterr().out
     assert "setup_s" in out_text and "better in 3/4" in out_text
+
+
+def test_runs_from_outside_a_work_tree_record_null_shas_and_get_an_id(root):
+    # a copy that is not a git work tree gives the runs a git_sha of None
+    write_runs(root / "p", None, {1: 1.0, 2: 1.2}, src_sha="a" * 64)
+    write_runs(root / "c", None, {1: 0.8, 2: 1.0}, src_sha="b" * 64)
+    assert bench_record.main(argv(root)) == 0
+    entry = json.loads((root / "BENCH_w.json").read_text())["entries"][0]
+    assert entry["parent_sha"] is None and entry["change_sha"] is None
+    assert entry_id("BENCH_w", entry) == "BENCH_w-bbbbbbb"
 
 
 def test_a_failed_run_drops_its_pair_and_counts_its_failures(root):

@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import json
 import os
@@ -1117,3 +1118,51 @@ def test_help_exits_0(capsys, argv):
         main(argv)
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: gapnet")
+
+
+TRAIN_FAULTS = """
+import resource
+import sys
+from gapnet.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(["train", sys.argv[1]]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_training_a_cnn1d_head_faults_in_few_fresh_pages_per_epoch(tmp_path):
+    # A fresh process, as a `train` command is. cnn1d's (32, 4080) float32
+    # temporaries are 510 KiB each; while glibc trimmed the heap top after each
+    # batch they faulted back in on the next, about 5,400 faults an epoch.
+    pytest.importorskip("resource")
+    if getattr(ctypes.CDLL(None), "mallopt", None) is None:
+        pytest.skip("libc has no mallopt")
+    rng = np.random.default_rng(5)
+    records = []
+    for i in range(400):  # toy_frozen's rows: 320 train and 80 val of 16 GAP channels
+        save_tensor(rng.standard_normal((1, 1, 16)).astype(np.float32), tmp_path / f"m{i}.btft")
+        records.append(ManifestRecord(f"m{i}", f"m{i}.btft", i % 2, f"s{i}",
+                                      split="train" if i < 320 else "val"))
+    save_manifest(records, tmp_path / "m.jsonl")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+
+    def faults(epochs):
+        cfg = tmp_path / f"c{epochs}.json"
+        cfg.write_text(json.dumps({
+            "seed": 7, "dataset": {"manifest": "m.jsonl"},
+            "model": {"backbone": "imported_features", "head_input_channels": 16,
+                      "projection_dim": 512, "classifier": "cnn1d"},
+            "train": {"max_epochs": epochs, "batch_size": 32, "early_stop_patience": epochs},
+            "output_dir": f"run{epochs}"}))
+        child = subprocess.run([sys.executable, "-c", TRAIN_FAULTS, str(cfg)], env=env,
+                               check=True, capture_output=True, text=True)
+        return int(child.stdout.split()[-1])
+
+    faults(1)  # writes the encode cache, which both measured runs then read
+    per_epoch = (faults(6) - faults(2)) / 4
+    assert per_epoch < 100, f"{per_epoch:.0f} minor page faults per epoch"
+
+
+def test_keep_heap_does_nothing_where_libc_has_no_mallopt(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    cli._keep_heap()

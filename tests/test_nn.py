@@ -119,6 +119,55 @@ def test_one_row_dense_weight_grad_is_the_matmul_to_the_bit(din, dout, dtype):
     assert layer.grads["b"].tobytes() == g.sum(axis=0).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("din,dout", DENSE_SHAPES)
+def test_dense_input_grad_is_grad_out_at_w_to_the_bit(din, dout, dtype):
+    # the layer takes dx with np.dot, which at inner dimension 1 (cnn1d's logit layer,
+    # (32, 1) @ (1, 4080)) numpy runs several times faster than the matmul
+    r = np.random.default_rng(4010)
+    layer = Dense(din, dout, r)
+    layer.astype(dtype)
+    for batch in (1, 16, 32, 33):
+        x = r.standard_normal((batch, din)).astype(dtype)
+        g = r.standard_normal((batch, dout)).astype(dtype)
+        layer.forward(x, train=True)
+        got, want = layer.backward(g), g @ layer.params["w"]
+        assert got.dtype == want.dtype and got.shape == (batch, din)
+        assert got.tobytes() == want.tobytes(), batch
+
+
+def windowed_conv1d_backward(x, w, g):
+    """conv1d's backward with dW from a reshaped window view and dx one tap at a time."""
+    f, k = w.shape
+    length = g.shape[-1]
+    windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)
+    dw = np.swapaxes(g, -1, -2).reshape(-1, f).T @ windows.reshape(-1, k)
+    db = g.reshape(-1, f, length).sum(axis=(0, 2))
+    dx = np.zeros_like(x)
+    for j in range(k):
+        dx[..., j:j + length] += w[:, j] @ g
+    return dx, dw, db
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(1,), (16,), (32,), (), (2, 3)])
+def test_conv1d_backward_is_the_windowed_form(lead, dtype):
+    # the same bits in float32 on cnn1d's shapes; in float64 the batched dx may sum
+    # in another order, so it matches to rounding only
+    r = np.random.default_rng(4011)
+    w = r.standard_normal((8, 3)).astype(dtype)
+    x = r.standard_normal(lead + (512,)).astype(dtype)
+    g = r.standard_normal(lead + (8, 510)).astype(dtype)
+    (dx, dw, db), (want_dx, want_dw, want_db) = (kernels.conv1d_backward(x, w, g),
+                                                 windowed_conv1d_backward(x, w, g))
+    assert dw.tobytes() == want_dw.tobytes() and db.tobytes() == want_db.tobytes()
+    assert dx.dtype == want_dx.dtype and dx.shape == x.shape
+    if dtype == np.float32:
+        assert dx.tobytes() == want_dx.tobytes()
+    else:
+        np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-13)
+
+
 def transposed_conv1d_forward(x, w, b):
     """conv1d's forward as (windows @ w.T + b), made (..., filters, L) by a transposing copy."""
     windows = np.lib.stride_tricks.sliding_window_view(x, w.shape[1], axis=-1)
