@@ -49,11 +49,33 @@ def write_atomic(path, *chunks):
         raise
 
 
-def save_tensor(t, path):
-    """Write one tensor in the BTFT container layout, atomically."""
+def _holds(path, header, arr):
+    """Whether the file at ``path`` is ``header`` then ``arr``'s bytes, exactly;
+    a missing or unreadable file is not."""
+    try:
+        with open(path, "rb") as fh:
+            if (os.fstat(fh.fileno()).st_size != len(header) + arr.nbytes
+                    or fh.read(len(header)) != header):
+                return False
+            payload = bytearray(arr.nbytes)
+            # bytearray == a buffer compares the raw bytes (memcmp), not float values
+            return fh.readinto(payload) == arr.nbytes and payload == memoryview(arr).cast("B")
+    except OSError:
+        return False
+
+
+def save_tensor(t, path, keep_same=False):
+    """Write one tensor in the BTFT container layout, atomically.
+
+    With ``keep_same``, a file that already holds exactly those bytes is
+    left alone, so its inode and times, which the encode cache keys on,
+    do not change.
+    """
     arr = np.ascontiguousarray(t, dtype="<f4")
     header = struct.pack("<4sIBB", MAGIC, VERSION, DTYPE_F32, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
+    if keep_same and _holds(path, header, arr):
+        return
     try:
         write_atomic(path, header, arr.data)  # the array's buffer: no bytes copy
     except OSError as e:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import numbers
 import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -177,7 +178,9 @@ def cmd_prepare(args):
         for rec in records:
             img = datamod.histogram_equalize(datamod.load_image(rec))
             img = datamod.resize_bilinear(img, args.image_size, args.image_size)
-            save_tensor(datamod.normalize(img), tensor_dir / f"{rec.sample_id}.btft")
+            # a re-run keeps an unchanged tensor's file, and so its encode cache entries
+            save_tensor(datamod.normalize(img), tensor_dir / f"{rec.sample_id}.btft",
+                        keep_same=True)
             prepared.append(replace(rec, path=f"tensors/{rec.sample_id}.btft"))
         records = prepared
 
@@ -192,6 +195,9 @@ def cmd_prepare(args):
 
 CACHE_DIR = ".gapnet-cache"
 CACHE_FORMAT = "gapnet encode cache 1"
+# prefix directories kept per cache: a 10-seed sweep of one manifest, each seed its own
+# frozen prefix, hits in any order of heads, with room for six fine-tuned checkpoints
+CACHE_PREFIXES = 16
 
 
 def _encode(model, rec):
@@ -228,6 +234,11 @@ class _EncodeCache:
     tenth of its set-up time. A missing, torn or wrong-shaped segment is a
     miss for each of its entries; a cache that cannot be written leaves
     the run uncached, with one warning.
+
+    A run that only hits touches its prefix directory, and a run that
+    writes a segment removes every other prefix directory but the
+    ``CACHE_PREFIXES - 1`` touched or written last, so the cache keeps the
+    prefixes in use and no more.
     """
 
     def __init__(self, manifest, model):
@@ -272,8 +283,13 @@ class _EncodeCache:
         return vec
 
     def save(self):
-        """Write every known entry as one segment, if this run encoded any."""
+        """Write every known entry as one segment, if this run encoded any,
+        and drop the least recently used prefix directories; a run that only
+        hit marks its prefix used."""
         if not self.encoded:
+            if self.hits:
+                with contextlib.suppress(OSError):  # a read-only cache still serves hits
+                    os.utime(self.dir)
             return
         tags = sorted(self.known)
         text = "".join(f"{t} {self.known[t][0]}\n" for t in tags)
@@ -286,6 +302,16 @@ class _EncodeCache:
                 (self.dir / old).unlink(missing_ok=True)
         except (OSError, GapnetError) as e:
             print(f"warning: not caching encoded inputs: {e}", file=sys.stderr)
+            return
+        try:
+            with os.scandir(self.dir.parent) as listing:
+                others = [e for e in listing
+                          if e.name != self.dir.name and e.is_dir(follow_symlinks=False)]
+            others.sort(key=lambda e: e.stat(follow_symlinks=False).st_mtime_ns, reverse=True)
+            for stale in others[CACHE_PREFIXES - 1:]:
+                shutil.rmtree(stale.path)
+        except OSError as e:
+            print(f"warning: not removing old encode cache prefixes: {e}", file=sys.stderr)
 
 
 @contextlib.contextmanager

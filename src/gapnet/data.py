@@ -117,8 +117,14 @@ def histogram_equalize(img):
     if cdf_min == 1.0:  # single intensity level
         return img.copy()
     lut = np.rint(255.0 * (cdf - cdf_min) / (1.0 - cdf_min))
-    lut = np.clip(lut, 0, 255).astype(np.uint8)
-    return lut[img]  # np.take would copy img as intp
+    table = np.clip(lut, 0, 255).astype(np.uint8).tobytes()
+    out = np.empty_like(img)
+    mapped = out.ravel()
+    # bytes.translate maps a byte at a time; lut[img] and np.take copy img as intp
+    for at in range(0, flat.size, step):
+        mapped[at:at + step] = np.frombuffer(flat[at:at + step].tobytes().translate(table),
+                                             np.uint8)
+    return out
 
 
 _plans = {}  # the plan of the last shape resampled, by shape
@@ -127,8 +133,9 @@ _plans = {}  # the plan of the last shape resampled, by shape
 def _resample_plan(in_h, in_w, out_h, out_w):
     """Source indices, blend weights and scratch buffers of one resample shape.
 
-    Only the input rows the output reads (at most 2 * out_h) are kept, so
-    the buffers grow with the output and the input width, not the input.
+    Only the input rows the output reads (at most 2 * out_h) are gathered,
+    and none when it reads them all, so the buffers grow with the output
+    and the input width, not the input.
     """
     key = (in_h, in_w, out_h, out_w)
     if key in _plans:
@@ -147,7 +154,8 @@ def _resample_plan(in_h, in_w, out_h, out_w):
     read, at = np.unique(np.concatenate([y0, y1]), return_inverse=True)
     n = len(read)
     _plans[key] = ((read, at[:out_h], at[out_h:], 1 - fy, fy), (x0, x1, 1 - fx, fx),
-                   (np.empty((n, in_w), np.uint8), np.empty((n, out_w), np.uint8)),
+                   (np.empty((n, in_w), np.uint8) if n < in_h else None,
+                    np.empty((n, out_w), np.uint8)),
                    (np.empty((n, out_w)), np.empty((n, out_w))),
                    (np.empty((out_h, out_w)), np.empty((out_h, out_w))))
     return _plans[key]
@@ -171,22 +179,28 @@ def resize_bilinear(img, out_w, out_h):
     plan = _resample_plan(in_h, in_w, out_h, out_w)
     (read, y0, y1, wy0, wy1), (x0, x1, wx0, wx1), (picked, taken), (rows, part), (out, tmp) = plan
     # mode="clip" keeps np.take from buffering; every index is in range already
-    np.take(img, read, axis=0, out=picked, mode="clip")
-    np.multiply(np.take(picked, x0, axis=1, out=taken, mode="clip"), wx0, out=rows)
-    np.multiply(np.take(picked, x1, axis=1, out=taken, mode="clip"), wx1, out=part)
+    if picked is not None:
+        img = np.take(img, read, axis=0, out=picked, mode="clip")
+    # one uint8 -> float64 copy, then an in-place product: a mixed-type
+    # multiply would cast through numpy's small buffers
+    np.copyto(rows, np.take(img, x0, axis=1, out=taken, mode="clip"))
+    np.multiply(rows, wx0, out=rows)
+    np.copyto(part, np.take(img, x1, axis=1, out=taken, mode="clip"))
+    np.multiply(part, wx1, out=part)
     np.add(rows, part, out=rows)
     np.multiply(np.take(rows, y0, axis=0, out=out, mode="clip"), wy0, out=out)
     np.multiply(np.take(rows, y1, axis=0, out=tmp, mode="clip"), wy1, out=tmp)
     np.add(out, tmp, out=out)
+    # no clip: each blend of [0, 255] values has weights summing to 1, so it
+    # lies within an ulp or so of [0, 255] and rounds into it
     np.rint(out, out=out)
-    np.clip(out, 0, 255, out=out)
     return out.astype(np.uint8)
 
 
 def normalize(img):
     """uint8 image -> float32 H x W x 1 tensor in [0, 1]."""
     img = gray_image(img)
-    return (img.astype(np.float32) / np.float32(255.0))[:, :, None]
+    return np.divide(img, np.float32(255), dtype=np.float32)[:, :, None]
 
 
 def augment(img, transform):

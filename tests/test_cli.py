@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -555,11 +556,12 @@ def test_rewritten_inputs_and_another_backbone_miss(raw_dir, tmp_path, conv_call
     assert main(extract) == 0
     assert len(conv_calls) == 2
 
-    _prepared(raw_dir, tmp_path)  # same pixels, every file rewritten
+    segment = _one_segment(manifest, 30)  # one entry per input, the old ones replaced
+    _prepared(raw_dir, tmp_path)  # same pixels: prepare leaves every tensor file alone
     conv_calls.clear()
     assert main(extract) == 0
-    assert len(conv_calls) == 2 * 30
-    _one_segment(manifest, 30)  # one entry per input, the old ones replaced
+    assert conv_calls == []
+    assert _one_segment(manifest, 30) == segment
     assert _extracted(tmp_path / "vectors") == before
 
     other = write_config(tmp_path / "seed.json", manifest, tmp_path / "run", "dfn", seed=22)
@@ -568,6 +570,138 @@ def test_rewritten_inputs_and_another_backbone_miss(raw_dir, tmp_path, conv_call
                  "--checkpoint", seeded_checkpoint(other, tmp_path / "ckpt22")]) == 0
     assert len(conv_calls) == 2 * 30
     assert len({p.parent for p in _cache_files(manifest)}) == 2
+
+
+def _tensor_stats(manifest):
+    """{tensor file name: (st_ino, st_mtime_ns)} of a prepared manifest's tensors."""
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in (manifest.parent / "tensors").iterdir()}
+
+
+def test_prepare_again_keeps_every_tensor_file_and_the_encode_cache(raw_dir, tmp_path, capsys):
+    manifest = _prepared(raw_dir, tmp_path)
+    cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "dfn", "dfn", max_epochs=1)
+    assert main(["train", str(cfg)]) == 0
+    kept = _tensor_stats(manifest)
+    capsys.readouterr()
+
+    _prepared(raw_dir, tmp_path)
+    assert _tensor_stats(manifest) == kept
+    cfg = write_config(tmp_path / "fcnn.json", manifest, tmp_path / "fcnn", "fcnn", max_epochs=1)
+    assert main(["train", str(cfg)]) == 0
+    assert capsys.readouterr().out.endswith(", 30 of 30 inputs from the encode cache\n")
+
+
+@pytest.mark.parametrize("change", [["--seed", "4"], ["--level", "sample"]])
+def test_prepare_with_another_seed_or_level_keeps_the_shared_ids_files(raw_dir, tmp_path,
+                                                                     change):
+    manifest = tmp_path / "work" / "manifest.jsonl"
+    args = ["prepare", str(raw_dir), str(manifest), "--balance-to", "18", "--image-size", "32"]
+    assert main(args + ["--seed", "3"]) == 0
+    first = {rec.sample_id for rec in load_manifest(manifest)}
+    before = _tensor_stats(manifest)
+    assert main(args + ["--seed", "3"] + change) == 0
+    records = load_manifest(manifest)
+    shared = {f"{rec.sample_id}.btft" for rec in records if rec.sample_id in first}
+    assert len(shared) >= 30
+    after = _tensor_stats(manifest)
+    assert {name: after[name] for name in shared} == {name: before[name] for name in shared}
+    for rec in records:
+        assert load_feature_map(manifest.parent / rec.path).shape == (32, 32, 1)
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda p: p.write_bytes(p.read_bytes()[:-7]), id="truncated"),
+    pytest.param(lambda p: p.write_bytes(p.read_bytes()[:-1] + b"\x7f"), id="last-byte"),
+    pytest.param(lambda p: p.write_bytes(p.read_bytes()[:5] + b"\x09" + p.read_bytes()[6:]),
+                 id="header-byte"),
+    pytest.param(lambda p: p.unlink(), id="deleted"),
+])
+def test_prepare_rewrites_a_damaged_tensor_and_keeps_the_rest(raw_dir, tmp_path, damage):
+    manifest = tmp_path / "work" / "manifest.jsonl"
+    args = ["prepare", str(raw_dir), str(manifest), "--seed", "3", "--image-size", "32"]
+    assert main(args) == 0
+    tensors = sorted((manifest.parent / "tensors").iterdir())
+    good = {p.name: p.read_bytes() for p in tensors}
+    damaged = tensors[7]
+    damage(damaged)
+    assert not damaged.exists() or damaged.read_bytes() != good[damaged.name]
+    before = _tensor_stats(manifest)
+    before.pop(damaged.name, None)
+
+    assert main(args) == 0
+    assert {p.name: p.read_bytes() for p in tensors} == good  # save_tensor's bytes
+    after = _tensor_stats(manifest)
+    assert after.pop(damaged.name) != before.get(damaged.name)
+    assert after == before
+    assert sorted(p.name for p in (manifest.parent / "tensors").iterdir()) == sorted(good)
+
+
+def _prefix_dirs(manifest):
+    return {p.name for p in (manifest.parent / ".gapnet-cache").iterdir()}
+
+
+def _fake_prefixes(manifest, names, mtime_s):
+    """Cache prefix directories ``names``, each with one file, touched at ``mtime_s[i]``."""
+    for name, when in zip(names, mtime_s):
+        d = manifest.parent / ".gapnet-cache" / name
+        d.mkdir()
+        (d / "0.keys").write_text("")
+        os.utime(d, (when, when))
+
+
+def test_cache_keeps_the_most_recently_used_prefixes(raw_dir, tmp_path, conv_calls):
+    n = cli.CACHE_PREFIXES
+    manifest = _prepared(raw_dir, tmp_path)
+    models = {}
+    for seed in (21, 22, 23):
+        cfg = write_config(tmp_path / f"s{seed}.json", manifest, tmp_path / "run", seed=seed)
+        models[seed] = ["extract", str(cfg), "--out-dir", str(tmp_path / f"v{seed}"),
+                        "--checkpoint", seeded_checkpoint(cfg, tmp_path / f"ckpt{seed}")]
+    assert main(models[21]) == 0
+    (read,) = _prefix_dirs(manifest)
+    now = time.time()
+    fakes = [f"{k:032x}" for k in range(n)]
+    _fake_prefixes(manifest, fakes, [now - 100 + k for k in range(n)])
+    os.utime(manifest.parent / ".gapnet-cache" / read, (now - 1000, now - 1000))
+
+    conv_calls.clear()
+    assert main(models[21]) == 0  # all hits: marks its prefix used, removes nothing
+    assert conv_calls == []
+    assert _prefix_dirs(manifest) == {read, *fakes}
+    assert main(models[22]) == 0  # n + 2 prefixes: the two least recently used go
+    (written,) = _prefix_dirs(manifest) - {read, *fakes}
+    assert _prefix_dirs(manifest) == {read, written, *fakes[2:]}
+
+    # every other prefix used after the one written now: the current one still stays
+    later = sorted(_prefix_dirs(manifest))
+    for k, name in enumerate(later):
+        os.utime(manifest.parent / ".gapnet-cache" / name, (now + 1000 + k,) * 2)
+    assert main(models[23]) == 0
+    (current,) = _prefix_dirs(manifest) - set(later)
+    assert _prefix_dirs(manifest) == {current, *later[1:]}
+    assert len(_prefix_dirs(manifest)) == n
+
+
+def test_a_failed_prefix_removal_warns_once_and_the_run_succeeds(raw_dir, tmp_path, capsys,
+                                                                 monkeypatch):
+    manifest = _prepared(raw_dir, tmp_path)
+    (manifest.parent / ".gapnet-cache").mkdir()
+    _fake_prefixes(manifest, [f"{k:032x}" for k in range(cli.CACHE_PREFIXES + 3)],
+                   [1000] * (cli.CACHE_PREFIXES + 3))
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(shutil, "rmtree", refuse)
+    cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run")
+    capsys.readouterr()
+    assert main(["extract", str(cfg), "--out-dir", str(tmp_path / "v"),
+                 "--checkpoint", seeded_checkpoint(cfg, tmp_path / "ckpt")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and err.count("\n") == 1
+    assert len(_prefix_dirs(manifest)) == cli.CACHE_PREFIXES + 4
+    assert len(list((tmp_path / "v").iterdir())) == 30
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -224,6 +224,35 @@ def test_preprocessing_matches_the_oracles_bit_for_bit():
         assert np.array_equal(resize_bilinear(x, out_w, out_h), oracle_resize(x, out_w, out_h))
 
 
+def _edge_image(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    if kind == "over-one-chunk":  # 77,357 pixels: crosses the 65,536-pixel chunk boundary
+        return rng.integers(0, 256, (257, 301)).astype(np.uint8)
+    if kind == "constant":
+        return np.full((40, 50), 77, np.uint8)
+    if kind == "two-level":
+        return np.where(rng.random((300, 300)) < 0.3, 3, 200).astype(np.uint8)
+    if kind == "all-255":
+        return np.full((300, 230), 255, np.uint8)
+    shape = (1, 300) if kind == "one-row" else (300, 1)
+    return rng.integers(0, 256, shape).astype(np.uint8)
+
+
+@pytest.mark.parametrize("kind", ["over-one-chunk", "constant", "two-level", "all-255",
+                                  "one-row", "one-column"])
+def test_preprocessing_matches_the_oracles_on_edge_images(kind):
+    x = _edge_image(kind)
+    equalized = histogram_equalize(x)
+    assert np.array_equal(equalized, oracle_equalize(x))
+    h, w = x.shape
+    # down, up, one row, one column, a point, and each axis alone
+    for out_h, out_w in ((max(1, h // 3), max(1, w // 3)), (3 * h, 2 * w + 1), (1, 2 * w),
+                         (2 * h, 1), (1, 1), (h, 4 * w), (h // 2 + 1, w)):
+        for src in (x, equalized):
+            assert np.array_equal(resize_bilinear(src, out_w, out_h),
+                                  oracle_resize(src, out_w, out_h)), (out_h, out_w)
+
+
 def test_resize_switching_shapes_never_aliases_a_result():
     a = rng_image(256, 256, seed=20)
     b = rng_image(31, 47, seed=21)
@@ -315,6 +344,8 @@ def test_normalize():
     assert t[0, 0, 0] == 0.0 and t[1, 0, 0] == 1.0
     assert abs(t[0, 1, 0] - 0.2) < 1e-7
     assert np.all(t >= 0.0) and np.all(t <= 1.0)
+    levels = np.arange(256, dtype=np.uint8).reshape(16, 16)  # every level, the old form's bits
+    assert normalize(levels).tobytes() == (levels.astype(np.float32) / np.float32(255.0)).tobytes()
 
 
 # ------------------------------------------------------- augmentation
