@@ -118,13 +118,11 @@ def histogram_equalize(img):
         return img.copy()
     lut = np.rint(255.0 * (cdf - cdf_min) / (1.0 - cdf_min))
     table = np.clip(lut, 0, 255).astype(np.uint8).tobytes()
-    out = np.empty_like(img)
-    mapped = out.ravel()
+    out = np.empty_like(flat)
     # bytes.translate maps a byte at a time; lut[img] and np.take copy img as intp
     for at in range(0, flat.size, step):
-        mapped[at:at + step] = np.frombuffer(flat[at:at + step].tobytes().translate(table),
-                                             np.uint8)
-    return out
+        out[at:at + step] = np.frombuffer(flat[at:at + step].tobytes().translate(table), np.uint8)
+    return out.reshape(img.shape)
 
 
 _plans = {}  # the plan of the last shape resampled, by shape
