@@ -574,8 +574,8 @@ def test_rewritten_inputs_and_another_backbone_miss(raw_dir, tmp_path, conv_call
 
 def _tensor_stats(manifest):
     """{tensor file name: (st_ino, st_mtime_ns)} of a prepared manifest's tensors."""
-    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
-            for p in (manifest.parent / "tensors").iterdir()}
+    return {e.name: (e.inode(), e.stat().st_mtime_ns)
+            for e in os.scandir(manifest.parent / "tensors")}
 
 
 def test_prepare_again_keeps_every_tensor_file_and_the_encode_cache(raw_dir, tmp_path, capsys):
@@ -592,7 +592,7 @@ def test_prepare_again_keeps_every_tensor_file_and_the_encode_cache(raw_dir, tmp
     assert capsys.readouterr().out.endswith(", 30 of 30 inputs from the encode cache\n")
 
 
-@pytest.mark.parametrize("change", [["--seed", "4"], ["--level", "sample"]])
+@pytest.mark.parametrize("change", [["--seed", "4"], ["--level", "sample"]], ids=["seed", "level"])
 def test_prepare_with_another_seed_or_level_keeps_the_shared_ids_files(raw_dir, tmp_path,
                                                                      change):
     manifest = tmp_path / "work" / "manifest.jsonl"
