@@ -14,6 +14,7 @@ payload. Header for a rank-1 tensor is exactly 14 bytes.
 import contextlib
 import math
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -64,6 +65,13 @@ def _holds(path, header, arr):
         return False
 
 
+def _btft(t):
+    """The BTFT header of ``t`` and its payload, a contiguous little-endian float32 array."""
+    arr = np.ascontiguousarray(t, dtype="<f4")
+    header = struct.pack("<4sIBB", MAGIC, VERSION, DTYPE_F32, arr.ndim)
+    return header + struct.pack(f"<{arr.ndim}I", *arr.shape), arr
+
+
 def save_tensor(t, path, keep_same=False):
     """Write one tensor in the BTFT container layout, atomically.
 
@@ -71,15 +79,49 @@ def save_tensor(t, path, keep_same=False):
     left alone, so its inode and times, which the encode cache keys on,
     do not change.
     """
-    arr = np.ascontiguousarray(t, dtype="<f4")
-    header = struct.pack("<4sIBB", MAGIC, VERSION, DTYPE_F32, arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
+    header, arr = _btft(t)
     if keep_same and _holds(path, header, arr):
         return
     try:
         write_atomic(path, header, arr.data)  # the array's buffer: no bytes copy
     except OSError as e:
         raise GapnetError(f"cannot write tensor to {path}: {e}") from e
+
+
+def rewrite_tensor(t, path):
+    """Write one tensor as ``save_tensor`` does, into the file at ``path``, and
+    return the bytes written.
+
+    A regular file with one link is rewritten in place, and a free name is
+    created: no temp file and no rename, so the file keeps its inode. Anything
+    else at ``path`` (a symlink, a second hard link, a FIFO) is replaced
+    atomically by ``save_tensor``, so nothing is written through a link and
+    opening never blocks. A write cut short leaves a torn file, never a temp
+    one; the caller's own record, written after it, is what says the file is
+    whole.
+    """
+    header, arr = _btft(t)
+    data = header + arr.tobytes()
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW | os.O_NONBLOCK, 0o666)
+    except OSError:  # a symlink (ELOOP), a FIFO no one reads (ENXIO), a read-only file...
+        fd = None
+    if fd is not None:
+        try:
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+                done = 0
+                while done < len(data):
+                    done += os.write(fd, data[done:])
+                if st.st_size > len(data):
+                    os.ftruncate(fd, len(data))
+                return data
+        except OSError as e:
+            raise GapnetError(f"cannot write tensor to {path}: {e}") from e
+        finally:
+            os.close(fd)
+    save_tensor(arr, path)
+    return data
 
 
 def load_feature_map(path):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as datamod
-from .backbone import load_feature_map, save_tensor, write_atomic
+from .backbone import load_feature_map, rewrite_tensor, save_tensor, write_atomic
 from .errors import GapnetError, json_object, require_counts, require_object
 from .metrics import confusion, metrics, render_confusion_csv, render_confusion_svg
 from .pipeline import (CLASSIFIERS, Model, ModelSpec, decide, load_checkpoint, save_checkpoint,
@@ -78,7 +78,7 @@ class ExperimentConfig:
 
 
 class OutputLock:
-    """One training run per output directory at a time.
+    """One run per output directory at a time: ``train``'s, or ``extract``'s.
 
     The run holds an exclusive ``flock`` on ``<output_dir>/.lock``, which
     the kernel drops however the run ends, a kill included. The file names
@@ -349,6 +349,11 @@ def _cache_note(hits, n):
 
 # ------------------------------------------------------------ subcommands
 
+# extract's commit record, written last: the ids in manifest order and one sha256 over
+# their vector files' bytes in that order
+EXTRACT_RECORD = "extract.json"
+EXTRACT_FORMAT = "gapnet extract 1"
+
 # glibc's mallopt parameters (malloc.h) and train's values; 4 MiB is numpy's huge-page cutoff
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 TRIM_THRESHOLD_BYTES, MMAP_THRESHOLD_BYTES = 64 << 20, 4 << 20
@@ -417,18 +422,45 @@ def cmd_eval(args):
     return 0
 
 
+def _listed_ids(record):
+    """The ids an extract record lists, if it is gapnet's and every id is a plain
+    file name; none for a missing or foreign record, so only files gapnet's own
+    record named are ever removed."""
+    try:
+        obj = json_object(record.read_bytes(), record)
+    except (OSError, GapnetError):
+        return set()
+    ids = obj.get("ids")
+    if obj.get("format") == EXTRACT_FORMAT and isinstance(ids, list) and all(
+            map(datamod.plain_name, ids)):
+        return set(ids)
+    return set()
+
+
 def cmd_extract(args):
     config = ExperimentConfig.load(args.config)
     model = load_checkpoint(Path(args.checkpoint), expected_spec=config.model)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = _records(config.manifest)
-    # one projection GEMM per chunk of encoded records, as predict() runs them
-    with _encoded_inputs(config.manifest, model) as load:
-        for chunk in passes(model, records, config.train.batch_size):
-            vecs = model.features(np.stack([load(rec) for rec in chunk]))
-            for rec, vec in zip(chunk, vecs):
-                save_tensor(vec, out_dir / f"{rec.sample_id}.btft")
+    ids = [rec.sample_id for rec in records]
+    commit = out_dir / EXTRACT_RECORD
+    with OutputLock(out_dir):
+        # from here until the new record is written, the directory is no finished extract
+        stale = _listed_ids(commit).difference(ids)
+        commit.unlink(missing_ok=True)
+        for sample_id in sorted(stale):
+            (out_dir / f"{sample_id}.btft").unlink(missing_ok=True)
+        digest = hashlib.sha256()
+        # one projection GEMM per chunk of encoded records, as predict() runs them
+        with _encoded_inputs(config.manifest, model) as load:
+            for chunk in passes(model, records, config.train.batch_size):
+                vecs = model.features(np.stack([load(rec) for rec in chunk]))
+                for rec, vec in zip(chunk, vecs):
+                    digest.update(rewrite_tensor(vec, out_dir / f"{rec.sample_id}.btft"))
+        record = {"format": EXTRACT_FORMAT, "config_fingerprint": config.model.fingerprint(),
+                  "ids": ids, "sha256": digest.hexdigest()}
+        write_atomic(commit, (json.dumps(record, indent=2) + "\n").encode())
     print(f"extracted {len(records)} feature vectors "
           f"(dim {config.model.projection_dim}) -> {out_dir}")
     return 0

@@ -26,6 +26,12 @@ TRANSFORMS = {
 }
 
 
+def plain_name(name):
+    """Whether ``name`` is a string that names a file in a directory and nowhere else."""
+    return (isinstance(name, str) and name not in ("", ".", "..")
+            and not any(c in name for c in ("/", os.sep, "\0")))
+
+
 @dataclass
 class ManifestRecord:
     sample_id: str
@@ -43,8 +49,7 @@ class ManifestRecord:
                 raise GapnetError(f"{field} must be a string, got {value!r}")
             if field in ("sample_id", "path") and "\0" in value:  # no OS call takes one
                 raise GapnetError(f"{field} {value!r} contains a NUL byte")
-        name = self.sample_id  # names the files prepare and extract write
-        if name in ("", ".", "..") or "/" in name or os.sep in name:
+        if not plain_name(self.sample_id):  # it names the files prepare and extract write
             raise GapnetError(f"sample_id {self.sample_id!r} is not a plain file name")
         if type(self.label) is not int or self.label not in (0, 1):  # not 0.9, "1" or true
             raise GapnetError(f"{self.sample_id}: label must be 0 or 1, got {self.label!r}")

@@ -1,11 +1,14 @@
 import ctypes
+import hashlib
 import itertools
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,7 +161,8 @@ def test_extract_with_a_checkpoint_writes_its_trained_features(raw_dir, tmp_path
                      "--checkpoint", source]) == 0
     model = load_checkpoint(ckpt)
     records = load_manifest(manifest)
-    assert len(list((tmp_path / "trained").iterdir())) == len(records) == 30
+    assert len(list((tmp_path / "trained").glob("*.btft"))) == len(records) == 30
+    assert _committed(tmp_path / "trained") == [rec.sample_id for rec in records]
     for rec in records:
         want = model.features(model.encode(load_feature_map(manifest.parent / rec.path))[None])[0]
         got = load_feature_map(tmp_path / "trained" / f"{rec.sample_id}.btft")
@@ -412,6 +416,188 @@ def test_train_into_a_locked_directory_exits_1(tmp_path, capsys):
         assert main(["train", cfg]) == 1
     assert capsys.readouterr().err == (f"error: output directory is locked by another run "
                                        f"(pid {os.getpid()}): {tmp_path / 'run' / '.lock'}\n")
+
+
+# ------------------------------------------------------------ extract's record
+
+SMALL_HEAD = {"head_input_channels": 8, "projection_dim": 6, "classifier": "fcnn",
+              "hidden_widths": [4]}
+
+
+def _small_extract(tmp_path, name, ids, seed):
+    """The argv, less ``--out-dir``, of an extract of 3x3x8 maps ``m<k>`` for ``k`` in
+    ``ids``, in that order, through a seed-``seed`` head; writes what it reads."""
+    records = []
+    for k in ids:
+        path = tmp_path / f"m{k}.btft"
+        if not path.exists():
+            save_tensor(np.random.default_rng(k).standard_normal((3, 3, 8)), path)
+        records.append(ManifestRecord(f"m{k}", path.name, k % 2, f"s{k}", split="val"))
+    save_manifest(records, tmp_path / f"{name}.jsonl")
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps({"seed": seed, "dataset": {"manifest": f"{name}.jsonl"},
+                               "model": SMALL_HEAD}))
+    save_checkpoint(Model(ModelSpec.from_dict(SMALL_HEAD), seed=seed), tmp_path / f"ckpt{seed}")
+    return ["extract", str(cfg), "--checkpoint", str(tmp_path / f"ckpt{seed}")]
+
+
+def _committed(out_dir):
+    """The ids ``extract.json`` lists, once its sha256 is checked against their files'
+    bytes in that order; None when there is no record."""
+    record = out_dir / "extract.json"
+    if not record.exists():
+        return None
+    obj = json.loads(record.read_text())
+    digest = hashlib.sha256()
+    for sample_id in obj["ids"]:
+        digest.update((out_dir / f"{sample_id}.btft").read_bytes())
+    assert obj["sha256"] == digest.hexdigest()
+    return obj["ids"]
+
+
+def test_extract_rewrites_its_vectors_in_place_and_commits_them_last(tmp_path):
+    ids = [5, 2, 7, 0, 3, 6, 1, 4]
+    extract = _small_extract(tmp_path, "a", ids, seed=1)
+    out = tmp_path / "v"
+    assert main(extract + ["--out-dir", str(out)]) == 0
+    assert _committed(out) == [f"m{k}" for k in ids]  # in manifest order
+    record = json.loads((out / "extract.json").read_text())
+    assert record["config_fingerprint"] == ModelSpec.from_dict(SMALL_HEAD).fingerprint()
+    assert str(tmp_path) not in (out / "extract.json").read_text()
+    inodes = {p.name: p.stat().st_ino for p in out.iterdir() if p.suffix == ".btft"}
+    with open(out / "m0.btft", "ab") as fh:  # a longer file is cut to length
+        fh.write(b"tail")
+    assert main(extract + ["--out-dir", str(out)]) == 0
+    assert {p.name: p.stat().st_ino for p in out.iterdir() if p.suffix == ".btft"} == inodes
+    assert main(extract + ["--out-dir", str(tmp_path / "fresh")]) == 0
+    assert _extracted(out) == _extracted(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("kind", ["symlink", "hard-link", "fifo", "fifo-with-a-reader"])
+def test_extract_replaces_a_link_or_fifo_at_a_vectors_name(tmp_path, kind):
+    extract = _small_extract(tmp_path, "a", range(4), seed=1)
+    out = tmp_path / "v"
+    assert main(extract + ["--out-dir", str(out)]) == 0
+    want = _extracted(out)
+    other, name = tmp_path / "other", out / "m2.btft"
+    other.write_bytes(b"not a vector")
+    name.unlink()
+    if kind == "symlink":
+        name.symlink_to(other)
+    elif kind == "hard-link":
+        os.link(other, name)
+    else:
+        os.mkfifo(name)
+    reader = os.open(name, os.O_RDONLY | os.O_NONBLOCK) if kind == "fifo-with-a-reader" else None
+
+    def blocked(signum, frame):
+        raise AssertionError("extract blocked on a FIFO")
+    previous = signal.signal(signal.SIGALRM, blocked)
+    signal.alarm(20)
+    try:
+        assert main(extract + ["--out-dir", str(out)]) == 0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        if reader is not None:
+            os.close(reader)
+    assert other.read_bytes() == b"not a vector" and os.stat(other).st_nlink == 1
+    assert name.is_file() and not name.is_symlink()
+    assert _extracted(out) == want
+
+
+def test_extract_removes_only_the_stale_vectors_its_last_record_listed(tmp_path):
+    out = tmp_path / "v"
+    a = _small_extract(tmp_path, "a", range(8), seed=1) + ["--out-dir", str(out)]
+    b = _small_extract(tmp_path, "b", range(2, 10), seed=2) + ["--out-dir", str(out)]
+    assert main(b[:-1] + [str(tmp_path / "fresh")]) == 0
+    assert main(a) == 0
+    (out / "mine.btft").write_bytes(b"the user's")
+    assert main(b) == 0  # m0 and m1 left b's manifest
+    assert _extracted(out) == sorted(_extracted(tmp_path / "fresh")
+                                     + [("mine.btft", b"the user's")])
+    # a record gapnet did not write names nothing to remove
+    for foreign in ({"ids": ["mine"]},
+                    {"format": cli.EXTRACT_FORMAT, "ids": ["mine", "../m0"]}):
+        (out / "extract.json").write_text(json.dumps(foreign))
+        assert main(a) == 0
+        assert {"mine.btft", "m8.btft", "m9.btft"} <= {p.name for p in out.iterdir()}
+        assert main(b) == 0
+
+
+def test_extract_into_a_locked_directory_exits_1(tmp_path, capsys):
+    out = tmp_path / "v"
+    out.mkdir()
+    with cli.OutputLock(out):
+        assert main(_small_extract(tmp_path, "a", range(4), seed=1)
+                    + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: output directory is locked by another run "
+                                       f"(pid {os.getpid()}): {out / '.lock'}\n")
+    assert not any(out.iterdir())
+
+
+def test_an_interrupted_extract_never_commits_mixed_vectors(tmp_path, monkeypatch):
+    # generation b extracted over generation a, cut at each of its file operations in
+    # turn: the record goes first and comes back last, so the directory holds a's record,
+    # b's, or none; a re-run gives b's bytes; no temp file is left behind
+    out = tmp_path / "v"
+    a = _small_extract(tmp_path, "a", range(8), seed=1) + ["--out-dir", str(out)]
+    b = _small_extract(tmp_path, "b", range(2, 10), seed=2) + ["--out-dir", str(out)]
+    assert main(b[:-1] + [str(tmp_path / "fresh")]) == 0
+    want = _extracted(tmp_path / "fresh")
+    real_replace, real_unlink, real_rewrite = os.replace, os.unlink, cli.rewrite_tensor
+    for cut in itertools.count(1):
+        assert main(a) == 0
+        assert _committed(out) == [f"m{k}" for k in range(8)]
+        ops = []
+
+        def op(kind, path):
+            path = Path(path)
+            if path.parent == out and not path.name.startswith("."):  # not the lock or a temp
+                ops.append((kind, path.name))
+                if len(ops) == cut:
+                    raise Killed(path)
+
+        def replace(src, dst):
+            op("replace", dst)
+            real_replace(src, dst)
+
+        def unlink(path, *args, **kwargs):
+            op("unlink", path)
+            real_unlink(path, *args, **kwargs)
+
+        def rewrite(t, path):
+            data = real_rewrite(t, path)
+            try:
+                op("write", path)
+            except Killed:
+                os.truncate(path, len(data) // 2)  # a torn write
+                raise
+            return data
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "unlink", unlink)
+        monkeypatch.setattr(cli, "rewrite_tensor", rewrite)
+        try:
+            main(b)
+        except Killed:
+            pass
+        finally:
+            monkeypatch.undo()
+        assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
+        if len(ops) < cut:  # the extract ran to its end
+            break
+        assert _committed(out) in (None, [f"m{k}" for k in range(8)])
+        assert main(b) == 0
+        # a cut after the record went and before a stale vector did leaves that vector:
+        # no record names it any more
+        left = {2: {"m0.btft", "m1.btft"}, 3: {"m1.btft"}}.get(cut, set())
+        assert _extracted(out) == sorted(want + [(n, (out / n).read_bytes()) for n in left])
+    assert _committed(out) == [f"m{k}" for k in range(2, 10)]
+    assert cut == 13 and ops == [("unlink", "extract.json"), ("unlink", "m0.btft"),
+                                 ("unlink", "m1.btft"),
+                                 *[("write", f"m{k}.btft") for k in range(2, 10)],
+                                 ("replace", "extract.json")]
+    assert _extracted(out) == want
 
 
 # ------------------------------------------------------------ encode cache
@@ -701,7 +887,8 @@ def test_a_failed_prefix_removal_warns_once_and_the_run_succeeds(raw_dir, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("warning: ") and err.count("\n") == 1
     assert len(_prefix_dirs(manifest)) == cli.CACHE_PREFIXES + 4
-    assert len(list((tmp_path / "v").iterdir())) == 30
+    assert len(list((tmp_path / "v").glob("*.btft"))) == 30
+    assert _committed(tmp_path / "v") == [rec.sample_id for rec in load_manifest(manifest)]
 
 
 @pytest.mark.parametrize("corrupt", [
