@@ -89,16 +89,14 @@ def save_tensor(t, path, keep_same=False):
 
 
 def rewrite_tensor(t, path):
-    """Write one tensor as ``save_tensor`` does, into the file at ``path``, and
-    return the bytes written.
+    """Write one tensor's ``save_tensor`` bytes into the file at ``path``, in place,
+    and return them.
 
-    A regular file with one link is rewritten in place, and a free name is
-    created: no temp file and no rename, so the file keeps its inode. Anything
-    else at ``path`` (a symlink, a second hard link, a FIFO) is replaced
-    atomically by ``save_tensor``, so nothing is written through a link and
-    opening never blocks. A write cut short leaves a torn file, never a temp
-    one; the caller's own record, written after it, is what says the file is
-    whole.
+    Only a regular file with one link is rewritten in place (or created), so it
+    keeps its inode; anything else there (a symlink, a second hard link, a FIFO)
+    is replaced by ``save_tensor``, so nothing is written through a link and the
+    open never blocks. A write cut short leaves a torn file: the caller's record,
+    written after it, is what says the file is whole.
     """
     header, arr = _btft(t)
     data = header + arr.tobytes()

@@ -423,9 +423,8 @@ def cmd_eval(args):
 
 
 def _listed_ids(record):
-    """The ids an extract record lists, if it is gapnet's and every id is a plain
-    file name; none for a missing or foreign record, so only files gapnet's own
-    record named are ever removed."""
+    """The ids of gapnet's own extract record whose every id is a plain file name;
+    none for a missing or foreign record."""
     try:
         obj = json_object(record.read_bytes(), record)
     except (OSError, GapnetError):
