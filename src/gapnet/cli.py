@@ -78,7 +78,8 @@ class ExperimentConfig:
 
 
 class OutputLock:
-    """One run per output directory at a time: ``train``'s, or ``extract``'s.
+    """One run per output directory at a time: ``train``'s, ``extract``'s, or
+    ``prepare``'s on its ``tensors/``.
 
     The run holds an exclusive ``flock`` on ``<output_dir>/.lock``, which
     the kernel drops however the run ends, a kill included. The file names
@@ -150,6 +151,71 @@ def _scan_raw_dir(raw_dir):
     return records
 
 
+# what each of prepare's tensors was made from, beside the manifest: a dot-file, so outside
+# the benchmark's digest, tensors/ and the encode cache's directory
+PREPARE_RECORD = ".gapnet-prepare.json"
+PREPARE_FORMAT = "gapnet prepare 1"
+
+
+def _stat_key(path):
+    """The stat data git's index keys ``path`` on, which any rewrite of the file
+    changes (its ctime moves even when its bytes and mtime are put back); None
+    when it cannot be stat'ed. The encode cache and prepare's record both trust it."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _made_from(record, image_size):
+    """{sample id: [source path, augmented_from, source stat key, tensor stat key]}
+    of gapnet's own prepare record for ``image_size``, and the record's mtime;
+    nothing for a missing, torn or foreign record."""
+    try:
+        with open(record, "rb") as fh:
+            recorded_at = os.fstat(fh.fileno()).st_mtime_ns
+            obj = json_object(fh.read(), record)
+    except (OSError, GapnetError):
+        return {}, None
+    entries = obj.get("entries")
+    if (obj.get("format") != PREPARE_FORMAT or obj.get("image_size") != image_size
+            or not isinstance(entries, dict)):
+        return {}, None
+    return entries, recorded_at
+
+
+def _prepare_tensors(records, tensor_dir, image_size, record):
+    """Writes each record's tensor, unless ``record`` shows it made from the same
+    source with neither file changed since, and records what each was made from;
+    returns the records, each naming its tensor.
+
+    An entry is trusted only when both files' times are strictly older than the
+    record's mtime, as git trusts its index: a file rewritten within the tick of
+    its stat could keep every field of its key."""
+    made, recorded_at = _made_from(record, image_size)
+    entries = {}
+    prepared = []
+    for rec in records:
+        tensor = tensor_dir / f"{rec.sample_id}.btft"
+        entry = [rec.path, rec.augmented_from, _stat_key(rec.path), _stat_key(tensor)]
+        if not (made.get(rec.sample_id) == entry
+                and all(key is not None and max(key[3:]) < recorded_at for key in entry[2:])):
+            img = datamod.histogram_equalize(datamod.load_image(rec))
+            img = datamod.resize_bilinear(img, image_size, image_size)
+            # a re-run keeps an unchanged tensor's file, and so its encode cache entries
+            save_tensor(datamod.normalize(img), tensor, keep_same=True)
+            entry[3] = _stat_key(tensor)
+        entries[rec.sample_id] = entry
+        prepared.append(replace(rec, path=f"tensors/{rec.sample_id}.btft"))
+    text = json.dumps({"format": PREPARE_FORMAT, "image_size": image_size, "entries": entries})
+    try:
+        write_atomic(record, (text + "\n").encode())
+    except OSError as e:  # the next run then recomputes what it cannot trust
+        print(f"warning: not recording what the tensors were made from: {e}", file=sys.stderr)
+    return prepared
+
+
 def cmd_prepare(args):
     require_counts(least=0, seed=args.seed)
     balance = {} if args.balance_to is None else {"balance_to": args.balance_to}
@@ -171,20 +237,16 @@ def cmd_prepare(args):
 
     records = datamod.split(records, fractions, args.seed, level=args.level)
 
-    if not args.manifest_only:
+    if args.manifest_only:
+        datamod.save_manifest(records, out_manifest)
+    else:
         tensor_dir = out_manifest.parent / "tensors"
         tensor_dir.mkdir(parents=True, exist_ok=True)
-        prepared = []
-        for rec in records:
-            img = datamod.histogram_equalize(datamod.load_image(rec))
-            img = datamod.resize_bilinear(img, args.image_size, args.image_size)
-            # a re-run keeps an unchanged tensor's file, and so its encode cache entries
-            save_tensor(datamod.normalize(img), tensor_dir / f"{rec.sample_id}.btft",
-                        keep_same=True)
-            prepared.append(replace(rec, path=f"tensors/{rec.sample_id}.btft"))
-        records = prepared
-
-    datamod.save_manifest(records, out_manifest)
+        # no other run changes a tensor between its write and its stat
+        with OutputLock(tensor_dir):
+            records = _prepare_tensors(records, tensor_dir, args.image_size,
+                                       out_manifest.parent / PREPARE_RECORD)
+            datamod.save_manifest(records, out_manifest)
     tumor = sum(r.label for r in records)
     print(f"prepared {len(records)} records "
           f"(tumor {tumor}, non-tumor {len(records) - tumor}) -> {out_manifest}")
@@ -267,12 +329,11 @@ class _EncodeCache:
                     self.known[path_tag] = (stat_tag, row)
 
     def __call__(self, rec):
-        try:
-            st = os.stat(rec.path)
-        except OSError:  # reading the input reports it
+        key = _stat_key(rec.path)
+        if key is None:  # reading the input reports it
             return _encode(self.model, rec)
         path_tag = _tag(rec.path)
-        stat_tag = _tag(st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+        stat_tag = _tag(*key)
         entry = self.known.get(path_tag)
         if entry is not None and entry[0] == stat_tag:
             self.hits += 1

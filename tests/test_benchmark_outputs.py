@@ -76,6 +76,23 @@ def test_a_small_finetune_round_passes_the_benchmark_checks(tmp_path, harness):
     assert rc.records == {"prepare": 96, "extract": 96}
 
 
+def test_a_round_prepared_twice_digests_as_one_prepared_once(tmp_path, harness):
+    # the second prepare skips the pixel work its record vouches for; the record and
+    # the lock it holds meanwhile are dot-files, which the digest leaves out
+    workloads, in_dir = harness.workloads, tmp_path / "in"
+    subjects = [("n000", 0), ("n001", 0), ("t000", 1), ("t001", 1)]
+    workloads._blob_images(in_dir / "raw", np.random.default_rng(7), subjects, per_subject=4)
+    digests = []
+    for runs in (1, 2):
+        workload = dataclasses.replace(workloads.WORKLOADS["toy_finetune"], prepare_runs=runs)
+        round_dir = tmp_path / f"round{runs}"
+        steps = workloads.make_round(workload, 7, in_dir, round_dir)
+        assert [main(step.argv) for step in steps if step.kind == "prepare"] == [0] * runs
+        assert (round_dir / ".gapnet-prepare.json").is_file()
+        digests.append(harness.round_digest.round_digest(round_dir, in_dir))
+    assert digests[0] == digests[1]
+
+
 EPOCHS_CSV = ("epoch,train_loss,train_acc,val_loss,val_acc,lr,seconds_per_epoch\n"
               "1,0.5,0.75,0.6,0.7,0.0001,{seconds}\n")
 

@@ -9,11 +9,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gapnet import backbone, cli, kernels
+from gapnet import data as datamod
 from gapnet.backbone import load_feature_map, save_tensor
 from gapnet.cli import main
 from gapnet.data import ManifestRecord, load_manifest, save_manifest
@@ -821,6 +823,231 @@ def test_prepare_rewrites_a_damaged_tensor_and_keeps_the_rest(raw_dir, tmp_path,
     assert after.pop(damaged.name) != before.get(damaged.name)
     assert after == before
     assert sorted(p.name for p in (manifest.parent / "tensors").iterdir()) == sorted(good)
+
+
+# ------------------------------------------------------------ prepare's record
+
+@pytest.fixture
+def pixel_work(monkeypatch):
+    """The ids of the records whose pixels prepare computes, and the PGM files it reads."""
+    done = SimpleNamespace(ids=[], pgms=[])
+    load_image, load_pgm = datamod.load_image, datamod.load_pgm
+
+    def image(rec):
+        done.ids.append(rec.sample_id)
+        return load_image(rec)
+
+    def pgm(path):
+        done.pgms.append(path)
+        return load_pgm(path)
+    monkeypatch.setattr(datamod, "load_image", image)
+    monkeypatch.setattr(datamod, "load_pgm", pgm)
+    return done
+
+
+def _prepare_settled(argv):
+    """Runs ``argv``, a prepare, twice: the second time once the file system's clock
+    has passed every time the first run left on its tensors. The second run's record
+    is then strictly newer than every file it names, so it can vouch for them all."""
+    assert main(argv) == 0
+    work = Path(argv[2]).parent
+    newest = max(max(e.stat().st_mtime_ns, e.stat().st_ctime_ns)
+                 for e in os.scandir(work / "tensors"))
+    probe = work / "probe"
+    while True:
+        probe.write_bytes(b"")
+        if probe.stat().st_mtime_ns > newest:
+            break
+        time.sleep(0.001)
+    probe.unlink()
+    assert main(argv) == 0
+
+
+def _same_arguments(raw, record, args):
+    return args
+
+
+def _another_seed(raw, record, args):
+    return args + ["--seed", "4"]
+
+
+def _another_image_size(raw, record, args):
+    return args + ["--image-size", "48"]
+
+
+def _source_rewritten(raw, record, args):
+    """One source PGM rewritten with the same bytes and its mtime put back: its ctime moves."""
+    pgm = sorted((raw / "tumor").iterdir())[1]
+    st = pgm.stat()
+    pgm.write_bytes(pgm.read_bytes())
+    os.utime(pgm, ns=(st.st_atime_ns, st.st_mtime_ns))
+    return args
+
+
+def _record_deleted(raw, record, args):
+    record.unlink()
+    return args
+
+
+def _record_truncated(raw, record, args):
+    record.write_bytes(record.read_bytes()[:len(record.read_bytes()) // 2])
+    return args
+
+
+def _record_foreign(raw, record, args):
+    record.write_text(json.dumps({**json.loads(record.read_text()), "format": "another"}))
+    return args
+
+
+def _record_set_back(raw, record, args):
+    """The racy case: the record's mtime set back to its oldest tensor's, so no entry's
+    files are strictly older than the record."""
+    oldest = min(e.stat().st_mtime_ns for e in os.scandir(record.parent / "tensors"))
+    os.utime(record, ns=(record.stat().st_atime_ns, oldest))
+    return args
+
+
+def _source_set_racy(raw, record, args):
+    """The racy case for one source: its ctime moved after its tensor was written, a
+    run recorded its new key, and the record's mtime was set back to that ctime."""
+    _source_rewritten(raw, record, args)
+    prepare = ["prepare", str(raw), str(record.parent / "m.jsonl"), "--balance-to", "18"]
+    assert main(prepare + args) == 0
+    ctime = sorted((raw / "tumor").iterdir())[1].stat().st_ctime_ns
+    os.utime(record, ns=(record.stat().st_atime_ns, ctime))
+    return args
+
+
+def _new_ids(records, before):
+    return [rec.sample_id for rec in records if rec.sample_id not in before]
+
+
+def _from_the_rewritten_source(records, before):
+    return [rec.sample_id for rec in records
+            if (rec.augmented_from or rec.sample_id) == "subj001_axial_1"]
+
+
+def _every_id(records, before):
+    return [rec.sample_id for rec in records]
+
+
+@pytest.mark.parametrize("change, computed", [
+    pytest.param(_same_arguments, lambda records, before: [], id="same-arguments"),
+    pytest.param(_another_seed, _new_ids, id="another-seed"),
+    pytest.param(_source_rewritten, _from_the_rewritten_source, id="source-rewritten"),
+    pytest.param(_another_image_size, _every_id, id="another-image-size"),
+    pytest.param(_record_deleted, _every_id, id="record-deleted"),
+    pytest.param(_record_truncated, _every_id, id="record-truncated"),
+    pytest.param(_record_foreign, _every_id, id="record-foreign"),
+    pytest.param(_record_set_back, _every_id, id="record-racy"),
+    pytest.param(_source_set_racy, _from_the_rewritten_source, id="source-racy"),
+])
+def test_prepare_computes_only_what_its_record_cannot_vouch_for(raw_dir, tmp_path, pixel_work,
+                                                                 change, computed):
+    raw = tmp_path / "raw"
+    shutil.copytree(raw_dir, raw)
+    manifest = tmp_path / "work" / "m.jsonl"
+    prepare = ["prepare", str(raw), str(manifest), "--balance-to", "18"]
+    args = ["--seed", "3", "--image-size", "32"]
+    _prepare_settled(prepare + args)
+    before = {rec.sample_id for rec in load_manifest(manifest)}
+    kept, text = _tensor_stats(manifest), manifest.read_bytes()
+
+    args = change(raw, manifest.parent / cli.PREPARE_RECORD, args)
+    pixel_work.ids.clear(), pixel_work.pgms.clear()
+    assert main(prepare + args) == 0
+    records = load_manifest(manifest)
+    assert pixel_work.ids == computed(records, before)
+    assert pixel_work.ids or change is _same_arguments
+    assert len(pixel_work.pgms) == len(pixel_work.ids)
+
+    fresh = tmp_path / "fresh" / "m.jsonl"
+    assert main(prepare[:2] + [str(fresh)] + prepare[3:] + args) == 0
+    assert manifest.read_bytes() == fresh.read_bytes()
+    assert [(manifest.parent / rec.path).read_bytes() for rec in records] == [
+        (fresh.parent / rec.path).read_bytes() for rec in records]
+    if "--image-size" not in args[2:]:  # the same pixels: every shared tensor file kept
+        after = _tensor_stats(manifest)
+        assert {n: after[n] for n in kept if n in after} == kept
+    if change is _same_arguments:
+        assert manifest.read_bytes() == text
+
+
+def test_a_record_that_cannot_be_written_warns_once_and_the_run_succeeds(raw_dir, tmp_path,
+                                                                        capsys, pixel_work):
+    manifest = tmp_path / "work" / "m.jsonl"
+    (tmp_path / "work" / cli.PREPARE_RECORD).mkdir(parents=True)
+    argv = ["prepare", str(raw_dir), str(manifest), "--seed", "3", "--image-size", "32"]
+    for _ in range(2):  # and the next run, finding no record, computes every record
+        pixel_work.ids.clear()
+        assert main(argv) == 0
+        assert len(pixel_work.ids) == 30
+        err = capsys.readouterr().err
+        assert err.startswith("warning: not recording what the tensors were made from: ")
+        assert err.count("\n") == 1
+    assert len(load_manifest(manifest)) == 30
+
+
+def test_prepare_into_a_locked_tensor_directory_exits_1(raw_dir, tmp_path, capsys):
+    work = tmp_path / "work"
+    (work / "tensors").mkdir(parents=True)
+    argv = ["prepare", str(raw_dir), str(work / "m.jsonl"), "--seed", "3", "--image-size", "32"]
+    with cli.OutputLock(work / "tensors"):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"error: output directory is locked by another run "
+                                           f"(pid {os.getpid()}): {work / 'tensors' / '.lock'}\n")
+        assert [p.name for p in work.iterdir()] == ["tensors"]
+        assert main(argv + ["--manifest-only"]) == 0  # takes no lock and writes no record
+    assert sorted(p.name for p in work.iterdir()) == ["m.jsonl", "tensors"]
+    assert not any((work / "tensors").iterdir())
+
+
+def _prepared_files(manifest):
+    return manifest.read_bytes(), _extracted(manifest.parent / "tensors")
+
+
+def test_an_interrupted_prepare_reruns_to_the_bytes_of_an_uncut_one(tmp_path, monkeypatch):
+    # generation b (48x48) prepared over generation a (32x32), cut at each of its
+    # os.replace calls in turn: each tensor, the record, the manifest
+    raw = tmp_path / "raw"
+    for k in range(6):
+        sub = raw / ("tumor" if k % 2 else "non_tumor")
+        sub.mkdir(parents=True, exist_ok=True)
+        img = np.random.default_rng(k).integers(0, 256, (40, 40)).astype(np.uint8)
+        save_pgm(img, sub / f"s{k}_axial_0.pgm")
+    manifest = tmp_path / "work" / "m.jsonl"
+    a = ["prepare", str(raw), str(manifest), "--seed", "1", "--image-size", "32"]
+    b = a[:-1] + ["48"]
+    fresh = tmp_path / "fresh" / "m.jsonl"
+    assert main(b[:2] + [str(fresh)] + b[3:]) == 0
+    want = _prepared_files(fresh)
+    real_replace = os.replace
+    for cut in itertools.count(1):
+        assert main(a) == 0
+        old = dict(_prepared_files(manifest)[1])
+        replaces = []
+
+        def replace(src, dst):
+            replaces.append(os.path.basename(dst))
+            if len(replaces) == cut:
+                raise Killed(dst)
+            real_replace(src, dst)
+        monkeypatch.setattr(os, "replace", replace)
+        try:
+            main(b)
+        except Killed:
+            pass
+        finally:
+            monkeypatch.undo()
+        assert not [p for p in manifest.parent.rglob("*") if p.name.endswith(".tmp")]
+        if len(replaces) < cut:  # the prepare ran to its end
+            break
+        assert main(b) == 0
+        assert _prepared_files(manifest) == want
+        assert not any(old[name] == data for name, data in want[1])
+    ids = [rec.sample_id for rec in load_manifest(fresh)]
+    assert cut == 9 and replaces == [f"{i}.btft" for i in ids] + [cli.PREPARE_RECORD, "m.jsonl"]
+    assert _prepared_files(manifest) == want
 
 
 def _prefix_dirs(manifest):
