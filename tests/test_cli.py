@@ -875,9 +875,12 @@ def _another_image_size(raw, record, args):
     return args + ["--image-size", "48"]
 
 
+REWRITTEN = "subj001_axial_1"  # a tumor image of raw_dir's
+
+
 def _source_rewritten(raw, record, args):
     """One source PGM rewritten with the same bytes and its mtime put back: its ctime moves."""
-    pgm = sorted((raw / "tumor").iterdir())[1]
+    pgm = raw / "tumor" / f"{REWRITTEN}.pgm"
     st = pgm.stat()
     pgm.write_bytes(pgm.read_bytes())
     os.utime(pgm, ns=(st.st_atime_ns, st.st_mtime_ns))
@@ -913,7 +916,7 @@ def _source_set_racy(raw, record, args):
     _source_rewritten(raw, record, args)
     prepare = ["prepare", str(raw), str(record.parent / "m.jsonl"), "--balance-to", "18"]
     assert main(prepare + args) == 0
-    ctime = sorted((raw / "tumor").iterdir())[1].stat().st_ctime_ns
+    ctime = (raw / "tumor" / f"{REWRITTEN}.pgm").stat().st_ctime_ns
     os.utime(record, ns=(record.stat().st_atime_ns, ctime))
     return args
 
@@ -924,7 +927,7 @@ def _new_ids(records, before):
 
 def _from_the_rewritten_source(records, before):
     return [rec.sample_id for rec in records
-            if (rec.augmented_from or rec.sample_id) == "subj001_axial_1"]
+            if (rec.augmented_from or rec.sample_id) == REWRITTEN]
 
 
 def _every_id(records, before):
@@ -954,7 +957,8 @@ def test_prepare_computes_only_what_its_record_cannot_vouch_for(raw_dir, tmp_pat
     kept, text = _tensor_stats(manifest), manifest.read_bytes()
 
     args = change(raw, manifest.parent / cli.PREPARE_RECORD, args)
-    pixel_work.ids.clear(), pixel_work.pgms.clear()
+    pixel_work.ids.clear()
+    pixel_work.pgms.clear()
     assert main(prepare + args) == 0
     records = load_manifest(manifest)
     assert pixel_work.ids == computed(records, before)
@@ -966,7 +970,7 @@ def test_prepare_computes_only_what_its_record_cannot_vouch_for(raw_dir, tmp_pat
     assert manifest.read_bytes() == fresh.read_bytes()
     assert [(manifest.parent / rec.path).read_bytes() for rec in records] == [
         (fresh.parent / rec.path).read_bytes() for rec in records]
-    if "--image-size" not in args[2:]:  # the same pixels: every shared tensor file kept
+    if change is not _another_image_size:  # the same pixels: every shared tensor file kept
         after = _tensor_stats(manifest)
         assert {n: after[n] for n in kept if n in after} == kept
     if change is _same_arguments:
