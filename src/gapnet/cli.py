@@ -163,7 +163,7 @@ def _stat_key(path):
     when it cannot be stat'ed. The encode cache and prepare's record both trust it."""
     try:
         st = os.stat(path)
-    except OSError:
+    except (OSError, ValueError):  # ValueError: a NUL in a path a record names
         return None
     return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
 
@@ -185,6 +185,13 @@ def _made_from(record, image_size):
     return entries, recorded_at
 
 
+def _vouched(made, sample_id, entry, recorded_at):
+    """Whether the record read as ``made`` holds ``entry`` for ``sample_id``, with both
+    files' times strictly older than the record's mtime ``recorded_at``."""
+    return made.get(sample_id) == entry and all(
+        key is not None and max(key[3:]) < recorded_at for key in entry[2:])
+
+
 def _prepare_tensors(records, tensor_dir, image_size, record):
     """Writes each record's tensor, unless ``record`` shows it made from the same
     source with neither file changed since, and records what each was made from;
@@ -192,15 +199,16 @@ def _prepare_tensors(records, tensor_dir, image_size, record):
 
     An entry is trusted only when both files' times are strictly older than the
     record's mtime, as git trusts its index: a file rewritten within the tick of
-    its stat could keep every field of its key."""
+    its stat could keep every field of its key. The entries of ids the records do
+    not have, another manifest's in the same directory, are kept while the record
+    could still vouch for them."""
     made, recorded_at = _made_from(record, image_size)
     entries = {}
     prepared = []
     for rec in records:
         tensor = tensor_dir / f"{rec.sample_id}.btft"
         entry = [rec.path, rec.augmented_from, _stat_key(rec.path), _stat_key(tensor)]
-        if not (made.get(rec.sample_id) == entry
-                and all(key is not None and max(key[3:]) < recorded_at for key in entry[2:])):
+        if not _vouched(made, rec.sample_id, entry, recorded_at):
             img = datamod.histogram_equalize(datamod.load_image(rec))
             img = datamod.resize_bilinear(img, image_size, image_size)
             # a re-run keeps an unchanged tensor's file, and so its encode cache entries
@@ -208,6 +216,12 @@ def _prepare_tensors(records, tensor_dir, image_size, record):
             entry[3] = _stat_key(tensor)
         entries[rec.sample_id] = entry
         prepared.append(replace(rec, path=f"tensors/{rec.sample_id}.btft"))
+    for sample_id, old in made.items():
+        if (sample_id not in entries and datamod.plain_name(sample_id) and isinstance(old, list)
+                and len(old) == 4 and isinstance(old[0], str)):
+            keys = [_stat_key(old[0]), _stat_key(tensor_dir / f"{sample_id}.btft")]
+            if _vouched(made, sample_id, old[:2] + keys, recorded_at):
+                entries[sample_id] = old
     text = json.dumps({"format": PREPARE_FORMAT, "image_size": image_size, "entries": entries})
     try:
         write_atomic(record, (text + "\n").encode())
@@ -411,7 +425,8 @@ def _cache_note(hits, n):
 # ------------------------------------------------------------ subcommands
 
 # extract's commit record, written last: the ids in manifest order and one sha256 over
-# their vector files' bytes in that order
+# their vector files' bytes in that order; written first without the sha256, it lists
+# every id whose vector the run may change or remove, and vouches for none of them
 EXTRACT_RECORD = "extract.json"
 EXTRACT_FORMAT = "gapnet extract 1"
 
@@ -484,8 +499,8 @@ def cmd_eval(args):
 
 
 def _listed_ids(record):
-    """The ids of gapnet's own extract record whose every id is a plain file name;
-    none for a missing or foreign record."""
+    """The ids of gapnet's own extract record, finished or not, whose every id is a
+    plain file name; none for a missing or foreign record."""
     try:
         obj = json_object(record.read_bytes(), record)
     except (OSError, GapnetError):
@@ -506,10 +521,12 @@ def cmd_extract(args):
     ids = [rec.sample_id for rec in records]
     commit = out_dir / EXTRACT_RECORD
     with OutputLock(out_dir):
-        # from here until the new record is written, the directory is no finished extract
-        stale = _listed_ids(commit).difference(ids)
-        commit.unlink(missing_ok=True)
-        for sample_id in sorted(stale):
+        # from here until the new record is written, the directory is no finished extract,
+        # and its record still names every vector a cut could leave behind
+        stale = sorted(_listed_ids(commit).difference(ids))
+        write_atomic(commit, (json.dumps({"format": EXTRACT_FORMAT, "ids": ids + stale},
+                                         indent=2) + "\n").encode())
+        for sample_id in stale:
             (out_dir / f"{sample_id}.btft").unlink(missing_ok=True)
         digest = hashlib.sha256()
         # one projection GEMM per chunk of encoded records, as predict() runs them

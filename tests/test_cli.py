@@ -445,11 +445,14 @@ def _small_extract(tmp_path, name, ids, seed):
 
 def _committed(out_dir):
     """The ids ``extract.json`` lists, once its sha256 is checked against their files'
-    bytes in that order; None when there is no record."""
+    bytes in that order; None when there is no record or only an unfinished one, which
+    has no sha256."""
     record = out_dir / "extract.json"
     if not record.exists():
         return None
     obj = json.loads(record.read_text())
+    if "sha256" not in obj:
+        return None
     digest = hashlib.sha256()
     for sample_id in obj["ids"]:
         digest.update((out_dir / f"{sample_id}.btft").read_bytes())
@@ -527,6 +530,33 @@ def test_extract_removes_only_the_stale_vectors_its_last_record_listed(tmp_path)
         assert main(b) == 0
 
 
+def test_an_extract_after_a_cut_one_removes_what_the_cut_run_wrote(tmp_path, monkeypatch):
+    # a, then b cut after its last vector's write began, then c: the vectors of ids that
+    # only b had are c's to remove, and the directory ends as a fresh extract of c
+    out = tmp_path / "v"
+    a = _small_extract(tmp_path, "a", range(8), seed=1) + ["--out-dir", str(out)]
+    b = _small_extract(tmp_path, "b", range(2, 10), seed=2) + ["--out-dir", str(out)]
+    c = _small_extract(tmp_path, "c", range(5), seed=3) + ["--out-dir", str(out)]
+    assert main(c[:-1] + [str(tmp_path / "fresh")]) == 0
+    assert main(a) == 0
+    real_rewrite = cli.rewrite_tensor
+
+    def rewrite(t, path):
+        data = real_rewrite(t, path)
+        if Path(path).name == "m9.btft":
+            os.truncate(path, len(data) // 2)  # a torn write
+            raise Killed(path)
+        return data
+    monkeypatch.setattr(cli, "rewrite_tensor", rewrite)
+    with pytest.raises(Killed):
+        main(b)
+    monkeypatch.undo()
+    assert {"m8.btft", "m9.btft"} <= {p.name for p in out.iterdir()}
+    assert _committed(out) is None
+    assert main(c) == 0
+    assert _extracted(out) == _extracted(tmp_path / "fresh")
+
+
 def test_extract_into_a_locked_directory_exits_1(tmp_path, capsys):
     out = tmp_path / "v"
     out.mkdir()
@@ -540,8 +570,9 @@ def test_extract_into_a_locked_directory_exits_1(tmp_path, capsys):
 
 def test_an_interrupted_extract_never_commits_mixed_vectors(tmp_path, monkeypatch):
     # generation b extracted over generation a, cut at each of its file operations in
-    # turn: the record goes first and comes back last, so the directory holds a's record,
-    # b's, or none; a re-run gives b's bytes; no temp file is left behind
+    # turn: an unfinished record replaces a's first and b's finished one comes last, so
+    # the directory holds a's finished record, b's, or none; a re-run gives b's bytes and
+    # nothing else; no temp file is left behind
     out = tmp_path / "v"
     a = _small_extract(tmp_path, "a", range(8), seed=1) + ["--out-dir", str(out)]
     b = _small_extract(tmp_path, "b", range(2, 10), seed=2) + ["--out-dir", str(out)]
@@ -590,12 +621,10 @@ def test_an_interrupted_extract_never_commits_mixed_vectors(tmp_path, monkeypatc
             break
         assert _committed(out) in (None, [f"m{k}" for k in range(8)])
         assert main(b) == 0
-        # a cut after the record went and before a stale vector did leaves that vector:
-        # no record names it any more
-        left = {2: {"m0.btft", "m1.btft"}, 3: {"m1.btft"}}.get(cut, set())
-        assert _extracted(out) == sorted(want + [(n, (out / n).read_bytes()) for n in left])
+        # the unfinished record still names every stale vector a cut left behind
+        assert _extracted(out) == want
     assert _committed(out) == [f"m{k}" for k in range(2, 10)]
-    assert cut == 13 and ops == [("unlink", "extract.json"), ("unlink", "m0.btft"),
+    assert cut == 13 and ops == [("replace", "extract.json"), ("unlink", "m0.btft"),
                                  ("unlink", "m1.btft"),
                                  *[("write", f"m{k}.btft") for k in range(2, 10)],
                                  ("replace", "extract.json")]
@@ -975,6 +1004,33 @@ def test_prepare_computes_only_what_its_record_cannot_vouch_for(raw_dir, tmp_pat
         assert {n: after[n] for n in kept if n in after} == kept
     if change is _same_arguments:
         assert manifest.read_bytes() == text
+
+
+def test_prepare_keeps_another_manifests_entries_while_their_tensors_are_unchanged(
+        raw_dir, tmp_path, pixel_work):
+    # manifests a and b, of other seeds, prepared in turn into one directory: each keeps
+    # the other's entries, so a re-run of either computes nothing, until a tensor
+    # only the other names is rewritten
+    work = tmp_path / "work"
+    a = ["prepare", str(raw_dir), str(work / "a.jsonl"), "--balance-to", "18", "--seed", "1",
+         "--image-size", "32"]
+    b = a[:2] + [str(work / "b.jsonl")] + a[3:5] + ["--seed", "2"] + a[7:]
+    _prepare_settled(a)
+    _prepare_settled(b)
+    a_ids, b_ids = ({rec.sample_id for rec in load_manifest(work / f"{n}.jsonl")} for n in "ab")
+    assert a_ids - b_ids and b_ids - a_ids
+    for argv in (a, b):
+        pixel_work.ids.clear()
+        assert main(argv) == 0
+        assert pixel_work.ids == []
+    rewritten = sorted(b_ids - a_ids)[0]
+    tensor = work / "tensors" / f"{rewritten}.btft"
+    tensor.write_bytes(tensor.read_bytes())
+    assert main(a) == 0
+    assert rewritten not in json.loads((work / cli.PREPARE_RECORD).read_text())["entries"]
+    pixel_work.ids.clear()
+    assert main(b) == 0
+    assert pixel_work.ids == [rewritten]
 
 
 def test_a_record_that_cannot_be_written_warns_once_and_the_run_succeeds(raw_dir, tmp_path,
