@@ -1032,6 +1032,15 @@ def test_prepare_keeps_another_manifests_entries_while_their_tensors_are_unchang
     assert main(b) == 0
     assert pixel_work.ids == [rewritten]
 
+    # entries gapnet did not write, for ids no manifest has, are dropped, not followed
+    record = json.loads((work / cli.PREPARE_RECORD).read_text())
+    odd = {"../x": record["entries"][rewritten], "nul": ["a\0b", None, None, None],
+           "short": [], "text": "entry", "number": [1, None, None, None]}
+    (work / cli.PREPARE_RECORD).write_text(json.dumps({**record,
+                                                       "entries": {**record["entries"], **odd}}))
+    assert main(a) == 0
+    assert not odd.keys() & json.loads((work / cli.PREPARE_RECORD).read_text())["entries"].keys()
+
 
 def test_a_record_that_cannot_be_written_warns_once_and_the_run_succeeds(raw_dir, tmp_path,
                                                                         capsys, pixel_work):
