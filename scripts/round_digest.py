@@ -2,13 +2,16 @@
 """One sha256 over everything a seeded benchmark round writes, timings left out.
 
     python3 scripts/round_digest.py --workload imported_2048 --seed 7
+    python3 scripts/round_digest.py --workload all --seed 7
 
 The inputs and the round (prepare, train per head, extract and eval)
 come from ``perfbench/workloads.py``, which this script imports and does
 not change. Each step runs through ``gapnet.cli.main`` in this process,
 in a temporary directory, with the benchmark's single-threaded BLAS.
-Standard output is the digest alone; a failing step prints its output to
-standard error and exits 1.
+Standard output is the digest alone; with ``--workload all`` it is one
+``W=HEX`` line per workload, in name order, the form ``bench_record.py``'s
+``--parent-digest`` and ``--change-digest`` take. A failing step prints its
+output to standard error and exits 1.
 
 The digest covers every file of the round directory except dot-files
 (the encode cache and the output locks), each under its relative path:
@@ -77,24 +80,35 @@ def round_digest(round_dir, in_dir):
     return h.hexdigest()
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    args = parser.parse_args(argv)
-    workload = WORKLOADS[args.workload]
+def workload_digest(name, seed):
+    """The digest of one seeded round of workload ``name``; None, its failing
+    step's output on standard error, when a step fails."""
+    workload = WORKLOADS[name]
     with tempfile.TemporaryDirectory(prefix="gapnet-digest-") as tmp:
         in_dir, round_dir = Path(tmp).resolve() / "in", Path(tmp).resolve() / "round"
-        make_inputs(workload, args.seed, in_dir)
-        for step in make_round(workload, args.seed, in_dir, round_dir):
+        make_inputs(workload, seed, in_dir)
+        for step in make_round(workload, seed, in_dir, round_dir):
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
                 code = gapnet_main(step.argv)
             if code != 0:
                 sys.stderr.write(out.getvalue())
-                print(f"error: {step.kind} exited {code}", file=sys.stderr)
-                return 1
-        print(round_digest(round_dir, in_dir))
+                print(f"error: {name} {step.kind} exited {code}", file=sys.stderr)
+                return None
+        return round_digest(round_dir, in_dir)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=sorted(WORKLOADS) + ["all"], required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    names = sorted(WORKLOADS) if args.workload == "all" else [args.workload]
+    for name in names:
+        digest = workload_digest(name, args.seed)
+        if digest is None:
+            return 1
+        print(f"{name}={digest}" if args.workload == "all" else digest)
     return 0
 
 

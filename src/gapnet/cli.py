@@ -285,6 +285,27 @@ def _encode(model, rec):
         raise GapnetError(f"{rec.path}: {e}") from e
 
 
+class _Reread:
+    """A trainable backbone's row: a reference to its input file, not the image.
+
+    The file is read and checked once here, after its ``_stat_key`` is taken,
+    and read and checked again (``_encode``) each time a pass calls the row,
+    so training holds one image at a time rather than all of them. A file whose
+    stat key has changed since is refused, naming it: it is no longer the input
+    that was checked. A file gone since reports itself as missing."""
+
+    def __init__(self, model, rec):
+        self.model, self.rec = model, rec
+        self.key = _stat_key(rec.path)
+        _encode(model, rec)
+
+    def __call__(self):
+        key = _stat_key(self.rec.path)
+        if key is not None and key != self.key:
+            raise GapnetError(f"{self.rec.path}: changed since training first read it")
+        return _encode(self.model, self.rec)
+
+
 def _tag(*parts):
     return hashlib.sha256("\0".join(map(str, parts)).encode()).hexdigest()[:32]
 
@@ -391,13 +412,15 @@ class _EncodeCache:
 
 @contextlib.contextmanager
 def _encoded_inputs(manifest, model):
-    """Yields rec -> the row ``model.forward`` takes for it, for the
-    records of ``manifest``. With a frozen prefix the row comes from the
-    on-disk cache where it can, and what was encoded is cached on exit; a
-    backbone that trains (only ever in a model built to train, never in a
-    loaded checkpoint) takes raw inputs, which are never cached."""
+    """Yields rec -> its row, for the records of ``manifest``: the one
+    place that decides what a row is. With a frozen prefix the row is the
+    encoded input ``model.forward`` takes, from the on-disk cache where it
+    can, and what was encoded is cached on exit. A backbone that trains
+    (only ever in a model built to train, never in a loaded checkpoint)
+    takes raw inputs, which are never cached: its row is a ``_Reread`` of
+    the input's file, which each pass calls for the image."""
     if not model.frozen.layers:
-        yield lambda rec: _encode(model, rec)
+        yield lambda rec: _Reread(model, rec)
         return
     cache = _EncodeCache(manifest, model)
     yield cache
@@ -405,10 +428,13 @@ def _encoded_inputs(manifest, model):
 
 
 def build_dataset(config, model, splits):
-    """{split: (encoded input, label) pairs} of ``splits``, only the encoded
-    rows kept, and how many inputs came from the encode cache (None when
-    nothing is frozen, so nothing is cached): the frozen prefix runs once
-    per file."""
+    """{split: (row, label) pairs} of ``splits``, and how many inputs came
+    from the encode cache (None when nothing is frozen, so nothing is
+    cached). With a frozen prefix a row is the encoded input, the frozen
+    prefix run once per file and only its output kept; with none it is a
+    reference that re-reads the input at each pass (``_Reread``), so
+    memory holds no image between passes. Either way every input is read
+    and checked here, before training starts."""
     dataset = {split: [] for split in splits}
     with _encoded_inputs(config.manifest, model) as load:
         for rec in _records(config.manifest, splits):

@@ -109,8 +109,11 @@ class ReLU(Layer):
 
     def backward(self, grad_out, input_grad=True):
         x = self._need_cache()
-        # subgradient 0 at x == 0
-        return grad_out * (x > 0)
+        # subgradient 0 at x == 0; grad_out * (x > 0)'s bits (-0.0 where a negative
+        # gradient meets x <= 0), but a float mask skips the bool operand's buffered cast
+        mask = (x > 0).astype(x.dtype)
+        mask *= grad_out
+        return mask
 
 
 class Dropout(Layer):
@@ -170,7 +173,10 @@ class GlobalAvgPool(Layer):
         if grad_out.shape != (b, c):
             raise GapnetError(f"expected grad of shape ({b}, {c}), got {grad_out.shape}")
         per_cell = grad_out / grad_out.dtype.type(h * w)
-        return np.broadcast_to(per_cell[:, None, None, :], (b, h, w, c)).copy()
+        dx = np.empty((b, h, w, c), per_cell.dtype)
+        dx[:, :1] = per_cell[:, None, None, :]  # one row of cells, then copies of it down H
+        dx[:, 1:] = dx[:, :1]
+        return dx
 
 
 class Conv1D(Layer):

@@ -170,17 +170,26 @@ class EpochLog:
 
 def passes(model, rows, batch_size):
     """Split ``rows`` into the chunks one forward/backward pass takes: one image
-    at a time for a trainable backbone, which keeps one image's conv
-    activations in memory, else whole batches of cached GAP vectors. Only a
-    model built to train has a trainable backbone (``Model._build``), so a
-    loaded checkpoint always scores whole batches."""
+    at a time for a trainable backbone, so that memory holds one image and
+    its conv activations (``cli.build_dataset``'s rows re-read the image at
+    each pass), else whole batches of cached GAP vectors. Only a model built
+    to train has a trainable backbone (``Model._build``), so a loaded
+    checkpoint always scores whole batches."""
     step = batch_size if model.frozen.layers else 1
     return [rows[i:i + step] for i in range(0, len(rows), step)]
 
 
+def _fetch(rows):
+    """The batch one pass takes from its ``rows``: each an encoded input, or a
+    callable that reads one (a trainable backbone's image). One row is its
+    array reshaped, a view with the strides ``np.stack`` would give, not a copy."""
+    xs = [x() if callable(x) else x for x in rows]
+    return xs[0].reshape((1,) + xs[0].shape) if len(xs) == 1 else np.stack(xs)
+
+
 def predict(model, inputs, batch_size):
-    """(N,) eval-mode logits of a list of N encoded inputs."""
-    return np.concatenate([model.forward(np.stack([inputs[i] for i in rows]))
+    """(N,) eval-mode logits of a list of N rows (``_fetch``)."""
+    return np.concatenate([model.forward(_fetch([inputs[i] for i in rows]))
                            for rows in passes(model, range(len(inputs)), batch_size)])
 
 
@@ -194,17 +203,21 @@ def _evaluate(model, samples, batch_size):
 def train_loop(model, train, val, config):
     """Seeded epoch loop: shuffle, mini-batch Adam/BCE, scheduler, early stop.
 
-    ``train`` and ``val`` are lists of (encoded input, label) pairs; the
-    result is one ``EpochLog`` per epoch run. The inputs are encoded
-    (``Model.encode``): the caller runs the frozen prefix once per sample
-    (the extract-once protocol), so every epoch runs only the part of the
-    network that training changes, one forward, BCE and backward per
-    mini-batch. A model with a trainable backbone runs each mini-batch one
-    image at a time (``passes``), and the loop sums the passes' gradients
+    ``train`` and ``val`` are lists of (row, label) pairs; the result is
+    one ``EpochLog`` per epoch run. A row is an encoded input
+    (``Model.encode``) or a callable returning one, called at each pass
+    that uses it (``_fetch``): ``cli.build_dataset``'s rows for a trainable
+    backbone re-read the image. With a frozen prefix the caller has run it
+    once per sample (the extract-once protocol), so every epoch runs only
+    the part of the network that training changes, one forward, BCE and
+    backward per mini-batch. A model with a trainable backbone runs each
+    mini-batch, and the val pass, one image at a time (``passes``), and
+    the loop sums the passes' gradients
     in one buffer of the trainable size: the first pass's are copied into
     it and each later pass's added. Either way one Adam step follows each
     mini-batch; a frozen model's reads the trainable suffix of
-    ``flat_grads`` itself. An error raised in a pass names its epoch.
+    ``flat_grads`` itself. An error raised in a pass, a bad or missing
+    input's included, names its epoch.
     """
     config.validate()
     if not train:
@@ -228,11 +241,11 @@ def train_loop(model, train, val, config):
         order = rng.permutation(len(train))
         losses = []
         hits = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            try:
+        try:
+            for start in range(0, len(order), config.batch_size):
+                batch = order[start:start + config.batch_size]
                 for k, rows in enumerate(passes(model, batch, config.batch_size)):
-                    x = np.stack([train[i][0] for i in rows])
+                    x = _fetch([train[i][0] for i in rows])
                     y = np.array([train[i][1] for i in rows])
                     z = model.forward(x, train=True)
                     loss, dldz = bce_loss(z, y)
@@ -244,12 +257,14 @@ def train_loop(model, train, val, config):
                             summed += grads
                         else:
                             np.copyto(summed, grads)
-            except GapnetError as e:
-                raise GapnetError(f"epoch {epoch}: {e}") from e
-            adam.step(params, summed, lr)
+                adam.step(params, summed, lr)
+            val_loss, val_acc = _evaluate(model, val, config.batch_size)
+        except GapnetError as e:
+            raise GapnetError(f"epoch {epoch}: {e}") from e
+        except FileNotFoundError as e:  # an input removed since it was first read
+            raise FileNotFoundError(f"epoch {epoch}: {e}") from e
         train_loss = float(np.mean(np.concatenate(losses)))
         train_acc = hits / len(train)
-        val_loss, val_acc = _evaluate(model, val, config.batch_size)
         if not np.isfinite(train_loss) or not np.isfinite(val_loss):
             raise GapnetError(f"non-finite loss at epoch {epoch}")
         seconds = time.perf_counter() - t0

@@ -7,6 +7,7 @@ on. Both are imported as they are, with ``perfbench/`` on the path as
 """
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -137,3 +138,29 @@ def test_round_digest_drops_timings_paths_and_dot_files(tmp_path, harness):
     data[17] ^= 1
     params.write_bytes(bytes(data))
     assert rd.round_digest(other_round, other_in) != digest
+
+
+def test_round_digest_of_all_workloads_prints_what_bench_record_takes(harness, monkeypatch,
+                                                                        capsys):
+    rd = harness.round_digest
+    fake = {name: hashlib.sha256(name.encode()).hexdigest() for name in rd.WORKLOADS}
+    seen = []
+
+    def workload_digest(name, seed):  # a round per workload is the slow part, not the format
+        seen.append((name, seed))
+        return fake[name]
+
+    monkeypatch.setattr(rd, "workload_digest", workload_digest)
+    assert rd.main(["--workload", "all", "--seed", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert seen == [(name, 7) for name in sorted(rd.WORKLOADS)]
+    assert lines == [f"{name}={fake[name]}" for name in sorted(rd.WORKLOADS)]
+    spec = importlib.util.spec_from_file_location("bench_record",
+                                                  ROOT / "scripts" / "bench_record.py")
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    assert bench_record.digests(lines, "--parent-digest") == fake
+
+    # one workload: the digest alone, as before
+    assert rd.main(["--workload", "toy_frozen", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == fake["toy_frozen"] + "\n"

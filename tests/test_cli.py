@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,11 +16,13 @@ import numpy as np
 import pytest
 
 from gapnet import backbone, cli, kernels
+from gapnet import train as train_mod
 from gapnet import data as datamod
 from gapnet.backbone import load_feature_map, save_tensor
 from gapnet.cli import main
 from gapnet.data import ManifestRecord, load_manifest, save_manifest
 from gapnet.pipeline import Model, ModelSpec, load_checkpoint, save_checkpoint
+from gapnet.train import TrainConfig, train_loop
 from synth import blob_dataset, save_pgm
 
 
@@ -1261,13 +1264,18 @@ def test_unwritable_cache_evals_uncached_with_one_warning(raw_dir, tmp_path, cap
     assert scored[0] == scored[1]
 
 
-def test_trainable_backbone_trains_uncached_and_its_checkpoint_scores_cached(
-        raw_dir, tmp_path, capsys, conv_calls):
-    manifest = _prepared(raw_dir, tmp_path)
-    cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn", max_epochs=1)
+def _trainable_config(manifest, tmp_path, **train):
+    cfg = write_config(tmp_path / "dfn.json", manifest, tmp_path / "run", "dfn", **train)
     obj = json.loads(cfg.read_text())
     obj["model"]["backbone_trainable"] = True
     cfg.write_text(json.dumps(obj))
+    return cfg
+
+
+def test_trainable_backbone_trains_uncached_and_its_checkpoint_scores_cached(
+        raw_dir, tmp_path, capsys, conv_calls):
+    manifest = _prepared(raw_dir, tmp_path)
+    cfg = _trainable_config(manifest, tmp_path, max_epochs=1)
     capsys.readouterr()
     assert main(["train", str(cfg)]) == 0
     assert capsys.readouterr().out.endswith(f"-> {tmp_path / 'run'}\n")  # no cache to report
@@ -1295,6 +1303,69 @@ def test_trainable_backbone_trains_uncached_and_its_checkpoint_scores_cached(
     assert main(["eval", str(cfg), ckpt]) == 0
     assert len(conv_calls) == 2 * 6
     assert _scored(tmp_path / "run") == hit
+
+
+def test_a_trainable_backbone_holds_one_input_image_not_all_of_them(tmp_path):
+    # tracemalloc sees numpy's buffers and Python's objects alike. Images are full
+    # size: a record's own objects (its record, stat key, per-pass loss) take about
+    # 2.5 KB, more than a 13x13 image's 676 bytes, so those would hide an O(N)
+    image = 4 * int(np.prod(backbone.TOY_INPUT_SHAPE))
+    spec = ModelSpec(backbone="toy_cnn", head_input_channels=16, backbone_trainable=True,
+                     projection_dim=8, hidden_widths=(4,), dropout_rates=(0.0,))
+    peaks = {}
+    for n in (40, 8):  # 40 first, so one-time allocations count against it
+        manifest = tmp_path / f"n{n}" / "m.jsonl"
+        (manifest.parent / "tensors").mkdir(parents=True)
+        rng = np.random.default_rng(n)
+        records = []
+        for i in range(n):
+            save_tensor(rng.standard_normal(backbone.TOY_INPUT_SHAPE).astype(np.float32),
+                        manifest.parent / "tensors" / f"s{i}.btft")
+            records.append(ManifestRecord(f"s{i}", f"tensors/s{i}.btft", i % 2, f"p{i}",
+                                          split="val" if i % 4 == 0 else "train"))
+        save_manifest(records, manifest)
+        model = Model(spec, seed=3)
+        config = SimpleNamespace(manifest=manifest)
+        tracemalloc.start()
+        try:
+            dataset, hits = cli.build_dataset(config, model, ("train", "val"))
+            train_loop(model, dataset["train"], dataset["val"],
+                       TrainConfig(seed=5, max_epochs=2, batch_size=4))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits is None
+    assert peaks[40] - peaks[8] < 2 * image, (
+        f"traced peak grew {(peaks[40] - peaks[8]) / image:.1f} images from 8 to 40 inputs")
+
+
+@pytest.mark.parametrize("change, code", [("replace", 1), ("delete", 2)])
+def test_an_input_changed_between_epochs_stops_train_with_one_line(
+        raw_dir, tmp_path, capsys, monkeypatch, change, code):
+    manifest = _prepared(raw_dir, tmp_path)
+    cfg = _trainable_config(manifest, tmp_path, max_epochs=3)
+    victim = manifest.parent / load_manifest(manifest)[0].path
+    real_update, epochs = train_mod.early_stop_update, []
+
+    def early_stop_update(*args, **kwargs):  # runs after each epoch's val pass
+        epochs.append(1)
+        if len(epochs) == 1 and change == "replace":
+            new = victim.with_name("new.btft")
+            save_tensor(load_feature_map(victim) + np.float32(1), new)
+            os.replace(new, victim)
+        elif len(epochs) == 1:
+            victim.unlink()
+        return real_update(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "early_stop_update", early_stop_update)
+    capsys.readouterr()
+    assert main(["train", str(cfg)]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: epoch 2: ") and str(victim) in err
+    assert len(epochs) == 1
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []  # no checkpoint, no lock
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
 def test_train_idempotent_checkpoints(raw_dir, tmp_path):

@@ -276,6 +276,44 @@ def test_gap_layer_backward():
     assert not np.any(gap.backward(np.zeros((2, 1), np.float32)))
 
 
+# the backbone's activations, the dfn head's hidden rows, cnn1d's response maps
+RELU_SHAPES = [(1, 110, 110, 8), (1, 53, 53, 16), (32, 256), (32, 128), (32, 4080)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", RELU_SHAPES)
+def test_relu_backward_is_the_masked_product_to_the_bit(shape, dtype):
+    r = np.random.default_rng(len(shape) * 1000 + shape[-1])
+    x = r.standard_normal(shape).astype(dtype)
+    x.flat[::7] = 0.0  # the subgradient point, both signs of it
+    x.flat[3::7] = -0.0
+    g = r.standard_normal(shape).astype(dtype)
+    layer = ReLU()
+    layer.forward(x, train=True)
+    got = layer.backward(g)
+    want = g * (x > 0)
+    # a negative gradient where x <= 0 gives -0.0, which a select of 0 would make +0.0
+    assert np.any(np.signbit(want) & (want == 0))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 53, 53, 16), (2, 7, 7, 32), (3, 1, 5, 2), (2, 4, 1, 3)])
+def test_gap_backward_is_the_broadcast_copy_to_the_bit(shape, dtype):
+    b, h, w, c = shape
+    r = np.random.default_rng(h * w * c)
+    g = r.standard_normal((b, c)).astype(dtype)
+    g[0, 0] = -0.0
+    gap = GlobalAvgPool()
+    gap.forward(r.standard_normal(shape).astype(dtype), train=True)
+    got = gap.backward(g)
+    per_cell = g / g.dtype.type(h * w)
+    want = np.broadcast_to(per_cell[:, None, None, :], shape).copy()
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
 def test_conv1d_layer_identity_and_hand_gradient():
     layer = Conv1D(1, 1, rng())
     layer.params["w"] = np.array([[1.0]], np.float32)
