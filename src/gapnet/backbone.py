@@ -122,16 +122,28 @@ def rewrite_tensor(t, path):
     return data
 
 
-def load_feature_map(path):
+def stat_key(st):
+    """The stat data git's index keys a file on, from its ``os.stat`` or
+    ``os.fstat`` result: any rewrite of the file changes it (its ctime moves
+    even when its bytes and mtime are put back)."""
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def load_feature_map(path, key=None):
     """Read one BTFT tensor; bit-exact round trip with save_tensor.
 
-    An empty shape or a non-finite payload is refused, naming the file.
-    The payload is read straight into the array the tensor owns: no copy
-    of the file bytes is made and freed on the way.
+    An empty shape or a non-finite payload is refused, naming the file, and
+    so is a file whose ``stat_key`` is not ``key``, when one is given: the
+    key is read from the open file, so it is that of the bytes read. The
+    payload is read straight into the array the tensor owns: no copy of the
+    file bytes is made and freed on the way.
     """
     try:
         with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
+            st = os.fstat(fh.fileno())
+            if key is not None and stat_key(st) != key:
+                raise GapnetError(f"{path}: changed since it was first read")
+            size = st.st_size
             head = fh.read(10)
             if len(head) < 10 or head[:4] != MAGIC:
                 raise GapnetError(f"{path}: not a BTFT file")

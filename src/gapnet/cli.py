@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as datamod
-from .backbone import load_feature_map, rewrite_tensor, save_tensor, write_atomic
+from .backbone import load_feature_map, rewrite_tensor, save_tensor, stat_key, write_atomic
 from .errors import GapnetError, json_object, require_counts, require_object
 from .metrics import confusion, metrics, render_confusion_csv, render_confusion_svg
 from .pipeline import (CLASSIFIERS, Model, ModelSpec, decide, load_checkpoint, save_checkpoint,
@@ -158,14 +158,12 @@ PREPARE_FORMAT = "gapnet prepare 1"
 
 
 def _stat_key(path):
-    """The stat data git's index keys ``path`` on, which any rewrite of the file
-    changes (its ctime moves even when its bytes and mtime are put back); None
-    when it cannot be stat'ed. The encode cache and prepare's record both trust it."""
+    """``path``'s ``stat_key``, or None when it cannot be stat'ed. The encode
+    cache, prepare's record and a trainable backbone's rows all trust it."""
     try:
-        st = os.stat(path)
+        return stat_key(os.stat(path))
     except (OSError, ValueError):  # ValueError: a NUL in a path a record names
         return None
-    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
 
 
 def _made_from(record, image_size):
@@ -276,9 +274,10 @@ CACHE_FORMAT = "gapnet encode cache 1"
 CACHE_PREFIXES = 16
 
 
-def _encode(model, rec):
-    """``model.encode`` of ``rec``'s input file; a bad input's error names the file."""
-    x = load_feature_map(rec.path)  # whose errors name it already
+def _encode(model, rec, key=None):
+    """``model.encode`` of ``rec``'s input file, which must have the stat ``key``
+    if one is given; a bad input's error names the file."""
+    x = load_feature_map(rec.path, key)  # whose errors name it already
     try:
         return model.encode(x)
     except GapnetError as e:
@@ -300,10 +299,7 @@ class _Reread:
         _encode(model, rec)
 
     def __call__(self):
-        key = _stat_key(self.rec.path)
-        if key is not None and key != self.key:
-            raise GapnetError(f"{self.rec.path}: changed since training first read it")
-        return _encode(self.model, self.rec)
+        return _encode(self.model, self.rec, self.key)
 
 
 def _tag(*parts):

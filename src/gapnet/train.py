@@ -212,12 +212,11 @@ def train_loop(model, train, val, config):
     the part of the network that training changes, one forward, BCE and
     backward per mini-batch. A model with a trainable backbone runs each
     mini-batch, and the val pass, one image at a time (``passes``), and
-    the loop sums the passes' gradients
-    in one buffer of the trainable size: the first pass's are copied into
-    it and each later pass's added. Either way one Adam step follows each
-    mini-batch; a frozen model's reads the trainable suffix of
-    ``flat_grads`` itself. An error raised in a pass, a bad or missing
-    input's included, names its epoch.
+    the loop sums the passes' gradients in one buffer of the trainable
+    size: the first pass's are copied into it and each later pass's added.
+    Either way one Adam step follows each mini-batch; a frozen model's
+    reads the trainable suffix of ``flat_grads`` itself. An error raised in
+    a pass, a bad or missing input's included, names its epoch.
     """
     config.validate()
     if not train:
