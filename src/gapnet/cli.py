@@ -8,6 +8,7 @@ import argparse
 import contextlib
 import ctypes
 import fcntl
+import functools
 import hashlib
 import json
 import numbers
@@ -284,7 +285,7 @@ def _encode(model, rec, key=None):
         raise GapnetError(f"{rec.path}: {e}") from e
 
 
-class _Reread:
+def _reread(model, rec):
     """A trainable backbone's row: a reference to its input file, not the image.
 
     The file is read and checked once here, after its ``_stat_key`` is taken,
@@ -292,14 +293,9 @@ class _Reread:
     so training holds one image at a time rather than all of them. A file whose
     stat key has changed since is refused, naming it: it is no longer the input
     that was checked. A file gone since reports itself as missing."""
-
-    def __init__(self, model, rec):
-        self.model, self.rec = model, rec
-        self.key = _stat_key(rec.path)
-        _encode(model, rec)
-
-    def __call__(self):
-        return _encode(self.model, self.rec, self.key)
+    key = _stat_key(rec.path)
+    _encode(model, rec)
+    return functools.partial(_encode, model, rec, key)
 
 
 def _tag(*parts):
@@ -413,10 +409,10 @@ def _encoded_inputs(manifest, model):
     encoded input ``model.forward`` takes, from the on-disk cache where it
     can, and what was encoded is cached on exit. A backbone that trains
     (only ever in a model built to train, never in a loaded checkpoint)
-    takes raw inputs, which are never cached: its row is a ``_Reread`` of
-    the input's file, which each pass calls for the image."""
+    takes raw inputs, which are never cached: its row, from ``_reread``,
+    reads the input's file again at each pass that calls it."""
     if not model.frozen.layers:
-        yield lambda rec: _Reread(model, rec)
+        yield functools.partial(_reread, model)
         return
     cache = _EncodeCache(manifest, model)
     yield cache
@@ -428,7 +424,7 @@ def build_dataset(config, model, splits):
     from the encode cache (None when nothing is frozen, so nothing is
     cached). With a frozen prefix a row is the encoded input, the frozen
     prefix run once per file and only its output kept; with none it is a
-    reference that re-reads the input at each pass (``_Reread``), so
+    reference that re-reads the input at each pass (``_reread``), so
     memory holds no image between passes. Either way every input is read
     and checked here, before training starts."""
     dataset = {split: [] for split in splits}
